@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-compare alloc-regression chaos check staticcheck
+.PHONY: all build test race vet bench bench-compare alloc-regression chaos check staticcheck perfbench-check
 
 all: check
 
@@ -99,5 +99,11 @@ bench-compare:
 # caching.
 alloc-regression:
 	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/ml ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va
+
+# The served-path benchmark (perfbench/) is its own module, so ./...
+# never builds or tests it. Vet and test it here so a change to an API
+# it calls cannot break the benchmark unseen (~35 s).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 check: build vet test race

@@ -597,8 +597,9 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 				return nil, fmt.Errorf("tenant %q: %w", spec.ID, aerr)
 			}
 			cfg.Features = features.DefaultConfig(array.MaxDelaySamples(48000, 340), 48000)
-			// Streamed frames must match the array geometry too.
-			streamChannels = array.Channels()
+			// Streamed frames carry the same microphone subset captures
+			// and enrollment use, not every element of the array.
+			streamChannels = len(array.DefaultSubset())
 		}
 		cfg.Metrics = tenantMetrics
 		sys, serr := headtalk.NewSystem(cfg)
@@ -650,12 +651,13 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 // restoredTenantConfig assembles the serving stack for a tenant
 // activated from a snapshot envelope: same workers, queue, breaker,
 // tracing and streaming front end a locally-enrolled tenant gets. The
-// streamed channel count follows the envelope's recorded device.
+// streamed channel count follows the envelope's recorded device: its
+// default capture subset, as for a locally-enrolled tenant.
 func (d *daemon) restoredTenantConfig(env *cluster.Envelope, sys *core.System, registry *metrics.Registry) pool.TenantConfig {
 	streamChannels := 4
 	if device, _, err := env.Profile(); err == nil && device != "" {
 		if array, aerr := mic.DeviceByID(device); aerr == nil {
-			streamChannels = array.Channels()
+			streamChannels = len(array.DefaultSubset())
 		}
 	}
 	return pool.TenantConfig{

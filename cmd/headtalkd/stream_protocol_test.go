@@ -216,3 +216,45 @@ func TestStreamMultiTenantSessionGauges(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamDeviceTenantAcceptsCaptureSubset: a D1 tenant (a 7-element
+// array) streams the same 4-microphone subset its captures and
+// enrollment use, so a 4-channel push is served — both on the tenant
+// the daemon built and on the same tenant restored from its snapshot.
+func TestStreamDeviceTenantAcceptsCaptureSubset(t *testing.T) {
+	d, err := newDaemon(daemonOptions{
+		Workers:      2,
+		QueueSize:    16,
+		Mode:         "normal",
+		Tenants:      []tenantSpec{{ID: "kitchen", Device: "D1"}},
+		MetricsEvery: time.Hour,
+		Enroll:       false,
+		Seed:         7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+
+	frames := [][]float64{make([]float64, 480), make([]float64, 480), make([]float64, 480), make([]float64, 480)}
+	m := byID(runStream(t, d,
+		mustJSON(t, request{V: v(2), ID: "push", Tenant: "kitchen", Session: "s", Frames: frames})+"\n"+
+			`{"v":3,"id":"snap","tenant":"kitchen","snapshot":true}`+"\n"))
+	if r := m["push"]; r.Type != "stream" || r.Status == "" {
+		t.Fatalf("4-channel push to a D1 tenant: %+v, want a stream line", r)
+	}
+	r := m["snap"]
+	if r.Type != "snapshot" || r.Envelope == nil {
+		t.Fatalf("snapshot response %+v", r)
+	}
+
+	m = byID(runStream(t, d,
+		mustJSON(t, request{V: v(3), ID: "restore", Restore: r.Envelope})+"\n"+
+			mustJSON(t, request{V: v(2), ID: "push", Tenant: "kitchen", Session: "s", Frames: frames})+"\n"))
+	if r := m["restore"]; r.Type != "ok" {
+		t.Fatalf("restore response %+v", r)
+	}
+	if r := m["push"]; r.Type != "stream" || r.Status == "" {
+		t.Fatalf("4-channel push to the restored D1 tenant: %+v, want a stream line", r)
+	}
+}

@@ -119,12 +119,13 @@ func TestFocusWindowSelectsEnergy(t *testing.T) {
 			ch[i] = rng.NormFloat64()
 		}
 	}
-	out := focusWindow(rec, 8192)
-	if out.Len() != 8192 {
-		t.Fatalf("window length %d", out.Len())
+	var mono []float64
+	start, length := FocusBounds(rec, 8192, &mono)
+	if length != 8192 {
+		t.Fatalf("window length %d", length)
 	}
 	var energy float64
-	for _, v := range out.Channels[0] {
+	for _, v := range rec.Channels[0][start : start+length] {
 		energy += v * v
 	}
 	if energy < 1000 {
@@ -134,16 +135,16 @@ func TestFocusWindowSelectsEnergy(t *testing.T) {
 
 func TestFocusWindowShortInputUntouched(t *testing.T) {
 	rec := testRecording(1000, 8)
-	out := focusWindow(rec, 8192)
-	if out.Len() != 1000 {
+	var mono []float64
+	if start, length := FocusBounds(rec, 8192, &mono); start != 0 || length != 1000 {
 		t.Error("short input should pass through")
 	}
 }
 
 func TestFocusWindowDisabled(t *testing.T) {
 	rec := testRecording(30000, 9)
-	out := focusWindow(rec, -1)
-	if out.Len() != 30000 {
+	var mono []float64
+	if start, length := FocusBounds(rec, -1, &mono); start != 0 || length != 30000 {
 		t.Error("negative window should disable cropping")
 	}
 }

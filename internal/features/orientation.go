@@ -87,7 +87,14 @@ func Extract(rec *audio.Recording, cfg Config) ([]float64, error) {
 	if cfg.MaxLag <= 0 {
 		return nil, fmt.Errorf("features: MaxLag must be positive, got %d", cfg.MaxLag)
 	}
-	rec = focusWindow(rec, cfg.AnalysisWindow)
+	var mono []float64
+	if start, length := FocusBounds(rec, cfg.AnalysisWindow, &mono); length < rec.Len() {
+		focus := &audio.Recording{SampleRate: rec.SampleRate, Channels: make([][]float64, len(rec.Channels))}
+		for i, ch := range rec.Channels {
+			focus.Channels[i] = ch[start : start+length]
+		}
+		rec = focus
+	}
 	var out []float64
 
 	if !cfg.DisableReverbFeatures {
@@ -132,40 +139,44 @@ func Extract(rec *audio.Recording, cfg Config) ([]float64, error) {
 	return out, nil
 }
 
-// focusWindow crops all channels to the highest-energy window of the
-// requested length, found on the channel mean with a coarse 1024-sample
-// hop. It bounds the GCC FFT sizes and anchors the features to the
-// utterance (rather than trailing silence) without touching
-// inter-channel alignment.
-func focusWindow(rec *audio.Recording, window int) *audio.Recording {
+// FocusBounds locates the highest-energy window of the requested length
+// on the channel mean with a coarse 1024-sample hop (a stride-4 energy
+// estimate per candidate start). It returns the window's start and
+// length; the whole recording when it already fits or window is
+// negative. window == 0 selects 32768 samples (Config.AnalysisWindow's
+// default).
+//
+// Cropping every channel to these bounds anchors the analysis to the
+// utterance rather than its silence or noise lead-in, bounds the GCC
+// FFT sizes, and leaves inter-channel alignment untouched. *mono is the
+// caller's channel-mean scratch, reused and grown in place, so a warm
+// caller searches without allocating.
+func FocusBounds(rec *audio.Recording, window int, mono *[]float64) (start, length int) {
+	n := rec.Len()
 	if window < 0 {
-		return rec
+		return 0, n
 	}
 	if window == 0 {
 		window = 32768
 	}
-	n := rec.Len()
 	if n <= window {
-		return rec
+		return 0, n
 	}
-	mono := rec.Mono()
+	m := rec.MonoInto(*mono)
+	*mono = m
 	const hop = 1024
 	bestStart, bestEnergy := 0, -1.0
 	for start := 0; start+window <= n; start += hop {
 		var acc float64
 		for i := start; i < start+window; i += 4 { // stride-4 estimate
-			acc += mono[i] * mono[i]
+			acc += m[i] * m[i]
 		}
 		if acc > bestEnergy {
 			bestEnergy = acc
 			bestStart = start
 		}
 	}
-	out := &audio.Recording{SampleRate: rec.SampleRate, Channels: make([][]float64, len(rec.Channels))}
-	for i, ch := range rec.Channels {
-		out.Channels[i] = ch[bestStart : bestStart+window]
-	}
-	return out
+	return bestStart, window
 }
 
 // statSummary returns the paper's five statistics of a curve:

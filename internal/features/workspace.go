@@ -83,7 +83,7 @@ func (ws *Workspace) ExtractBatch(recs []*audio.Recording, cfg Config) ([][]floa
 	ws.chanHeads = ws.chanHeads[:totalChans]
 	at := 0
 	for k, rec := range recs {
-		start, length := ws.focusBounds(rec, cfg.AnalysisWindow)
+		start, length := FocusBounds(rec, cfg.AnalysisWindow, &ws.mono)
 		item := ws.chanHeads[at : at : at+len(rec.Channels)]
 		for _, ch := range rec.Channels {
 			item = append(item, ch[start:start+length])
@@ -141,38 +141,6 @@ func setFor(sets [][]srp.PairGCC, k int) []srp.PairGCC {
 		return nil
 	}
 	return sets[k]
-}
-
-// focusBounds locates the highest-energy window of the requested
-// length on the channel mean with a coarse 1024-sample hop — the same
-// search Extract has always run, minus the allocations. It returns the
-// window's start and length (the whole recording when it already fits).
-func (ws *Workspace) focusBounds(rec *audio.Recording, window int) (int, int) {
-	n := rec.Len()
-	if window < 0 {
-		return 0, n
-	}
-	if window == 0 {
-		window = 32768
-	}
-	if n <= window {
-		return 0, n
-	}
-	mono := rec.MonoInto(ws.mono)
-	ws.mono = mono
-	const hop = 1024
-	bestStart, bestEnergy := 0, -1.0
-	for start := 0; start+window <= n; start += hop {
-		var acc float64
-		for i := start; i < start+window; i += 4 { // stride-4 estimate
-			acc += mono[i] * mono[i]
-		}
-		if acc > bestEnergy {
-			bestEnergy = acc
-			bestStart = start
-		}
-	}
-	return bestStart, window
 }
 
 // assemble appends one capture's feature vector to buf: the

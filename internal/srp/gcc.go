@@ -171,13 +171,12 @@ type PairOptions struct {
 // Each channel is transformed — and, for PHAT, phase-normalized — once
 // and the result shared across every pair it joins, so a C-channel
 // capture costs C forward FFTs plus one inverse per pair instead of the
-// 2·C(C,2) forward transforms of the per-pair path.
+// 2·C(C,2) forward transforms of the per-pair path. It runs on a fresh
+// Workspace, so the returned pairs are the caller's own; serving paths
+// keep a Workspace and call its AllPairs instead.
 func AllPairs(channels [][]float64, opt PairOptions) ([]PairGCC, error) {
-	idx := make([]int, len(channels))
-	for i := range idx {
-		idx[i] = i
-	}
-	return sharedPairs(channels, idx, opt)
+	var ws Workspace
+	return ws.AllPairs(channels, opt)
 }
 
 // SelectedPairs recomputes the GCC pair set over a subset of surviving
@@ -188,119 +187,10 @@ func AllPairs(channels [][]float64, opt PairOptions) ([]PairGCC, error) {
 // attributable to physical microphones. The subset must list at least
 // two distinct in-range indices; anything else is a typed error so
 // the caller can fail closed rather than steer on a garbage pair set.
+// Like AllPairs it runs on a fresh Workspace.
 func SelectedPairs(channels [][]float64, subset []int, opt PairOptions) ([]PairGCC, error) {
-	if len(subset) < 2 {
-		return nil, fmt.Errorf("srp: need at least 2 surviving channels, have %d", len(subset))
-	}
-	seen := make(map[int]bool, len(subset))
-	for _, c := range subset {
-		if c < 0 || c >= len(channels) {
-			return nil, fmt.Errorf("srp: subset channel %d out of range [0,%d)", c, len(channels))
-		}
-		if seen[c] {
-			return nil, fmt.Errorf("srp: duplicate subset channel %d", c)
-		}
-		seen[c] = true
-	}
-	return sharedPairs(channels, subset, opt)
-}
-
-// sharedPairs correlates every unordered pair of the subset channels,
-// computing each channel's forward spectrum exactly once.
-func sharedPairs(channels [][]float64, subset []int, opt PairOptions) ([]PairGCC, error) {
-	if len(subset) < 2 {
-		return nil, nil
-	}
-	n := len(channels[subset[0]])
-	if n == 0 {
-		return nil, fmt.Errorf("srp: pair (%d,%d): srp: empty channels", subset[0], subset[1])
-	}
-	for _, c := range subset[1:] {
-		if len(channels[c]) != n {
-			return nil, fmt.Errorf("srp: pair (%d,%d): srp: channel length mismatch %d != %d",
-				subset[0], c, n, len(channels[c]))
-		}
-	}
-	if opt.MaxLag < 0 {
-		return nil, fmt.Errorf("srp: negative maxLag %d", opt.MaxLag)
-	}
-
-	m := dsp.NextPow2(2 * n)
-	p := dsp.Plan(m)
-	bins := m/2 + 1
-
-	// One forward real FFT per channel, into one flat backing array.
-	// For PHAT the spectrum is phase-normalized here, so the per-pair
-	// whitened cross-spectrum is a plain multiply: with ua = fa/|fa|,
-	// ua·conj(ub) = fa·conj(fb)/|fa·conj(fb)|.
-	specs := make([][]complex128, len(subset))
-	flat := make([]complex128, len(subset)*bins)
-	padded := make([]float64, m)
-	var rms []float64
-	if !opt.PHAT {
-		rms = make([]float64, len(subset))
-	}
-	for si, c := range subset {
-		copy(padded, channels[c]) // equal lengths keep the zero tail intact
-		spec := p.RFFT(flat[si*bins:si*bins:(si+1)*bins], padded)
-		if opt.PHAT {
-			whitenSpectrum(spec)
-		} else {
-			rms[si] = dsp.RMS(channels[c])
-		}
-		specs[si] = spec
-	}
-
-	loBin, hiBin := bandBins(m, opt.SampleRate, opt.BandLo, opt.BandHi)
-	if !opt.PHAT {
-		loBin, hiBin = 0, m/2
-	}
-
-	cross := make([]complex128, bins)
-	rbuf := make([]float64, m)
-	out := make([]PairGCC, 0, len(subset)*(len(subset)-1)/2)
-	for a := 0; a < len(subset); a++ {
-		for b := a + 1; b < len(subset); b++ {
-			for i := range cross {
-				cross[i] = 0
-			}
-			var scale float64
-			if opt.PHAT {
-				var kept int
-				wa, wb := specs[a], specs[b]
-				for i := loBin; i <= hiBin; i++ {
-					c := wa[i] * cmplx.Conj(wb[i])
-					if c != 0 {
-						cross[i] = c
-						kept++
-					}
-				}
-				scale = 1.0
-				if kept > 0 {
-					scale = float64(m) / float64(2*kept)
-				}
-			} else {
-				fa, fb := specs[a], specs[b]
-				for i := range cross {
-					cross[i] = fa[i] * cmplx.Conj(fb[i])
-				}
-				norm := rms[a] * rms[b] * float64(n)
-				if norm == 0 {
-					norm = 1
-				}
-				scale = 1 / norm
-			}
-			p.IRFFT(rbuf, cross)
-			r := lagWindow(nil, rbuf, opt.MaxLag, scale)
-			out = append(out, PairGCC{
-				I:    subset[a],
-				J:    subset[b],
-				R:    r,
-				TDoA: dsp.ArgMax(r) - opt.MaxLag,
-			})
-		}
-	}
-	return out, nil
+	var ws Workspace
+	return ws.SelectedPairs(channels, subset, opt)
 }
 
 // whitenSpectrum normalizes every bin to unit magnitude in place,

@@ -198,11 +198,12 @@ func itemLen(channels [][]float64, subset []int) int {
 	return len(channels[0])
 }
 
-// validateItem mirrors sharedPairs's input checks for one capture.
+// validateItem checks one capture's channel lengths; fewer than two
+// channels is an empty pair set, not an error.
 func validateItem(channels [][]float64, subset []int) error {
 	if subset == nil {
 		if len(channels) < 2 {
-			return nil // empty pair set, like sharedPairs
+			return nil // empty pair set
 		}
 		n := len(channels[0])
 		if n == 0 {
@@ -265,6 +266,9 @@ func (ws *Workspace) sweepGroup(items [][][]float64, subsets [][]int, base, m in
 	ws.rbuf = growF(ws.rbuf, m)
 
 	// Phase one: every forward transform in the group, back to back.
+	// For PHAT each spectrum is phase-normalized here, so the per-pair
+	// whitened cross-spectrum is a plain multiply: with ua = fa/|fa|,
+	// ua·conj(ub) = fa·conj(fb)/|fa·conj(fb)|.
 	si := 0
 	for k, channels := range items {
 		subset := subsetFor(subsets, base+k)

@@ -283,11 +283,13 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 	s.cooldown = m.cfg.Spotter.TemplateFrames()
 	s.online.Reset()
 	res := PushResult{Status: StatusSpotted, SpotScore: s.pushBest}
-	// The speaker signature is computed before the decision pipeline
-	// runs: Decide owns its snapshot and may mutate it.
+	// One snapshot per candidate. The speaker signature reads it before
+	// the decision pipeline runs, because Decide then owns the snapshot
+	// and may mutate it.
+	rec := s.ring.Snapshot(m.cfg.SampleRate)
 	var sig []int
 	if m.speakers != nil {
-		if v, err := Signature(s.ring.Snapshot(m.cfg.SampleRate), m.speakers.cfg.MaxLag); err == nil {
+		if v, err := Signature(rec, m.speakers.cfg.MaxLag); err == nil {
 			sig = v
 		}
 	}
@@ -296,7 +298,7 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 		return res, nil
 	}
 	spans := SpanDurations{Ingest: tIngest.Sub(t0), Spot: tSpot.Sub(tIngest)}
-	d, err := m.cfg.Decide(ctx, s.ring.Snapshot(m.cfg.SampleRate), spans)
+	d, err := m.cfg.Decide(ctx, rec, spans)
 	res.Status = StatusDecided
 	if err != nil {
 		res.Err = err

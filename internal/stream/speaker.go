@@ -7,6 +7,7 @@ import (
 
 	"headtalk/internal/audio"
 	"headtalk/internal/core"
+	"headtalk/internal/features"
 	"headtalk/internal/srp"
 )
 
@@ -129,16 +130,45 @@ func (tk *Tracker) Len() int {
 	return len(tk.tracks)
 }
 
+// sigScratch is one signature computation's reusable state: the focus
+// locator's channel-mean buffer, the cropped channel headers and the
+// GCC workspace (a few MB of FFT scratch at the default focus window).
+type sigScratch struct {
+	mono  []float64
+	heads [][]float64
+	gcc   srp.Workspace
+}
+
+// sigPool recycles signature scratch across candidates and sessions:
+// candidates are rare, so a pool beats a per-session workspace that
+// would sit idle between utterances.
+var sigPool = sync.Pool{New: func() any { return new(sigScratch) }}
+
 // Signature derives the per-pair TDoA lag vector of a candidate
-// window. The vector length is C(channels, 2).
+// window: the 300–4000 Hz PHAT GCC lags of every channel pair over the
+// window's focus — the same highest-energy 32768-sample span the
+// feature extractor analyses (features.FocusBounds). Correlating the
+// spoken word rather than the whole ring matters: under PHAT
+// whitening every bin votes equally, so a long noise lead-in from
+// another direction (a TV, a fan) would otherwise outvote the word and
+// sign the candidate with the noise source's position. The vector
+// length is C(channels, 2); it is the only allocation of a warm call.
 func Signature(rec *audio.Recording, maxLag int) ([]int, error) {
-	pairs, err := srp.AllPairs(rec.Channels, srp.PairOptions{
+	sc := sigPool.Get().(*sigScratch)
+	defer sigPool.Put(sc)
+	start, length := features.FocusBounds(rec, 0, &sc.mono)
+	sc.heads = sc.heads[:0]
+	for _, ch := range rec.Channels {
+		sc.heads = append(sc.heads, ch[start:start+length])
+	}
+	pairs, err := sc.gcc.AllPairs(sc.heads, srp.PairOptions{
 		MaxLag:     maxLag,
 		PHAT:       true,
 		SampleRate: rec.SampleRate,
 		BandLo:     300,
 		BandHi:     4000,
 	})
+	clear(sc.heads) // the pooled scratch must not pin the caller's samples
 	if err != nil {
 		return nil, err
 	}
