@@ -37,9 +37,9 @@ vet:
 
 # Fault-injection chaos suite, run twice under the race detector:
 # exactly-once delivery and fail-closed decisions while the injector
-# corrupts frames, drops channels, stalls stages and induces panics —
-# on both the sequential worker and the batch collector (a mid-batch
-# panic fails the whole batch closed) — plus streaming-session
+# corrupts frames, drops channels, stalls stages and induces panics
+# on the per-request worker (a panic fails its one submission closed
+# and the worker keeps serving) — plus streaming-session
 # isolation (a stalled session must not starve pushes or eviction for
 # other sessions), plus federation isolation (dead, black-hole and
 # slow-drip peers must fail fast with typed errors and leave
@@ -93,8 +93,8 @@ bench-compare:
 
 # Allocation-regression gate: the AllocsPerRun pins that hold the
 # steady-state serving path at zero allocations — the whole
-# ProcessWake (session shortcut, full orientation path, batched path)
-# plus the per-layer workspaces it is built from. -count=2 repeats
+# ProcessWake (session shortcut and full orientation path) plus the
+# per-layer workspaces it is built from. -count=2 repeats
 # each pin so a warm-up-dependent regression cannot hide behind test
 # caching.
 alloc-regression:

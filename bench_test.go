@@ -587,7 +587,6 @@ func BenchmarkStreamEndToEnd(b *testing.B) {
 var (
 	engineBenchOnce  sync.Once
 	engineBenchSys   *System
-	engineBenchModel *orientation.Model
 	engineBenchBatch []*Recording
 	engineBenchErr   error
 )
@@ -617,7 +616,6 @@ func engineBenchSetup() {
 			engineBenchErr = err
 			return
 		}
-		engineBenchModel = model
 		sys, err := NewSystem(Config{Orientation: model})
 		if err != nil {
 			engineBenchErr = err
@@ -678,74 +676,6 @@ func benchEngineThroughput(b *testing.B, traced bool) {
 				cfg.Traces.SetEnabled(true)
 			}
 			eng, err := NewEngine(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := eng.Start(); err != nil {
-				b.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rec := engineBenchBatch[i%len(engineBenchBatch)]
-				wg.Add(1)
-				for {
-					_, err := eng.Submit(context.Background(), ServeRequest{
-						Recording: rec,
-						Callback:  func(ServeResult) { wg.Done() },
-					})
-					if err == nil {
-						break
-					}
-					if errors.Is(err, ErrQueueFull) {
-						runtime.Gosched() // backpressure: retry
-						continue
-					}
-					b.Fatal(err)
-				}
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkEngineThroughputBatched sweeps the batch collector's size
-// (off = the per-request worker, then MaxBatch 1/4/8) at a fixed
-// worker count, reporting decisions/sec. The system disables the
-// facing-session shortcut (negative SessionTimeout) so every decision
-// runs the full orientation path — the DSP work the batched
-// forward-FFT sweep amortizes; with the shortcut on, steady state
-// skips the DSP entirely and batching has nothing to batch. batch=1
-// measures the collector's bookkeeping against the off baseline (the
-// latency-overhead acceptance bound is 10%).
-func BenchmarkEngineThroughputBatched(b *testing.B) {
-	engineBenchSetup()
-	if engineBenchErr != nil {
-		b.Fatal(engineBenchErr)
-	}
-	sys, err := NewSystem(Config{Orientation: engineBenchModel, SessionTimeout: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.SetMode(ModeHeadTalk)
-	const workers = 4
-	for _, maxBatch := range []int{0, 1, 4, 8} {
-		name := fmt.Sprintf("batch=%d", maxBatch)
-		if maxBatch == 0 {
-			name = "batch=off"
-		}
-		b.Run(name, func(b *testing.B) {
-			eng, err := NewEngine(EngineConfig{
-				System:    sys,
-				Workers:   workers,
-				QueueSize: 64,
-				MaxBatch:  maxBatch,
-			})
 			if err != nil {
 				b.Fatal(err)
 			}

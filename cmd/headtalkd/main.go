@@ -8,18 +8,9 @@
 // Usage:
 //
 //	headtalkd [-listen addr] [-workers N] [-queue N] [-mode M]
-//	          [-batch N] [-batch-gather D]
 //	          [-tenants spec] [-deadline D] [-metrics-every D]
 //	          [-no-enroll] [-ensemble] [-seed N] [-trace] [-trace-capacity N]
 //	          [-slow-threshold D] [-debug-addr addr]
-//
-// With -batch N (N > 1) each tenant's workers gather up to N queued
-// requests (waiting at most -batch-gather after the first) and run
-// them through the batched DSP path: one cache-friendly forward-FFT +
-// PHAT-whitening sweep over the shared plan instead of per-request
-// passes. Batch occupancy is observable as the serve.batch.size
-// histogram and serve.batch.occupancy gauge, summarized under
-// "batches" in metrics lines.
 //
 // With -tenants the daemon hosts several isolated device profiles at
 // once, each with its own trained system, queue, circuit breaker and
@@ -149,8 +140,6 @@ func main() {
 		listen       = flag.String("listen", "", "TCP listen address (empty: serve stdin/stdout)")
 		workers      = flag.Int("workers", 0, "per-tenant engine worker count (0: NumCPU)")
 		queueSize    = flag.Int("queue", 64, "per-tenant bounded submission queue size")
-		maxBatch     = flag.Int("batch", 0, "requests per DSP batch (<=1: per-request serving)")
-		batchGather  = flag.Duration("batch-gather", 0, "how long a worker waits to fill a batch after the first request (0: 2ms)")
 		mode         = flag.String("mode", "headtalk", "initial privacy mode: normal|mute|headtalk")
 		tenants      = flag.String("tenants", "", "comma-separated tenant specs id:DEVICE@ROOM (empty: one anonymous tenant)")
 		deadline     = flag.Duration("deadline", 0, "per-request deadline (0: none)")
@@ -195,8 +184,6 @@ func main() {
 	d, err := newDaemon(daemonOptions{
 		Workers:           *workers,
 		QueueSize:         *queueSize,
-		MaxBatch:          *maxBatch,
-		GatherDelay:       *batchGather,
 		Mode:              *mode,
 		Tenants:           specs,
 		Deadline:          *deadline,
@@ -357,17 +344,11 @@ func parseTenantSpecs(s string) ([]tenantSpec, error) {
 type daemonOptions struct {
 	Workers   int
 	QueueSize int
-	// MaxBatch > 1 turns on the per-tenant batch collector: workers
-	// gather up to MaxBatch queued requests (waiting at most
-	// GatherDelay after the first) and run them through the batched
-	// DSP path. See serve.Config.MaxBatch.
-	MaxBatch    int
-	GatherDelay time.Duration
-	Mode        string
+	Mode      string
 	// Tenants lists the hosted device profiles. Empty hosts one
 	// anonymous tenant (single-tenant mode: responses and metrics keep
 	// their historical, label-free shape).
-	Tenants          []tenantSpec
+	Tenants      []tenantSpec
 	Deadline     time.Duration
 	MetricsEvery time.Duration
 	Enroll       bool
@@ -614,8 +595,6 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 			Models:           models,
 			Workers:          opts.Workers,
 			QueueSize:        opts.QueueSize,
-			MaxBatch:         opts.MaxBatch,
-			GatherDelay:      opts.GatherDelay,
 			Metrics:          tenantMetrics,
 			BreakerThreshold: opts.BreakerThreshold,
 			BreakerCooldown:  opts.BreakerCooldown,
@@ -665,8 +644,6 @@ func (d *daemon) restoredTenantConfig(env *cluster.Envelope, sys *core.System, r
 		System:           sys,
 		Workers:          d.opts.Workers,
 		QueueSize:        d.opts.QueueSize,
-		MaxBatch:         d.opts.MaxBatch,
-		GatherDelay:      d.opts.GatherDelay,
 		Metrics:          registry,
 		BreakerThreshold: d.opts.BreakerThreshold,
 		BreakerCooldown:  d.opts.BreakerCooldown,
@@ -947,9 +924,6 @@ type response struct {
 	Counters  map[string]uint64         `json:"counters,omitempty"`
 	Gauges    map[string]int64          `json:"gauges,omitempty"`
 	Latencies map[string]latencySummary `json:"latencies,omitempty"`
-	// Batches summarizes the serve.batch.size histograms (requests per
-	// dispatched batch — counts, not latencies) when batching is on.
-	Batches map[string]batchSummary `json:"batches,omitempty"`
 }
 
 // speakerEcho is the per-speaker attribution on a stream line: the
@@ -1085,24 +1059,6 @@ type latencySummary struct {
 	MaxUS  int64  `json:"max_us"`
 }
 
-// batchSummary renders one serve.batch.size histogram: how full
-// dispatched batches ran, in requests rather than seconds.
-type batchSummary struct {
-	// Batches is how many batches were dispatched; Requests how many
-	// requests rode them (Requests/Batches = mean occupancy).
-	Batches  uint64  `json:"batches"`
-	Requests uint64  `json:"requests"`
-	Mean     float64 `json:"mean"`
-	P50      float64 `json:"p50"`
-	Max      float64 `json:"max"`
-}
-
-// isBatchSizeMetric spots the serve.batch.size histogram under any
-// tenant prefix; its samples are batch occupancies, not durations.
-func isBatchSizeMetric(name string) bool {
-	return strings.HasSuffix(name, "serve.batch.size")
-}
-
 func metricsResponse(s metrics.Snapshot) response {
 	resp := response{
 		Type:      "metrics",
@@ -1112,19 +1068,6 @@ func metricsResponse(s metrics.Snapshot) response {
 	}
 	us := func(sec float64) int64 { return int64(sec * 1e6) }
 	for name, h := range s.Histograms {
-		if isBatchSizeMetric(name) {
-			if resp.Batches == nil {
-				resp.Batches = map[string]batchSummary{}
-			}
-			resp.Batches[name] = batchSummary{
-				Batches:  h.Count,
-				Requests: uint64(h.Sum),
-				Mean:     h.Mean(),
-				P50:      h.Quantile(0.5),
-				Max:      h.Max,
-			}
-			continue
-		}
 		resp.Latencies[name] = latencySummary{
 			Count:  h.Count,
 			MeanUS: us(h.Mean()),

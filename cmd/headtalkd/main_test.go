@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math/rand/v2"
 	"net"
 	"os"
@@ -278,51 +277,5 @@ func TestServeTCP(t *testing.T) {
 	}
 	if r.Type != "decision" || r.ID != "tcp-1" || r.Accepted == nil || !*r.Accepted {
 		t.Fatalf("tcp response %+v", r)
-	}
-}
-
-// TestBatchedDaemonMetrics: with -batch the daemon serves through the
-// batch collector, and metrics lines summarize batch occupancy under
-// "batches" (counts) instead of mis-rendering it as a latency.
-func TestBatchedDaemonMetrics(t *testing.T) {
-	d, err := newDaemon(daemonOptions{
-		Workers:      2,
-		QueueSize:    16,
-		MaxBatch:     4,
-		Mode:         "normal",
-		MetricsEvery: time.Hour,
-		Enroll:       false,
-		Seed:         7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = d.Close() })
-
-	var input strings.Builder
-	for i := 0; i < 6; i++ {
-		fmt.Fprintf(&input, `{"id":"b%d","condition":{}}`+"\n", i)
-	}
-	resps := runStream(t, d, input.String())
-	m := byID(resps)
-	for i := 0; i < 6; i++ {
-		r := m[fmt.Sprintf("b%d", i)]
-		if r.Type != "decision" || r.Accepted == nil || !*r.Accepted {
-			t.Fatalf("batched response %d = %+v", i, r)
-		}
-	}
-	last := resps[len(resps)-1]
-	if last.Type != "metrics" {
-		t.Fatalf("last line type %q, want metrics", last.Type)
-	}
-	bs, ok := last.Batches["serve.batch.size"]
-	if !ok {
-		t.Fatalf("metrics line has no batch summary: %+v", last.Batches)
-	}
-	if bs.Requests != 6 || bs.Batches == 0 || bs.Batches > 6 {
-		t.Fatalf("batch summary %+v, want 6 requests over 1..6 batches", bs)
-	}
-	if _, leaked := last.Latencies["serve.batch.size"]; leaked {
-		t.Fatal("batch.size also rendered as a latency")
 	}
 }

@@ -407,19 +407,16 @@ type Preprocessor struct {
 	ins *instruments
 
 	// Arena: single-decision scratch.
-	plan      planScratch
-	preBack   []float64
-	preChans  [][]float64
-	preRec    audio.Recording
-	selChans  [][]float64
-	selRec    audio.Recording
+	plan          planScratch
+	preBack       []float64
+	preChans      [][]float64
+	preRec        audio.Recording
+	selChans      [][]float64
+	selRec        audio.Recording
 	mono          []float64
 	feats         features.Workspace
 	mlScratch     []float64
 	shadowScratch []float64
-
-	// Arena: batch scratch (ProcessWakeBatchWith).
-	batch batchScratch
 }
 
 // NewPreprocessor clones the system's designed band-pass into an
@@ -706,15 +703,6 @@ func (s *System) ProcessWake(ctx context.Context, rec *audio.Recording) (Decisio
 	return s.ProcessWakeWith(ctx, p, rec)
 }
 
-// ProcessWakeCtx is the former name of the context-first entry point.
-//
-// Deprecated: ProcessWake itself is context-first now; call
-// ProcessWake(ctx, rec) instead. This wrapper remains for source
-// compatibility and delegates unchanged.
-func (s *System) ProcessWakeCtx(ctx context.Context, rec *audio.Recording) (Decision, error) {
-	return s.ProcessWake(ctx, rec)
-}
-
 // ProcessWakeWith is ProcessWake with caller-supplied preprocessing
 // state. Serving workers call this with a Preprocessor they own so the
 // DSP hot path runs without any shared mutable state; p must not be
@@ -766,15 +754,6 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 	return d, nil
 }
 
-// ProcessWakeWithCtx is the former name of ProcessWakeWith.
-//
-// Deprecated: ProcessWakeWith itself is context-first now; call
-// ProcessWakeWith(ctx, p, rec) instead. This wrapper remains for
-// source compatibility and delegates unchanged.
-func (s *System) ProcessWakeWithCtx(ctx context.Context, p *Preprocessor, rec *audio.Recording) (Decision, error) {
-	return s.ProcessWakeWith(ctx, p, rec)
-}
-
 func (s *System) headTalkDecision(tr *trace.Recorder, p *Preprocessor, rec *audio.Recording) (Decision, error) {
 	// Resolve the model set exactly once: everything downstream — the
 	// channel plan, both liveness gates, the orientation score and any
@@ -788,17 +767,12 @@ func (s *System) headTalkDecision(tr *trace.Recorder, p *Preprocessor, rec *audi
 	planStart := tr.Begin()
 	plan := s.planChannelsInto(&p.plan, rec, set)
 	tr.End(trace.StageChannelPlan, planStart)
-	return s.decideWithPlan(tr, p, rec, plan, nil, nil, set)
+	return s.decideWithPlan(tr, p, rec, plan, set)
 }
 
 // decideWithPlan runs the liveness and orientation gates for one
-// already-planned recording. pre and feats, when non-nil, are the
-// band-passed recording and orientation feature vector the batch path
-// precomputed for this item (ProcessWakeBatchWith); they are used in
-// place of recomputation, so a batch item's OrientationLatency covers
-// only feature checking and classifier scoring — the shared extraction
-// sweep is traced by the serving layer's batch span instead.
-func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.Recording, plan channelPlan, pre *audio.Recording, feats []float64, set *registry.ModelSet) (Decision, error) {
+// already-planned recording.
+func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.Recording, plan channelPlan, set *registry.ModelSet) (Decision, error) {
 	var d Decision
 	tr.SetPlan(plan.active, plan.degraded)
 	d.DegradedChannels = plan.degraded
@@ -822,6 +796,7 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	// with no liveness gate never consumes the preprocessed samples, so
 	// the steady state of an open session skips the filter sweep (and
 	// its arena write) entirely.
+	var pre *audio.Recording
 	preprocess := func() *audio.Recording {
 		if pre == nil {
 			preStart := tr.Begin()
@@ -917,24 +892,18 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	// Band-pass and channel selection happen outside the orientation
 	// timing window (matching the eager pipeline's stage attribution);
 	// feature extraction and scoring are the gate's latency.
-	var src *audio.Recording
-	if feats == nil {
-		src = preprocess()
-		if len(plan.active) > 0 {
-			sel, serr := p.selectInto(src, plan.active)
-			if serr != nil {
-				return d, fmt.Errorf("core: orientation features: %w", serr)
-			}
-			src = sel
+	src := preprocess()
+	if len(plan.active) > 0 {
+		sel, serr := p.selectInto(src, plan.active)
+		if serr != nil {
+			return d, fmt.Errorf("core: orientation features: %w", serr)
 		}
+		src = sel
 	}
 	start := time.Now()
-	if feats == nil {
-		var ferr error
-		feats, ferr = p.feats.Extract(src, s.cfg.Features)
-		if ferr != nil {
-			return d, fmt.Errorf("core: orientation features: %w", ferr)
-		}
+	feats, ferr := p.feats.Extract(src, s.cfg.Features)
+	if ferr != nil {
+		return d, fmt.Errorf("core: orientation features: %w", ferr)
 	}
 	// A vector the model cannot score (dim mismatch after degradation,
 	// non-finite feature from a DSP fault) must reject, not gamble.

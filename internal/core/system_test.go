@@ -296,38 +296,3 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	<-done
 }
-
-// TestDeprecatedWakeWrappersDelegate pins the API consolidation: the
-// old ProcessWakeCtx / ProcessWakeWithCtx names remain as thin
-// wrappers over the context-first ProcessWake / ProcessWakeWith and
-// produce identical decisions.
-func TestDeprecatedWakeWrappersDelegate(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	sys := testSystem(t, clock)
-	sys.SetMode(ModeHeadTalk)
-	ctx := context.Background()
-
-	want, err := sys.ProcessWake(ctx, markedRecording(true, 90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EndSession() // the accept opened a session; reset between calls
-
-	got, err := sys.ProcessWakeCtx(ctx, markedRecording(true, 90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EndSession()
-	if got.Accepted != want.Accepted || got.Reason != want.Reason {
-		t.Fatalf("ProcessWakeCtx = %+v, ProcessWake = %+v", got, want)
-	}
-
-	p := sys.NewPreprocessor()
-	got, err = sys.ProcessWakeWithCtx(ctx, p, markedRecording(true, 90))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Accepted != want.Accepted || got.Reason != want.Reason {
-		t.Fatalf("ProcessWakeWithCtx = %+v, ProcessWake = %+v", got, want)
-	}
-}

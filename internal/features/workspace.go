@@ -17,10 +17,9 @@ import (
 type Workspace struct {
 	srpWS srp.Workspace
 
-	// Focus-window channel headers: per item, subslices of the input
-	// channels (no samples are copied).
-	items     [][][]float64
-	chanHeads [][]float64
+	// Focus-window channel headers: subslices of the input channels
+	// (no samples are copied).
+	focus [][]float64
 
 	mono   []float64
 	scaled []float64
@@ -28,75 +27,33 @@ type Workspace struct {
 	mag    []float64
 	peaks  []dsp.Peak
 
-	vecBack []float64
-	vecs    [][]float64
-	starts  []int
-
-	oneRec [1]*audio.Recording
+	vec []float64
 }
 
-// Extract is features.Extract running entirely on workspace scratch.
-// The returned vector is valid until the next call on the same
-// workspace.
+// Extract is features.Extract running entirely on workspace scratch:
+// the capture's focus window is located first (channel headers only,
+// no samples move), then its GCC pair set is computed over the window
+// and the feature vector assembled. The returned vector is valid until
+// the next call on the same workspace.
 func (ws *Workspace) Extract(rec *audio.Recording, cfg Config) ([]float64, error) {
-	ws.oneRec[0] = rec
-	vecs, err := ws.ExtractBatch(ws.oneRec[:], cfg)
-	if err != nil {
-		return nil, err
-	}
-	return vecs[0], nil
-}
-
-// ExtractBatch extracts orientation features for several recordings in
-// one batched sweep: every capture's focus window is located first,
-// then every channel of every same-FFT-size capture is transformed and
-// PHAT-whitened back to back over one shared plan (srp.Workspace's
-// batch path), and only then do the per-capture pair inverses and
-// feature assembly run. Amortizing the forward transforms this way is
-// what the serving engine's batch collector buys: the plan's tables
-// stay cache-hot across the whole batch.
-//
-// The returned vectors alias workspace memory: valid until the next
-// workspace call.
-func (ws *Workspace) ExtractBatch(recs []*audio.Recording, cfg Config) ([][]float64, error) {
 	if cfg.MaxLag <= 0 {
 		return nil, fmt.Errorf("features: MaxLag must be positive, got %d", cfg.MaxLag)
 	}
-	for _, rec := range recs {
-		if len(rec.Channels) < 2 {
-			return nil, fmt.Errorf("features: need >= 2 channels, have %d", len(rec.Channels))
-		}
+	if len(rec.Channels) < 2 {
+		return nil, fmt.Errorf("features: need >= 2 channels, have %d", len(rec.Channels))
 	}
 
-	// Phase one: focus windows. Channel headers only — no samples move.
-	totalChans := 0
-	for _, rec := range recs {
-		totalChans += len(rec.Channels)
+	start, length := FocusBounds(rec, cfg.AnalysisWindow, &ws.mono)
+	focus := ws.focus[:0]
+	for _, ch := range rec.Channels {
+		focus = append(focus, ch[start:start+length])
 	}
-	if cap(ws.items) < len(recs) {
-		ws.items = make([][][]float64, len(recs))
-	}
-	ws.items = ws.items[:len(recs)]
-	if cap(ws.chanHeads) < totalChans {
-		ws.chanHeads = make([][]float64, totalChans)
-	}
-	ws.chanHeads = ws.chanHeads[:totalChans]
-	at := 0
-	for k, rec := range recs {
-		start, length := FocusBounds(rec, cfg.AnalysisWindow, &ws.mono)
-		item := ws.chanHeads[at : at : at+len(rec.Channels)]
-		for _, ch := range rec.Channels {
-			item = append(item, ch[start:start+length])
-		}
-		at += len(rec.Channels)
-		ws.items[k] = item
-	}
+	ws.focus = focus
 
-	// Phase two: the batched GCC forward sweep.
-	var sets [][]srp.PairGCC
+	var pairs []srp.PairGCC
 	if !cfg.DisableReverbFeatures {
 		var err error
-		sets, err = ws.srpWS.AllPairsBatch(ws.items, srp.PairOptions{
+		pairs, err = ws.srpWS.AllPairs(focus, srp.PairOptions{
 			MaxLag:     cfg.MaxLag,
 			PHAT:       cfg.UsePHAT,
 			SampleRate: cfg.SampleRate,
@@ -108,39 +65,12 @@ func (ws *Workspace) ExtractBatch(recs []*audio.Recording, cfg Config) ([][]floa
 		}
 	}
 
-	// Phase three: per-capture feature assembly into one backing array.
-	if cap(ws.starts) < len(recs)+1 {
-		ws.starts = make([]int, len(recs)+1)
+	vec, err := ws.assemble(ws.vec[:0], rec.SampleRate, focus, pairs, cfg)
+	if err != nil {
+		return nil, err
 	}
-	ws.starts = ws.starts[:len(recs)+1]
-	buf := ws.vecBack[:0]
-	for k, rec := range recs {
-		ws.starts[k] = len(buf)
-		var err error
-		buf, err = ws.assemble(buf, rec.SampleRate, ws.items[k], setFor(sets, k), cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-	ws.starts[len(recs)] = len(buf)
-	ws.vecBack = buf
-
-	if cap(ws.vecs) < len(recs) {
-		ws.vecs = make([][]float64, len(recs))
-	}
-	ws.vecs = ws.vecs[:len(recs)]
-	for k := range recs {
-		lo, hi := ws.starts[k], ws.starts[k+1]
-		ws.vecs[k] = buf[lo:hi:hi]
-	}
-	return ws.vecs, nil
-}
-
-func setFor(sets [][]srp.PairGCC, k int) []srp.PairGCC {
-	if sets == nil {
-		return nil
-	}
-	return sets[k]
+	ws.vec = vec
+	return vec, nil
 }
 
 // assemble appends one capture's feature vector to buf: the

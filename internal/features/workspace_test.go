@@ -65,34 +65,6 @@ func TestWorkspaceExtractMatchesExtract(t *testing.T) {
 	}
 }
 
-// A batch must return, per capture, exactly the single-capture vector —
-// including when captures differ in channel count and FFT size.
-func TestWorkspaceExtractBatchMatchesSingles(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 0))
-	recs := []*audio.Recording{
-		synthRecording(r, 4, 4000),
-		synthRecording(r, 3, 4000),
-		synthRecording(r, 2, 1500),
-		synthRecording(r, 4, 50000),
-	}
-	cfg := DefaultConfig(21, 48000)
-	var ws Workspace
-	vecs, err := ws.ExtractBatch(recs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vecs) != len(recs) {
-		t.Fatalf("vector count: want %d, got %d", len(recs), len(vecs))
-	}
-	for k, rec := range recs {
-		want, err := Extract(rec, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vectorsEqual(t, want, vecs[k])
-	}
-}
-
 func TestWorkspaceExtractErrors(t *testing.T) {
 	var ws Workspace
 	cfg := DefaultConfig(27, 48000)

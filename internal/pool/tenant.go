@@ -30,13 +30,6 @@ type TenantConfig struct {
 	// another tenant's submission slots.
 	Workers   int
 	QueueSize int
-	// MaxBatch / GatherDelay configure the tenant engine's batch
-	// collector (see serve.Config.MaxBatch): workers gather up to
-	// MaxBatch queued requests for at most GatherDelay and run them
-	// through the core pipeline's batched DSP schedule. MaxBatch <= 1
-	// disables batching (default).
-	MaxBatch    int
-	GatherDelay time.Duration
 	// BreakerThreshold / BreakerCooldown configure the tenant's private
 	// circuit breaker (defaults as serve.Config). A tenant's open
 	// breaker rejects only that tenant's traffic.
@@ -110,8 +103,6 @@ func newTenant(cfg TenantConfig) (*Tenant, error) {
 		System:           cfg.System,
 		Workers:          cfg.Workers,
 		QueueSize:        cfg.QueueSize,
-		MaxBatch:         cfg.MaxBatch,
-		GatherDelay:      cfg.GatherDelay,
 		Metrics:          registry,
 		BreakerThreshold: cfg.BreakerThreshold,
 		BreakerCooldown:  cfg.BreakerCooldown,

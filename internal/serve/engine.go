@@ -78,22 +78,6 @@ type Config struct {
 	// Submit fails with ErrQueueFull; Decide blocks for space until
 	// its context expires.
 	QueueSize int
-	// MaxBatch, when > 1, turns each worker into a batch collector:
-	// after dequeuing one request the worker gathers up to MaxBatch-1
-	// more (waiting at most GatherDelay), then runs the whole batch
-	// through the core pipeline's batched DSP schedule
-	// (core.System.ProcessWakeBatchWith), which forward-transforms and
-	// whitens every item's channels in one sweep over a shared FFT
-	// plan. Per-request semantics — deadlines, breaker admission,
-	// tracing, exactly-once delivery — are unchanged; batching only
-	// reschedules the DSP. Values <= 1 disable batching (default).
-	MaxBatch int
-	// GatherDelay bounds how long a batching worker waits for its batch
-	// to fill after the first request arrives (default 2ms when
-	// MaxBatch > 1). It is the extra tail latency the first request of
-	// an under-full batch pays for the batched sweep; under load the
-	// batch fills from the queue without waiting.
-	GatherDelay time.Duration
 	// Metrics receives engine instrumentation (queue depth/wait,
 	// decision latency, accept/reject/expired counts). Nil creates a
 	// private registry; pass the same registry given to core.Config
@@ -215,13 +199,7 @@ type engineInstruments struct {
 	breakerState *metrics.Gauge
 	queueWait    *metrics.Histogram
 	decisionLat  *metrics.Histogram
-	batchSize    *metrics.Histogram
-	batchFill    *metrics.Gauge
 }
-
-// batchSizeBounds buckets the serve.batch.size histogram by gathered
-// batch size (counts, not seconds).
-var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32}
 
 // NewEngine validates cfg and returns an engine; call Start before
 // submitting.
@@ -244,9 +222,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = 5 * time.Second
 	}
-	if cfg.MaxBatch > 1 && cfg.GatherDelay <= 0 {
-		cfg.GatherDelay = 2 * time.Millisecond
-	}
 	r := cfg.Metrics
 	e := &Engine{
 		cfg:   cfg,
@@ -266,12 +241,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 			queueWait:    r.Histogram("serve.queue.wait", nil),
 			decisionLat:  r.Histogram("serve.decision.latency", nil),
 		},
-	}
-	if cfg.MaxBatch > 1 {
-		// Registered only when batching is on, so a per-request engine's
-		// metric surface (and every scrape of it) is unchanged.
-		e.ins.batchSize = r.Histogram("serve.batch.size", batchSizeBounds)
-		e.ins.batchFill = r.Gauge("serve.batch.occupancy")
 	}
 	e.breaker = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock, e.ins.breakerState)
 	if cfg.Streaming != nil {
@@ -321,10 +290,6 @@ func (e *Engine) Start() error {
 func (e *Engine) worker() {
 	defer e.wg.Done()
 	p := e.cfg.System.NewPreprocessor()
-	if e.cfg.MaxBatch > 1 {
-		e.batchWorker(p)
-		return
-	}
 	for t := range e.queue {
 		e.ins.queueDepth.Add(-1)
 		wait := time.Since(t.enqueued)

@@ -17,7 +17,7 @@ var ErrNoStream = errors.New("serve: streaming not configured")
 // buildStreams attaches the continuous-listening front end configured
 // by cfg.Streaming. The manager's Decide is wired into this engine's
 // queue — a spotted candidate becomes an ordinary engine decision, so
-// it obeys the same backpressure, breaker and tracing as batch
+// it obeys the same backpressure, breaker and tracing as whole-capture
 // requests — and its Metrics and Clock default to the engine's own.
 func (e *Engine) buildStreams() error {
 	sc := *e.cfg.Streaming // copy: never mutate the caller's config

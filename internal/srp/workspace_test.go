@@ -81,41 +81,10 @@ func TestWorkspacePairsMatchAllocatingPath(t *testing.T) {
 	}
 }
 
-// A batch must return, per item, exactly the pair set the one-at-a-time
-// path returns — including when the items' FFT sizes differ and the
-// batch has to split into same-size groups.
-func TestWorkspaceBatchMatchesSingles(t *testing.T) {
-	r := rand.New(rand.NewPCG(11, 0))
-	items := [][][]float64{
-		synthChannels(r, 4, 1000),
-		synthChannels(r, 3, 1000),
-		synthChannels(r, 4, 5000), // bigger FFT: separate group
-		synthChannels(r, 2, 900),  // same NextPow2(2n) as 1000
-	}
-	opt := PairOptions{MaxLag: 21, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
+func TestWorkspaceValidation(t *testing.T) {
 	var ws Workspace
-	sets, err := ws.AllPairsBatch(items, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sets) != len(items) {
-		t.Fatalf("set count: want %d, got %d", len(items), len(sets))
-	}
-	for k, chans := range items {
-		want, err := AllPairs(chans, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairsEqual(t, want, sets[k])
-	}
-}
-
-func TestWorkspaceBatchValidation(t *testing.T) {
-	var ws Workspace
-	bad := [][][]float64{
-		{{1, 2, 3}, {1, 2}}, // ragged
-	}
-	if _, err := ws.AllPairsBatch(bad, PairOptions{MaxLag: 1}); err == nil {
+	ragged := [][]float64{{1, 2, 3}, {1, 2}}
+	if _, err := ws.AllPairs(ragged, PairOptions{MaxLag: 1}); err == nil {
 		t.Fatal("ragged channels: want error")
 	}
 	if _, err := ws.SelectedPairs([][]float64{{1}, {2}}, []int{0, 0}, PairOptions{MaxLag: 1}); err == nil {

@@ -57,11 +57,6 @@ const (
 	// StagePickup is the worker's dispatch overhead between dequeuing
 	// the request and starting the pipeline (breaker check, plumbing).
 	StagePickup
-	// StageBatchGather is the time a dequeued request waited for the
-	// serving engine's batch collector to fill (or give up on) its
-	// batch before the pipeline started. Zero-length batches and
-	// unbatched engines never record it.
-	StageBatchGather
 	// StageValidate is the input-hardening stage (audio.Validate and
 	// optional repair).
 	StageValidate
@@ -100,8 +95,6 @@ func (s Stage) String() string {
 		return "queue_wait"
 	case StagePickup:
 		return "pickup"
-	case StageBatchGather:
-		return "batch_gather"
 	case StageValidate:
 		return "validate"
 	case StageChannelPlan:
