@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-compare alloc-regression chaos check staticcheck perfbench-check
+.PHONY: all build test race vet bench bench-compare alloc-regression chaos fuzz check staticcheck perfbench-check
 
 all: check
 
@@ -48,12 +48,28 @@ vet:
 # at-capacity single-sweep contention tests added with speaker
 # tracking. The registry line storms promote/rollback against live
 # decision traffic: every resolved model set must stay complete and
-# coherent mid-swap.
+# coherent mid-swap. The headtalkd line forwards back-to-back frames
+# pushes for a peer-owned tenant: each forward must own its samples,
+# since the connection decodes the next line into a reused buffer.
 chaos:
 	$(GO) test -race -count=2 -run 'Chaos|Breaker|Panic|FaultInject' ./internal/serve ./internal/stream
 	$(GO) test -race -count=2 ./internal/faultinject
 	$(GO) test -race -count=2 -run 'Chaos' ./internal/cluster
 	$(GO) test -race -count=2 -run 'HotSwap' ./internal/registry ./internal/core
+	$(GO) test -race -count=2 -run 'Forward' ./cmd/headtalkd
+
+# Native fuzz targets at the trust boundaries, each run for FUZZTIME
+# (go test fuzzes one target per invocation): the headtalkd frames
+# fast path against encoding/json, WAV decode, and the SVM and ConvNet
+# model loaders. CI runs a short pass; run longer locally, e.g.
+#   make fuzz FUZZTIME=5m
+FUZZTIME ?= 30s
+
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime $(FUZZTIME) ./cmd/headtalkd
+	$(GO) test -run '^$$' -fuzz '^FuzzReadWAVLimit$$' -fuzztime $(FUZZTIME) ./internal/audio
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSVM$$' -fuzztime $(FUZZTIME) ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadConvNet$$' -fuzztime $(FUZZTIME) ./internal/ml
 
 # Benchmarks, machine-readable: serving-layer throughput (worker
 # sweep), the paper's §IV-B15 pipeline-stage timings, and the DSP
@@ -94,11 +110,13 @@ bench-compare:
 # Allocation-regression gate: the AllocsPerRun pins that hold the
 # steady-state serving path at zero allocations — the whole
 # ProcessWake (session shortcut and full orientation path) plus the
-# per-layer workspaces it is built from. -count=2 repeats
+# per-layer workspaces it is built from — plus headtalkd's frames
+# fast path, which allocates only the id, tenant and session strings
+# per push whatever the chunk's shape. -count=2 repeats
 # each pin so a warm-up-dependent regression cannot hide behind test
 # caching.
 alloc-regression:
-	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/ml ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va
+	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/ml ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va ./cmd/headtalkd
 
 # The served-path benchmark (perfbench/) is its own module, so ./...
 # never builds or tests it. Vet and test it here so a change to an API

@@ -235,3 +235,54 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatalf("post-drain tenant error %v", err)
 	}
 }
+
+// TestFederationForwardedFrames: back-to-back frames lines for a
+// peer-owned tenant are forwarded from goroutines while the connection
+// decodes the next line into its reused buffer, so each forward must
+// own its samples. Every line opens its own session, which makes each
+// outcome independent of the order the forwards land in; the owner's
+// outcomes must then match the same lines served locally on the
+// owner. Run under -race, a forward reading the reused buffer is also
+// reported as a data race.
+func TestFederationForwardedFrames(t *testing.T) {
+	a, b, _, tenantB := newFederation(t)
+	// Whole-utterance pushes alternate with 0.3 s of silence, past the
+	// 250 ms silence hangover: one push into a fresh session then
+	// already reaches the spotter (or the energy exit), and a forward
+	// that read its neighbour's samples would report another outcome.
+	var feed [][]float64
+	for _, c := range wakeChunks(t, 4) {
+		if feed == nil {
+			feed = make([][]float64, len(c))
+		}
+		for ch := range c {
+			feed[ch] = append(feed[ch], c[ch]...)
+		}
+	}
+	silence := make([][]float64, len(feed))
+	for ch := range silence {
+		silence[ch] = make([]float64, 14400)
+	}
+	chunks := [][][]float64{feed, silence, feed, silence}
+	lines := func(prefix string) string {
+		var sb strings.Builder
+		for i, frame := range chunks {
+			sb.WriteString(mustJSON(t, request{V: v(2), ID: strconv.Itoa(i), Tenant: tenantB, Session: prefix + strconv.Itoa(i), Frames: frame}))
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	forwarded := byID(runStream(t, a, lines("f")))
+	local := byID(runStream(t, b, lines("l")))
+	for i := range chunks {
+		id := strconv.Itoa(i)
+		f, l := forwarded[id], local[id]
+		if f.Type != "stream" || !f.Forwarded || l.Type != "stream" || l.Forwarded {
+			t.Fatalf("chunk %s: forwarded %+v, local %+v", id, f, l)
+		}
+		if f.Status != l.Status || (f.SpotScore == nil) != (l.SpotScore == nil) ||
+			(f.SpotScore != nil && *f.SpotScore != *l.SpotScore) {
+			t.Errorf("chunk %s: forwarded outcome %s/%v, local %s/%v", id, f.Status, f.SpotScore, l.Status, l.SpotScore)
+		}
+	}
+}

@@ -47,7 +47,12 @@
 // Frames are 48 kHz samples, one inner array per microphone channel
 // (the tenant's array geometry dictates the channel count; 4 without a
 // device spec). "frames" and "end_session" on a v1 request are
-// rejected with error_kind "unsupported_version".
+// rejected with error_kind "unsupported_version". A frames push made
+// only of the v, id, tenant, session and frames fields, with plain
+// ASCII strings and JSON numbers, is decoded in one pass into reused
+// per-connection buffers; any other line, or any such line the fast
+// path cannot fully own, is decoded by encoding/json, so both paths
+// answer identically (framesdecode.go lists the fallback rule).
 //
 // Protocol version 4 adds multi-array fused decisions: several arrays'
 // captures of the same utterance run the pipeline and the per-array
@@ -99,7 +104,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1580,6 +1584,9 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 	}
 	// The recording is resolved locally (WAV paths and synth conditions
 	// are this node's resources) before the samples cross the wire.
+	// The forward runs after ServeStream has moved on to later lines,
+	// so the frames leave the connection's reused decode buffer here.
+	req.Frames = copyFrames(req.Frames)
 	var rec *audio.Recording
 	if !req.Snapshot && req.Frames == nil && !req.EndSession {
 		var kind string
@@ -1691,16 +1698,21 @@ func (d *daemon) ServeStream(r io.Reader, w io.Writer) error {
 
 	// A bufio.Scanner would die with ErrTooLong on the first oversized
 	// line — one hostile request killing the whole connection (and, on
-	// stdin, the daemon). readBoundedLine discards past-limit lines so
-	// the stream reports them and keeps serving.
+	// stdin, the daemon). cluster.ReadBoundedLine discards past-limit
+	// lines so the stream reports them and keeps serving.
 	br := bufio.NewReaderSize(r, 64*1024)
-	var readErr error
+	var (
+		readErr error
+		line    []byte // reused for every line of the connection
+		frames  framesDecoder
+	)
 	for {
-		line, err := readBoundedLine(br, maxRequestLine)
+		var err error
+		line, err = cluster.ReadBoundedLine(br, line, maxRequestLine)
 		if err == io.EOF {
 			break
 		}
-		if err == errLineTooLong {
+		if errors.Is(err, cluster.ErrLineTooLong) {
 			lw.write(response{
 				Type:      "error",
 				Error:     fmt.Sprintf("request line exceeds %d bytes; dropped", maxRequestLine),
@@ -1715,10 +1727,14 @@ func (d *daemon) ServeStream(r io.Reader, w io.Writer) error {
 		if len(line) == 0 {
 			continue
 		}
+		// Frames pushes take the one-pass decoder; every other line, and
+		// any frames line it declines, takes encoding/json.
 		var req request
-		if err := json.Unmarshal(line, &req); err != nil {
-			lw.write(response{Type: "error", Error: fmt.Sprintf("bad request: %v", err), ErrorKind: "parse"})
-			continue
+		if !frames.decode(line, &req) {
+			if err := json.Unmarshal(line, &req); err != nil {
+				lw.write(response{Type: "error", Error: fmt.Sprintf("bad request: %v", err), ErrorKind: "parse"})
+				continue
+			}
 		}
 		d.handle(req, lw, &inflight)
 	}
@@ -1732,52 +1748,12 @@ func (d *daemon) ServeStream(r io.Reader, w io.Writer) error {
 	return readErr
 }
 
-// maxRequestLine bounds one NDJSON request line. Requests are paths,
-// condition specs and control verbs — 4 MiB is already generous.
+// maxRequestLine bounds one NDJSON request line. The largest lines are
+// frames pushes: a 10 ms chunk of 4 channels × 480 samples is ~40 KB,
+// so 4 MiB admits chunks of up to ~200 000 samples in all (about a
+// second of 4-channel audio per push), while a hostile line is dropped
+// before it can grow without limit.
 const maxRequestLine = 4 * 1024 * 1024
-
-// errLineTooLong reports a line that exceeded maxRequestLine; the
-// whole line has been consumed from the reader when it is returned.
-var errLineTooLong = errors.New("request line too long")
-
-// readBoundedLine reads one newline-terminated line of at most max
-// bytes (newline excluded, trailing \r trimmed). A longer line is
-// consumed to its end and reported as errLineTooLong, leaving the
-// reader positioned at the next line. io.EOF is returned only with no
-// pending bytes.
-func readBoundedLine(br *bufio.Reader, max int) ([]byte, error) {
-	var (
-		buf       []byte
-		oversized bool
-	)
-	for {
-		frag, err := br.ReadSlice('\n')
-		if !oversized {
-			if len(buf)+len(frag) > max+1 { // +1: the newline itself
-				oversized = true
-				buf = nil
-			} else {
-				buf = append(buf, frag...)
-			}
-		}
-		switch err {
-		case bufio.ErrBufferFull:
-			continue
-		case nil, io.EOF:
-			if oversized {
-				return nil, errLineTooLong
-			}
-			if err == io.EOF && len(buf) == 0 {
-				return nil, io.EOF
-			}
-			buf = bytes.TrimSuffix(buf, []byte("\n"))
-			buf = bytes.TrimSuffix(buf, []byte("\r"))
-			return buf, nil
-		default:
-			return nil, err
-		}
-	}
-}
 
 // debugMux builds the opt-in debug HTTP handler: pprof, Prometheus
 // metrics, recent/slow traces and a health probe. It is deliberately

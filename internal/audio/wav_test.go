@@ -235,3 +235,55 @@ func TestWAVEncodeDecodeEncodeIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadWAVLimit covers the WAV trust boundary that wake and session
+// requests cross: for any byte stream, ReadWAVLimit must not panic and
+// must return either a typed *ErrMalformedWAV or a recording whose
+// channels are equally long and hold finite samples in [-1, 1].
+func FuzzReadWAVLimit(f *testing.F) {
+	rec := NewRecording(48000, 2, 4)
+	copy(rec.Channels[0], []float64{0, 0.5, -1, 1})
+	copy(rec.Channels[1], []float64{-0.25, 0.75, 1e-3, -0.5})
+	var good bytes.Buffer
+	if err := WriteWAV(&good, rec); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, 1, 48000, 16), declaredSize: -1},
+		wavChunk{id: "data", body: pcm(-32768, 32767, 0), declaredSize: -1}))
+	f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, 3, 48000, 16), declaredSize: -1},
+		wavChunk{id: "LIST", body: []byte{1, 2, 3}, declaredSize: -1},
+		wavChunk{id: "data", body: pcm(1, 2, 3, 4, 5), declaredSize: -1}))
+	f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, 1, 0, 16), declaredSize: -1}))
+	f.Add(buildWAV(wavChunk{id: "data", body: nil, declaredSize: 1 << 30}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// A small budget keeps hostile size fields from driving large
+		// allocations while the fuzzer runs.
+		rec, err := ReadWAVLimit(bytes.NewReader(b), 1<<16)
+		if err != nil {
+			if _, ok := AsMalformedWAV(err); !ok {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			if rec != nil {
+				t.Fatalf("recording returned alongside error %v", err)
+			}
+			return
+		}
+		if rec == nil || len(rec.Channels) == 0 || len(rec.Channels) > MaxWAVChannels {
+			t.Fatalf("recording %+v without a valid channel count", rec)
+		}
+		if rec.SampleRate <= 0 || rec.SampleRate > MaxWAVSampleRate {
+			t.Fatalf("sample rate %v", rec.SampleRate)
+		}
+		for c, ch := range rec.Channels {
+			if len(ch) != len(rec.Channels[0]) {
+				t.Fatalf("channel %d has %d samples, channel 0 has %d", c, len(ch), len(rec.Channels[0]))
+			}
+			for i, x := range ch {
+				if math.IsNaN(x) || x < -1 || x > 1 {
+					t.Fatalf("channel %d sample %d = %v outside [-1, 1]", c, i, x)
+				}
+			}
+		}
+	})
+}

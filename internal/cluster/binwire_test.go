@@ -195,7 +195,7 @@ func TestBinaryFrameBadInputDropsConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(conn)
-	line, err := readBoundedLine(br, maxPeerLine)
+	line, err := ReadBoundedLine(br, nil, maxPeerLine)
 	if err != nil {
 		t.Fatal(err)
 	}

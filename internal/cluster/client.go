@@ -191,11 +191,13 @@ func (c *peerClient) roundTrip(ctx context.Context, req peerRequest) (*peerRespo
 		pc.Close()
 		return nil, err
 	}
-	line, err := readBoundedLine(pc.br, maxPeerLine)
+	// The request bytes are written, so pc.buf takes the response line.
+	line, err := ReadBoundedLine(pc.br, pc.buf, maxPeerLine)
 	if err != nil {
 		pc.Close()
 		return nil, err
 	}
+	pc.buf = line[:0]
 	// The reader may have buffered bytes past the response line; with
 	// the strict one-response-per-request protocol there are none, so
 	// the conn can be pooled.

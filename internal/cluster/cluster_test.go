@@ -373,7 +373,7 @@ func pingResponder(ln net.Listener) {
 			br := bufio.NewReader(conn)
 			enc := json.NewEncoder(conn)
 			for {
-				if _, err := readBoundedLine(br, maxPeerLine); err != nil {
+				if _, err := ReadBoundedLine(br, nil, maxPeerLine); err != nil {
 					return
 				}
 				if err := enc.Encode(peerResponse{OK: true, Node: "revived"}); err != nil {
@@ -513,7 +513,7 @@ func TestWireRestoreJoinLeave(t *testing.T) {
 		if err := enc.Encode(req); err != nil {
 			t.Fatal(err)
 		}
-		line, err := readBoundedLine(br, maxPeerLine)
+		line, err := ReadBoundedLine(br, nil, maxPeerLine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,6 +43,7 @@ func (n *Node) servePeerConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64*1024)
 	enc := json.NewEncoder(conn)
+	var line []byte // reused for every NDJSON request line
 	for {
 		// Dispatch on the first byte: 0xB1 opens a binary frame, anything
 		// else is an NDJSON line. Responses are NDJSON either way.
@@ -69,11 +70,11 @@ func (n *Node) servePeerConn(conn net.Conn) {
 			}
 			continue
 		}
-		line, err := readBoundedLine(br, maxPeerLine)
+		line, err = ReadBoundedLine(br, line, maxPeerLine)
 		if err != nil {
-			if errors.Is(err, errLineTooLong) {
+			if errors.Is(err, ErrLineTooLong) {
 				// The line was consumed; tell the peer before moving on.
-				_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: errLineTooLong.Error()})
+				_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: ErrLineTooLong.Error()})
 				continue
 			}
 			return

@@ -195,25 +195,27 @@ func kindOf(err error) string {
 	}
 }
 
-// errLineTooLong reports a peer line exceeding maxPeerLine; the line
-// has been fully consumed when it is returned.
-var errLineTooLong = errors.New("cluster: peer line too long")
+// ErrLineTooLong reports a line longer than ReadBoundedLine's bound;
+// the line has been fully consumed when it is returned.
+var ErrLineTooLong = errors.New("cluster: peer line too long")
 
-// readBoundedLine reads one newline-terminated line of at most max
-// bytes (newline excluded, trailing \r trimmed), consuming oversized
-// lines to their end so the stream stays aligned. io.EOF is returned
-// only with no pending bytes.
-func readBoundedLine(br *bufio.Reader, max int) ([]byte, error) {
-	var (
-		buf       []byte
-		oversized bool
-	)
+// ReadBoundedLine reads one newline-terminated line of at most max
+// bytes (newline excluded, trailing \r trimmed) into buf[:0], growing
+// it as needed, and returns the line. The line aliases buf: a caller
+// that passes it back as buf on the next call reuses its capacity, and
+// must not keep the line past that call. A longer line is consumed to
+// its end and reported as ErrLineTooLong, leaving the reader
+// positioned at the next line. io.EOF is returned only with no pending
+// bytes. On error the returned slice is empty, with buf's capacity.
+func ReadBoundedLine(br *bufio.Reader, buf []byte, max int) ([]byte, error) {
+	buf = buf[:0]
+	oversized := false
 	for {
 		frag, err := br.ReadSlice('\n')
 		if !oversized {
 			if len(buf)+len(frag) > max+1 { // +1: the newline itself
 				oversized = true
-				buf = nil
+				buf = buf[:0]
 			} else {
 				buf = append(buf, frag...)
 			}
@@ -223,16 +225,16 @@ func readBoundedLine(br *bufio.Reader, max int) ([]byte, error) {
 			continue
 		case nil, io.EOF:
 			if oversized {
-				return nil, errLineTooLong
+				return buf, ErrLineTooLong
 			}
 			if err == io.EOF && len(buf) == 0 {
-				return nil, io.EOF
+				return buf, io.EOF
 			}
 			buf = bytes.TrimSuffix(buf, []byte("\n"))
 			buf = bytes.TrimSuffix(buf, []byte("\r"))
 			return buf, nil
 		default:
-			return nil, err
+			return buf[:0], err
 		}
 	}
 }
