@@ -70,22 +70,57 @@ func (f *IIRFilter) Apply(x []float64) []float64 {
 // be at least len(x) long. It returns dst[:len(x)] and performs no
 // allocation, so a caller-owned arena makes repeated filtering free.
 //
-// The cascade is evaluated section-by-section over the whole signal
-// rather than sample-by-sample through all sections. Each section's
-// output at sample n depends only on the previous section's output up
-// to n and its own state, so the arithmetic — and therefore the result,
-// bit for bit — is identical to Process-per-sample; but one section's
-// five coefficients and two state variables stay in registers for an
-// entire pass instead of being reloaded from the section slice on every
-// sample.
+// The cascade runs two sections per pass over the signal: one pass
+// feeds sample n into section k while section k+1 takes section k's
+// output for sample n-1, each section's coefficients and state held in
+// locals. Every section still sees the same inputs in the same order
+// and evaluates the same expressions, so the output and the final
+// state are bit-identical to Process per sample. What changes is
+// speed: one section's recurrence is latency-bound (each output waits
+// on the previous one), and two independent recurrences in one loop
+// overlap. An odd section count ends with a single-section pass.
 func (f *IIRFilter) ApplyTo(dst, x []float64) []float64 {
 	f.Reset()
 	dst = dst[:len(x)]
 	copy(dst, x)
-	for i := range f.sections {
-		s := &f.sections[i]
-		b0, b1, b2 := s.B0, s.B1, s.B2
-		a1, a2 := s.A1, s.A2
+	if len(dst) == 0 {
+		return dst
+	}
+	secs := f.sections
+	k := 0
+	for ; k+1 < len(secs); k += 2 {
+		s, t := &secs[k], &secs[k+1]
+		b0, b1, b2, a1, a2 := s.B0, s.B1, s.B2, s.A1, s.A2
+		c0, c1, c2, d1, d2 := t.B0, t.B1, t.B2, t.A1, t.A2
+		z1, z2 := s.z1, s.z2
+		u1, u2 := t.z1, t.z2
+		// Section k on sample 0 primes the pipeline.
+		v := dst[0]
+		p := b0*v + z1
+		z1 = b1*v - a1*p + z2
+		z2 = b2*v - a2*p
+		for n := 1; n < len(dst); n++ {
+			v := dst[n]
+			y := b0*v + z1
+			z1 = b1*v - a1*y + z2
+			z2 = b2*v - a2*y
+			w := c0*p + u1
+			u1 = c1*p - d1*w + u2
+			u2 = c2*p - d2*w
+			dst[n-1] = w
+			p = y
+		}
+		// Section k+1 on the last sample drains it.
+		w := c0*p + u1
+		u1 = c1*p - d1*w + u2
+		u2 = c2*p - d2*w
+		dst[len(dst)-1] = w
+		s.z1, s.z2 = z1, z2
+		t.z1, t.z2 = u1, u2
+	}
+	if k < len(secs) {
+		s := &secs[k]
+		b0, b1, b2, a1, a2 := s.B0, s.B1, s.B2, s.A1, s.A2
 		z1, z2 := s.z1, s.z2
 		for n, v := range dst {
 			y := b0*v + z1

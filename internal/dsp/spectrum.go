@@ -91,6 +91,25 @@ func Spectrogram(x []float64, frameLen, hop int, win Window) ([][]float64, error
 // the one-sided PSD (frameLen/2+1 bins) and works for any signal at
 // least one frame long.
 func WelchPSD(x []float64, frameLen int) ([]float64, error) {
+	var w PSDWorkspace
+	return w.WelchPSD(nil, x, frameLen)
+}
+
+// PSDWorkspace holds what WelchPSD reuses from call to call: the Hann
+// window and its power for the last frame length, the windowed frame
+// and its spectrum. A warm workspace estimates a PSD into a large
+// enough dst without allocating. The zero value is ready to use; a
+// PSDWorkspace must not be used from two goroutines at once.
+type PSDWorkspace struct {
+	win      []float64
+	winPower float64
+	scratch  []float64
+	spec     []complex128
+}
+
+// WelchPSD is the package WelchPSD writing into dst (grown if needed).
+// It returns dst[:frameLen/2+1].
+func (w *PSDWorkspace) WelchPSD(dst, x []float64, frameLen int) ([]float64, error) {
 	if frameLen <= 0 {
 		return nil, fmt.Errorf("dsp: invalid frame length %d", frameLen)
 	}
@@ -101,24 +120,32 @@ func WelchPSD(x []float64, frameLen int) ([]float64, error) {
 	if hop == 0 {
 		hop = 1
 	}
-	win := Hann.Coefficients(frameLen)
-	var winPower float64
-	for _, w := range win {
-		winPower += w * w
+	if len(w.win) != frameLen {
+		w.win = Hann.Coefficients(frameLen)
+		w.winPower = 0
+		for _, v := range w.win {
+			w.winPower += v * v
+		}
+		w.scratch = make([]float64, frameLen)
 	}
+	win, winPower, scratch := w.win, w.winPower, w.scratch
 	bins := frameLen/2 + 1
-	psd := make([]float64, bins)
-	scratch := make([]float64, frameLen)
-	spec := make([]complex128, bins)
+	if cap(dst) < bins {
+		dst = make([]float64, bins)
+	}
+	psd := dst[:bins]
+	clear(psd)
 	p := Plan(frameLen)
 	var count int
 	for start := 0; start+frameLen <= len(x); start += hop {
 		for i := range scratch {
 			scratch[i] = x[start+i] * win[i]
 		}
-		p.RFFT(spec, scratch)
-		for i, v := range spec {
+		w.spec = p.RFFT(w.spec, scratch)
+		for i, v := range w.spec {
 			re, im := real(v), imag(v)
+			// A division, not a multiply by 1/winPower: the two round
+			// differently.
 			psd[i] += (re*re + im*im) / winPower
 		}
 		count++
