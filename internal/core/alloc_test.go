@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -9,14 +10,16 @@ import (
 )
 
 // decisionsEqual compares everything about two decisions except the
-// measured latencies (which are wall-clock and cannot match).
+// measured latencies (which are wall-clock and cannot match): every
+// other field, scores bit for bit.
 func decisionsEqual(t *testing.T, label string, want, got Decision) {
 	t.Helper()
-	if want.Accepted != got.Accepted || want.Reason != got.Reason ||
-		want.LiveScore != got.LiveScore || want.LiveRan != got.LiveRan ||
-		want.FacingScore != got.FacingScore || want.FacingRan != got.FacingRan ||
-		want.DegradedChannels != got.DegradedChannels ||
-		want.RepairedSamples != got.RepairedSamples {
+	w, g := want, got
+	w.LivenessLatency, w.OrientationLatency = 0, 0
+	g.LivenessLatency, g.OrientationLatency = 0, 0
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if w != g || !sameBits(w.LiveScore, g.LiveScore) || !sameBits(w.FacingScore, g.FacingScore) ||
+		!sameBits(w.FingerprintScore, g.FingerprintScore) || !sameBits(w.ShadowScore, g.ShadowScore) {
 		t.Fatalf("%s: want %+v, got %+v", label, want, got)
 	}
 }

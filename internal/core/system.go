@@ -399,8 +399,9 @@ func NewSystem(cfg Config) (*System, error) {
 // Preprocessor so concurrent decisions never contend on filter state
 // or a lock, and so a warm worker's steady-state ProcessWake allocates
 // nothing: the band-passed samples, channel-health scoring, channel
-// plan, GCC/SRP workspace, feature vectors and standardized classifier
-// input all live in buffers the Preprocessor reuses. A Preprocessor
+// plan, both liveness gates' spectra and ConvNet activations, GCC/SRP
+// workspace, feature vectors and standardized classifier input all
+// live in buffers the Preprocessor reuses. A Preprocessor
 // must not be used from more than one goroutine at a time.
 type Preprocessor struct {
 	bp  *dsp.IIRFilter
@@ -414,6 +415,7 @@ type Preprocessor struct {
 	selChans      [][]float64
 	selRec        audio.Recording
 	mono          []float64
+	live          liveness.Workspace
 	feats         features.Workspace
 	mlScratch     []float64
 	shadowScratch []float64
@@ -828,7 +830,7 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 		start := time.Now()
 		mono := monoSrc.MonoInto(p.mono)
 		p.mono = mono
-		score, lerr := set.Liveness.Score(mono, rec.SampleRate)
+		score, lerr := set.Liveness.ScoreWith(&p.live, mono, rec.SampleRate)
 		d.LivenessLatency = time.Since(start)
 		tr.Observe(trace.StageLiveness, d.LivenessLatency)
 		if s.ins != nil {
@@ -861,7 +863,7 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 			fpSrc = sel
 		}
 		start := time.Now()
-		fpOK, fpScore, ferr := set.ArrayFingerprint.Check(fpSrc)
+		fpOK, fpScore, ferr := set.ArrayFingerprint.CheckWith(&p.live, fpSrc)
 		fpDur := time.Since(start)
 		tr.Observe(trace.StageFingerprint, fpDur)
 		if s.ins != nil {

@@ -73,11 +73,18 @@ func (d *Detector) prepare(waveforms [][]float64, fs float64, labels []int) ([][
 // Score returns the probability that the waveform is live human
 // speech.
 func (d *Detector) Score(waveform []float64, fs float64) (float64, error) {
-	frames, err := Frames(waveform, fs)
+	w := workspaces.Get().(*Workspace)
+	defer workspaces.Put(w)
+	return d.ScoreWith(w, waveform, fs)
+}
+
+// ScoreWith is Score on the caller's workspace.
+func (d *Detector) ScoreWith(w *Workspace, waveform []float64, fs float64) (float64, error) {
+	frames, err := w.Frames(waveform, fs)
 	if err != nil {
 		return 0, err
 	}
-	return d.net.PredictProba(frames)
+	return d.net.PredictProbaWith(&w.net, frames)
 }
 
 // IsHuman applies the default 0.5 decision threshold.

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"headtalk/internal/audio"
-	"headtalk/internal/dsp"
 )
 
 // FingerprintConfig tunes the array-fingerprint gate.
@@ -98,15 +97,16 @@ func TrainArrayFingerprint(recs []*audio.Recording, cfg FingerprintConfig) (*Arr
 	f.computeEdges()
 
 	profiles := make([][]float64, 0, len(recs))
+	var w Workspace
 	for i, rec := range recs {
 		if rec.SampleRate != fs {
 			return nil, fmt.Errorf("liveness: enrollment capture %d at %g Hz, want %g", i, rec.SampleRate, fs)
 		}
-		p, err := f.bandProfile(rec)
+		p, err := f.bandProfile(&w, rec)
 		if err != nil {
 			return nil, fmt.Errorf("liveness: enrollment capture %d: %w", i, err)
 		}
-		profiles = append(profiles, p)
+		profiles = append(profiles, append([]float64(nil), p...))
 	}
 	nb := cfg.Bands
 	f.signature = make([]float64, nb)
@@ -163,19 +163,24 @@ func (f *ArrayFingerprint) computeEdges() {
 // bandProfile computes the capture's level-normalized band profile in
 // dB: per-channel Welch PSDs averaged across channels, folded into the
 // log-spaced bands, converted to dB, with the mean level subtracted so
-// capture gain cancels.
-func (f *ArrayFingerprint) bandProfile(rec *audio.Recording) ([]float64, error) {
+// capture gain cancels. The profile aliases w.
+func (f *ArrayFingerprint) bandProfile(w *Workspace, rec *audio.Recording) ([]float64, error) {
 	if len(rec.Channels) == 0 {
 		return nil, fmt.Errorf("fingerprint profile of empty recording")
 	}
 	bins := f.cfg.FrameLen/2 + 1
-	acc := make([]float64, bins)
+	if cap(w.acc) < bins {
+		w.acc = make([]float64, bins)
+	}
+	acc := w.acc[:bins]
+	clear(acc)
 	counted := 0
 	for _, ch := range rec.Channels {
-		psd, err := dsp.WelchPSD(ch, f.cfg.FrameLen)
+		psd, err := w.psd.WelchPSD(w.chPSD, ch, f.cfg.FrameLen)
 		if err != nil {
 			return nil, err
 		}
+		w.chPSD = psd
 		for i, v := range psd {
 			acc[i] += v
 		}
@@ -186,7 +191,10 @@ func (f *ArrayFingerprint) bandProfile(rec *audio.Recording) ([]float64, error) 
 		acc[i] *= inv
 	}
 	nb := f.cfg.Bands
-	prof := make([]float64, nb)
+	if cap(w.bp) < nb {
+		w.bp = make([]float64, nb)
+	}
+	prof := w.bp[:nb]
 	var mean float64
 	for b := 0; b < nb; b++ {
 		var e float64
@@ -209,13 +217,20 @@ func (f *ArrayFingerprint) bandProfile(rec *audio.Recording) ([]float64, error) 
 // through the enrolled array score near 1; audio that crossed an extra
 // playback chain scores low.
 func (f *ArrayFingerprint) Score(rec *audio.Recording) (float64, error) {
+	w := workspaces.Get().(*Workspace)
+	defer workspaces.Put(w)
+	return f.ScoreWith(w, rec)
+}
+
+// ScoreWith is Score on the caller's workspace.
+func (f *ArrayFingerprint) ScoreWith(w *Workspace, rec *audio.Recording) (float64, error) {
 	if rec == nil || len(rec.Channels) == 0 {
 		return 0, fmt.Errorf("liveness: fingerprint scoring empty recording")
 	}
 	if rec.SampleRate != f.sampleRate {
 		return 0, fmt.Errorf("liveness: fingerprint enrolled at %g Hz, capture is %g Hz", f.sampleRate, rec.SampleRate)
 	}
-	prof, err := f.bandProfile(rec)
+	prof, err := f.bandProfile(w, rec)
 	if err != nil {
 		return 0, fmt.Errorf("liveness: fingerprint profile: %w", err)
 	}
@@ -236,7 +251,14 @@ func (f *ArrayFingerprint) Score(rec *audio.Recording) (float64, error) {
 
 // Check applies the configured accept threshold.
 func (f *ArrayFingerprint) Check(rec *audio.Recording) (bool, float64, error) {
-	s, err := f.Score(rec)
+	w := workspaces.Get().(*Workspace)
+	defer workspaces.Put(w)
+	return f.CheckWith(w, rec)
+}
+
+// CheckWith is Check on the caller's workspace.
+func (f *ArrayFingerprint) CheckWith(w *Workspace, rec *audio.Recording) (bool, float64, error) {
+	s, err := f.ScoreWith(w, rec)
 	if err != nil {
 		return false, 0, err
 	}
