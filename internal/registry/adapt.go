@@ -48,7 +48,10 @@ type adapter struct {
 
 	mu      sync.Mutex
 	pending [][]float64
-	busy    bool
+	// free holds feature buffers of finished builds, which observe
+	// reuses, so a warm adapter copies without allocating.
+	free [][]float64
+	busy bool
 
 	wg sync.WaitGroup
 }
@@ -62,11 +65,13 @@ func newAdapter(r *Registry, cfg AdaptConfig) *adapter {
 // counter. feats is only valid during the call (it aliases a pooled
 // preprocessor arena) — the copy here is load-bearing.
 func (a *adapter) observe(feats []float64, score float64) {
-	cp := make([]float64, len(feats))
-	copy(cp, feats)
-
 	a.mu.Lock()
-	a.pending = append(a.pending, cp)
+	var cp []float64
+	if n := len(a.free); n > 0 {
+		cp = a.free[n-1]
+		a.free = a.free[:n-1]
+	}
+	a.pending = append(a.pending, append(cp[:0], feats...))
 	n := len(a.pending)
 	launch := n >= a.cfg.BatchSize && !a.busy
 	if launch {
@@ -110,6 +115,7 @@ func (a *adapter) build() (uint64, error) {
 	if len(batch) == 0 {
 		return 0, fmt.Errorf("registry: no accepted decisions pending")
 	}
+	defer a.recycle(batch)
 
 	payload, activeNum := a.reg.ActiveBytes(KindOrientation)
 	if payload == nil {
@@ -140,6 +146,19 @@ func (a *adapter) build() (uint64, error) {
 		}
 	}
 	return num, nil
+}
+
+// recycle hands a finished batch's buffers back to observe. The
+// candidate built from them has been serialized into the registry and
+// dropped by then, so nothing else holds them; the batch slice itself
+// becomes the next pending list when none has started.
+func (a *adapter) recycle(batch [][]float64) {
+	a.mu.Lock()
+	a.free = append(a.free, batch...)
+	if a.pending == nil {
+		a.pending = batch[:0]
+	}
+	a.mu.Unlock()
 }
 
 // DriftConfig tunes the score-distribution drift detector. After every

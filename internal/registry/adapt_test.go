@@ -205,3 +205,36 @@ func TestShadowDivergenceMetered(t *testing.T) {
 		t.Fatalf("shadow diverged %d, want 1", snap.Counters["registry_shadow_diverged_total"])
 	}
 }
+
+// Once a build has run, the adaptation hook copies accepted feature
+// vectors into recycled buffers: a warm accept allocates nothing.
+func TestAdaptObserveAllocFree(t *testing.T) {
+	reg := New(Config{Adapt: AdaptConfig{BatchSize: 64, MinConfidence: 0.55}})
+	if _, err := reg.Install(KindOrientation, trainedModel(t, 40, 2.0)); err != nil {
+		t.Fatal(err)
+	}
+	set := reg.ModelSet()
+	rng := rand.New(rand.NewPCG(43, 1))
+	feat := acceptedFeat(rng)
+	for i := 0; i < 8; i++ {
+		set.OnAccepted(acceptedFeat(rng), 1.0)
+	}
+	if _, err := reg.AdaptNow(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { set.OnAccepted(feat, 1.0) }); allocs != 0 {
+		t.Fatalf("warm adaptation hook allocated %.1f times per accept, want 0", allocs)
+	}
+	// The recycled buffers hold copies: the next build sees the
+	// observed vectors, not whatever the caller's slice holds now.
+	want := append([]float64(nil), feat...)
+	feat[0] = -100
+	reg.adapt.mu.Lock()
+	got := reg.adapt.pending[len(reg.adapt.pending)-1]
+	reg.adapt.mu.Unlock()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("pending vector %v, want %v", got, want)
+		}
+	}
+}
