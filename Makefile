@@ -58,10 +58,12 @@ chaos:
 	$(GO) test -race -count=2 -run 'HotSwap' ./internal/registry ./internal/core
 	$(GO) test -race -count=2 -run 'Forward' ./cmd/headtalkd
 
-# Native fuzz targets at the trust boundaries, each run for FUZZTIME
-# (go test fuzzes one target per invocation): the headtalkd frames
+# Native fuzz targets, each run for FUZZTIME (go test fuzzes one
+# target per invocation): at the trust boundaries, the headtalkd frames
 # fast path against encoding/json, WAV decode, and the SVM and ConvNet
-# model loaders. CI runs a short pass; run longer locally, e.g.
+# model loaders; and the differential oracles of the band-pass and
+# decimation kernels against their plain reference loops. CI runs a
+# short pass; run longer locally, e.g.
 #   make fuzz FUZZTIME=5m
 FUZZTIME ?= 30s
 
@@ -70,6 +72,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAVLimit$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSVM$$' -fuzztime $(FUZZTIME) ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConvNet$$' -fuzztime $(FUZZTIME) ./internal/ml
+	$(GO) test -run '^$$' -fuzz '^FuzzIIRApplyTo$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecimate$$' -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Benchmarks, machine-readable: serving-layer throughput (worker
 # sweep), the paper's §IV-B15 pipeline-stage timings, and the DSP
@@ -84,7 +88,9 @@ fuzz:
 # streaming-cascade per-chunk stages, StreamEndToEnd records the
 # streaming-vs-batch decision cost on identical audio, and
 # ForwardOverhead records the federation tax (local vs peer-forwarded
-# decision over loopback TCP).
+# decision over loopback TCP). The ladder (Bandpass, Decimate,
+# LivenessScore, FingerprintCheck) times the gates before orientation
+# one kernel at a time on a 1.1 s 4-channel 48 kHz capture.
 BENCH_JSON ?= BENCH_pr10.json
 BENCH_TAG  ?= pr10
 
@@ -96,6 +102,8 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkForwardOverhead' -benchmem -benchtime 50x ./internal/cluster \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
 	$(GO) test -run xxx -bench 'BenchmarkDecideFused' -benchmem -benchtime 50x ./internal/serve \
+		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
+	$(GO) test -run xxx -bench 'BenchmarkBandpass|BenchmarkDecimate|BenchmarkLivenessScore|BenchmarkFingerprintCheck' -benchmem ./internal/core \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
 
 # Per-benchmark delta table between two recorded tags, e.g.
@@ -109,14 +117,16 @@ bench-compare:
 
 # Allocation-regression gate: the AllocsPerRun pins that hold the
 # steady-state serving path at zero allocations — the whole
-# ProcessWake (session shortcut and full orientation path) plus the
-# per-layer workspaces it is built from — plus headtalkd's frames
+# ProcessWake (session shortcut and full orientation path, also with
+# both liveness models on the committed served enrollment) plus the
+# per-layer workspaces it is built from and the registry's warm
+# adaptation hook — plus headtalkd's frames
 # fast path, which allocates only the id, tenant and session strings
 # per push whatever the chunk's shape. -count=2 repeats
 # each pin so a warm-up-dependent regression cannot hide behind test
 # caching.
 alloc-regression:
-	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/ml ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va ./cmd/headtalkd
+	$(GO) test -count=2 -run 'AllocFree|Allocs|ZeroAlloc' ./internal/core ./internal/features ./internal/liveness ./internal/ml ./internal/registry ./internal/srp ./internal/dsp ./internal/stream ./internal/trace ./internal/va ./cmd/headtalkd
 
 # The served-path benchmark (perfbench/) is its own module, so ./...
 # never builds or tests it. Vet and test it here so a change to an API
