@@ -60,7 +60,8 @@ chaos:
 
 # Native fuzz targets, each run for FUZZTIME (go test fuzzes one
 # target per invocation): at the trust boundaries, the headtalkd frames
-# fast path against encoding/json, WAV decode, and the SVM and ConvNet
+# fast path against encoding/json, the binary peer frame (the only way
+# samples cross between nodes), WAV decode, and the SVM and ConvNet
 # model loaders; and the differential oracles of the band-pass and
 # decimation kernels against their plain reference loops. CI runs a
 # short pass; run longer locally, e.g.
@@ -69,6 +70,7 @@ FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime $(FUZZTIME) ./cmd/headtalkd
+	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRequest$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAVLimit$$' -fuzztime $(FUZZTIME) ./internal/audio
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSVM$$' -fuzztime $(FUZZTIME) ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConvNet$$' -fuzztime $(FUZZTIME) ./internal/ml

@@ -616,7 +616,7 @@ func engineBenchSetup() {
 			engineBenchErr = err
 			return
 		}
-		sys, err := NewSystem(Config{Orientation: model})
+		sys, err := NewSystem(Config{Models: NewStaticModels(ModelSet{Orientation: model})})
 		if err != nil {
 			engineBenchErr = err
 			return

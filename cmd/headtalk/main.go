@@ -43,8 +43,10 @@ func main() {
 		os.Exit(1)
 	}
 	sys, err := headtalk.NewSystem(headtalk.Config{
-		Liveness:    enr.Liveness,
-		Orientation: enr.Orientation,
+		Models: headtalk.NewStaticModels(headtalk.ModelSet{
+			Liveness:    enr.Liveness,
+			Orientation: enr.Orientation,
+		}),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

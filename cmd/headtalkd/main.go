@@ -163,7 +163,6 @@ func main() {
 		peersFlag    = flag.String("peers", "", "comma-separated federation peers id=host:port")
 		peerListen   = flag.String("peer-listen", "", "TCP listen address for node-to-node traffic (required with -node-id and peers)")
 		forwardTO    = flag.Duration("forward-timeout", 0, "end-to-end deadline for one forwarded request (0: 2s)")
-		jsonPeerWire = flag.Bool("json-peer-wire", false, "pin node-to-node forwards to NDJSON (no binary frame negotiation)")
 		drainTO      = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound for draining in-flight decisions")
 	)
 	flag.Parse()
@@ -186,28 +185,27 @@ func main() {
 		log.Fatalf("headtalkd: -peer-listen requires -node-id")
 	}
 	d, err := newDaemon(daemonOptions{
-		Workers:           *workers,
-		QueueSize:         *queueSize,
-		Mode:              *mode,
-		Tenants:           specs,
-		Deadline:          *deadline,
-		MetricsEvery:      *metricsEvery,
-		Enroll:            !*noEnroll,
-		Ensemble:          *ensemble,
-		Seed:              *seed,
-		OrientReps:        *orientReps,
-		LivePairs:         *livePairs,
-		BreakerThreshold:  *breakerN,
-		BreakerCooldown:   *breakerWait,
-		Trace:             *traceOn,
-		TraceCapacity:     *traceCap,
-		SlowThreshold:     *slowThresh,
-		Progress:          os.Stderr,
-		NodeID:            *nodeID,
-		Peers:             peers,
-		ForwardTimeout:    *forwardTO,
-		DisableBinaryWire: *jsonPeerWire,
-		DrainTimeout:      *drainTO,
+		Workers:          *workers,
+		QueueSize:        *queueSize,
+		Mode:             *mode,
+		Tenants:          specs,
+		Deadline:         *deadline,
+		MetricsEvery:     *metricsEvery,
+		Enroll:           !*noEnroll,
+		Ensemble:         *ensemble,
+		Seed:             *seed,
+		OrientReps:       *orientReps,
+		LivePairs:        *livePairs,
+		BreakerThreshold: *breakerN,
+		BreakerCooldown:  *breakerWait,
+		Trace:            *traceOn,
+		TraceCapacity:    *traceCap,
+		SlowThreshold:    *slowThresh,
+		Progress:         os.Stderr,
+		NodeID:           *nodeID,
+		Peers:            peers,
+		ForwardTimeout:   *forwardTO,
+		DrainTimeout:     *drainTO,
 	})
 	if err != nil {
 		log.Fatalf("headtalkd: %v", err)
@@ -382,9 +380,6 @@ type daemonOptions struct {
 	// ForwardTimeout bounds one forwarded request end to end (0: the
 	// cluster default, 2s).
 	ForwardTimeout time.Duration
-	// DisableBinaryWire pins node-to-node forwards to NDJSON: this
-	// node neither sends binary peer frames nor invites peers to.
-	DisableBinaryWire bool
 	// DrainTimeout bounds graceful shutdown's pool drain (0: 10s).
 	DrainTimeout time.Duration
 }
@@ -399,22 +394,27 @@ const defaultTenantID = "default"
 // error_kind "unsupported_version".
 const protocolVersion = 5
 
-// minStreamVersion gates the continuous-ingest request fields: frames
-// and end_session require at least protocol version 2.
-const minStreamVersion = 2
-
-// minClusterVersion gates the federation request fields: snapshot,
-// restore, join and leave require at least protocol version 3.
-const minClusterVersion = 3
-
-// minFusedVersion gates multi-array fused decisions: the arrays
-// request field requires at least protocol version 4.
-const minFusedVersion = 4
-
-// minRegistryVersion gates the model-lifecycle control verbs:
-// model_status, promote and rollback require at least protocol
-// version 5.
-const minRegistryVersion = 5
+// versionGates lists, in check order, the request fields a later
+// protocol version introduced. A request using them under a lower "v"
+// is rejected with error_kind "unsupported_version".
+var versionGates = []struct {
+	fields string
+	min    int
+	uses   func(*request) bool
+}{
+	// v2: continuous-listening ingest.
+	{"frames/end_session", 2, func(r *request) bool { return r.Frames != nil || r.EndSession }},
+	// v4: multi-array fused decisions.
+	{"arrays", 4, func(r *request) bool { return len(r.Arrays) > 0 }},
+	// v5: model-lifecycle control verbs.
+	{"model_status/promote/rollback", 5, func(r *request) bool {
+		return r.ModelStatus || r.Promote != nil || r.Rollback != ""
+	}},
+	// v3: federation verbs.
+	{"snapshot/restore/join/leave", 3, func(r *request) bool {
+		return r.Snapshot || r.Restore != nil || r.Join != nil || r.Leave != ""
+	}},
+}
 
 // defaultSessionID names the streaming session used when a frames or
 // end_session request carries no "session" field.
@@ -499,13 +499,12 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 
 	if opts.NodeID != "" {
 		node, err := cluster.NewNode(cluster.Config{
-			NodeID:            opts.NodeID,
-			Pool:              d.pool,
-			Peers:             opts.Peers,
-			Metrics:           metrics.NewRegistry(),
-			ForwardTimeout:    opts.ForwardTimeout,
-			DisableBinaryWire: opts.DisableBinaryWire,
-			TenantBuilder:     d.restoredTenantConfig,
+			NodeID:         opts.NodeID,
+			Pool:           d.pool,
+			Peers:          opts.Peers,
+			Metrics:        metrics.NewRegistry(),
+			ForwardTimeout: opts.ForwardTimeout,
+			TenantBuilder:  d.restoredTenantConfig,
 			Profile: func(tenantID string) (string, string) {
 				spec := d.specs[tenantID]
 				return spec.Device, spec.Room
@@ -571,20 +570,17 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 			}
 			cfg.Models = models
 		}
-		streamChannels := 4
+		var array *mic.Array
 		if spec.Device != "" {
 			// Match the feature geometry (GCC lag window) to the
 			// tenant's array so decision-time extraction agrees with the
 			// enrolled model.
-			array, aerr := mic.DeviceByID(spec.Device)
-			if aerr != nil {
+			array, err = mic.DeviceByID(spec.Device)
+			if err != nil {
 				_ = d.pool.Close()
-				return nil, fmt.Errorf("tenant %q: %w", spec.ID, aerr)
+				return nil, fmt.Errorf("tenant %q: %w", spec.ID, err)
 			}
 			cfg.Features = features.DefaultConfig(array.MaxDelaySamples(48000, 340), 48000)
-			// Streamed frames carry the same microphone subset captures
-			// and enrollment use, not every element of the array.
-			streamChannels = len(array.DefaultSubset())
 		}
 		cfg.Metrics = tenantMetrics
 		sys, serr := headtalk.NewSystem(cfg)
@@ -593,35 +589,11 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 			return nil, serr
 		}
 		sys.SetMode(m)
-		_, terr := d.pool.AddTenant(pool.TenantConfig{
-			ID:               spec.ID,
-			System:           sys,
-			Models:           models,
-			Workers:          opts.Workers,
-			QueueSize:        opts.QueueSize,
-			Metrics:          tenantMetrics,
-			BreakerThreshold: opts.BreakerThreshold,
-			BreakerCooldown:  opts.BreakerCooldown,
-			TraceCapacity:    opts.TraceCapacity,
-			SlowThreshold:    opts.SlowThreshold,
-			TraceEnabled:     opts.Trace,
-			// The continuous-ingest front end: every tenant accepts v2
-			// frames pushes. The stream manager reuses the tenant's
-			// registry, so its session gauges and early-exit counters
-			// surface in metrics lines and Prometheus exposition. The
-			// default tracker attributes every spotted candidate to a
-			// speaker by TDoA signature; spotted/decided stream lines
-			// echo the attribution.
-			Streaming: &stream.Config{
-				SampleRate: 48000,
-				Channels:   streamChannels,
-				Spotter:    spotter,
-				Speakers:   &stream.TrackerConfig{},
-			},
-		})
-		if terr != nil {
+		tcfg := d.tenantConfig(spec.ID, sys, tenantMetrics, array)
+		tcfg.Models = models
+		if _, err := d.pool.AddTenant(tcfg); err != nil {
 			_ = d.pool.Close()
-			return nil, terr
+			return nil, err
 		}
 		d.specs[spec.ID] = spec
 	}
@@ -631,24 +603,29 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 	return d, nil
 }
 
-// restoredTenantConfig assembles the serving stack for a tenant
-// activated from a snapshot envelope: same workers, queue, breaker,
-// tracing and streaming front end a locally-enrolled tenant gets. The
-// streamed channel count follows the envelope's recorded device: its
-// default capture subset, as for a locally-enrolled tenant.
-func (d *daemon) restoredTenantConfig(env *cluster.Envelope, sys *core.System, registry *metrics.Registry) pool.TenantConfig {
+// tenantConfig assembles the serving stack every hosted tenant gets,
+// enrolled here or restored from a snapshot: workers, queue, breaker,
+// tracing and the continuous-ingest front end. array is the tenant's
+// device (nil: none declared). Streamed frames carry its default
+// capture subset, the microphones captures and enrollment use rather
+// than every element of the array; 4 channels without a device.
+//
+// Every tenant accepts v2 frames pushes. The stream manager reuses the
+// tenant's registry, so its session gauges and early-exit counters
+// surface in metrics lines and Prometheus exposition. The default
+// tracker attributes every spotted candidate to a speaker by TDoA
+// signature; spotted/decided stream lines echo the attribution.
+func (d *daemon) tenantConfig(id string, sys *core.System, reg *metrics.Registry, array *mic.Array) pool.TenantConfig {
 	streamChannels := 4
-	if device, _, err := env.Profile(); err == nil && device != "" {
-		if array, aerr := mic.DeviceByID(device); aerr == nil {
-			streamChannels = len(array.DefaultSubset())
-		}
+	if array != nil {
+		streamChannels = len(array.DefaultSubset())
 	}
 	return pool.TenantConfig{
-		ID:               env.TenantID,
+		ID:               id,
 		System:           sys,
 		Workers:          d.opts.Workers,
 		QueueSize:        d.opts.QueueSize,
-		Metrics:          registry,
+		Metrics:          reg,
 		BreakerThreshold: d.opts.BreakerThreshold,
 		BreakerCooldown:  d.opts.BreakerCooldown,
 		TraceCapacity:    d.opts.TraceCapacity,
@@ -661,6 +638,16 @@ func (d *daemon) restoredTenantConfig(env *cluster.Envelope, sys *core.System, r
 			Speakers:   &stream.TrackerConfig{},
 		},
 	}
+}
+
+// restoredTenantConfig builds the tenant config for a snapshot
+// envelope, with the array of the envelope's recorded device.
+func (d *daemon) restoredTenantConfig(env *cluster.Envelope, sys *core.System, reg *metrics.Registry) pool.TenantConfig {
+	var array *mic.Array
+	if device, _, err := env.Profile(); err == nil && device != "" {
+		array, _ = mic.DeviceByID(device)
+	}
+	return d.tenantConfig(env.TenantID, sys, reg, array)
 }
 
 // restoreEnvelope rebuilds and activates a tenant from a snapshot with
@@ -723,6 +710,15 @@ func (d *daemon) tenant(id string) (*pool.Tenant, error) {
 		return nil, fmt.Errorf("%w: %q", pool.ErrUnknownTenant, id)
 	}
 	return t, nil
+}
+
+// requestContext returns the context one request is served under,
+// bounded by -deadline when it is set.
+func (d *daemon) requestContext() (context.Context, context.CancelFunc) {
+	if d.opts.Deadline > 0 {
+		return context.WithTimeout(context.Background(), d.opts.Deadline)
+	}
+	return context.Background(), func() {}
 }
 
 // snapshot merges the tenants' metrics for the NDJSON metrics line:
@@ -1161,41 +1157,16 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 		})
 		return
 	}
-	if (req.Frames != nil || req.EndSession) && v < minStreamVersion {
-		lw.write(response{
-			Type:      "error",
-			ID:        req.ID,
-			Error:     fmt.Sprintf("frames/end_session require protocol version %d (request is version %d)", minStreamVersion, v),
-			ErrorKind: "unsupported_version",
-		})
-		return
-	}
-	if len(req.Arrays) > 0 && v < minFusedVersion {
-		lw.write(response{
-			Type:      "error",
-			ID:        req.ID,
-			Error:     fmt.Sprintf("arrays require protocol version %d (request is version %d)", minFusedVersion, v),
-			ErrorKind: "unsupported_version",
-		})
-		return
-	}
-	if (req.ModelStatus || req.Promote != nil || req.Rollback != "") && v < minRegistryVersion {
-		lw.write(response{
-			Type:      "error",
-			ID:        req.ID,
-			Error:     fmt.Sprintf("model_status/promote/rollback require protocol version %d (request is version %d)", minRegistryVersion, v),
-			ErrorKind: "unsupported_version",
-		})
-		return
-	}
-	if (req.Snapshot || req.Restore != nil || req.Join != nil || req.Leave != "") && v < minClusterVersion {
-		lw.write(response{
-			Type:      "error",
-			ID:        req.ID,
-			Error:     fmt.Sprintf("snapshot/restore/join/leave require protocol version %d (request is version %d)", minClusterVersion, v),
-			ErrorKind: "unsupported_version",
-		})
-		return
+	for _, g := range versionGates {
+		if v < g.min && g.uses(&req) {
+			lw.write(response{
+				Type:      "error",
+				ID:        req.ID,
+				Error:     fmt.Sprintf("%s require protocol version %d (request is version %d)", g.fields, g.min, v),
+				ErrorKind: "unsupported_version",
+			})
+			return
+		}
 	}
 	if req.Restore != nil || req.Join != nil || req.Leave != "" {
 		d.handleCluster(req, lw)
@@ -1262,11 +1233,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: kind})
 		return
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d.opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d.opts.Deadline)
-	}
+	ctx, cancel := d.requestContext()
 	forceTrace := req.Trace != nil && *req.Trace
 	if forceTrace {
 		ctx = trace.NewContext(ctx, t.Traces().NewRecorder())
@@ -1292,24 +1259,10 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 				lw.write(resp)
 				return
 			}
-			dec := res.Decision
-			resp := response{
-				Type:        "decision",
-				ID:          res.ID,
-				Tenant:      echo,
-				Accepted:    &dec.Accepted,
-				Reason:      string(dec.Reason),
-				ReasonSlug:  dec.Reason.Slug(),
-				QueueWaitUS: res.QueueWait.Microseconds(),
-				TotalUS:     res.Total.Microseconds(),
-				TraceID:     res.TraceID,
-			}
-			if dec.LiveRan {
-				resp.LiveScore = &dec.LiveScore
-			}
-			if dec.FacingRan {
-				resp.FacingScore = &dec.FacingScore
-			}
+			resp := decisionResponse(res.ID, echo, res.Decision)
+			resp.QueueWaitUS = res.QueueWait.Microseconds()
+			resp.TotalUS = res.Total.Microseconds()
+			resp.TraceID = res.TraceID
 			if forceTrace {
 				resp.Trace = res.Trace
 			}
@@ -1347,11 +1300,7 @@ func (d *daemon) handleFused(req request, t *pool.Tenant, lw *lineWriter) {
 		}
 		inputs[i] = serve.ArrayInput{ArrayID: id, Recording: rec, Weight: a.Weight}
 	}
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d.opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d.opts.Deadline)
-	}
+	ctx, cancel := d.requestContext()
 	defer cancel()
 	room, reports, err := t.Engine().DecideFused(ctx, inputs, fusion.Config{})
 	if err != nil {
@@ -1420,11 +1369,7 @@ func (d *daemon) handleStream(req request, t *pool.Tenant, lw *lineWriter) {
 		return
 	}
 
-	ctx := context.Background()
-	var cancel context.CancelFunc = func() {}
-	if d.opts.Deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, d.opts.Deadline)
-	}
+	ctx, cancel := d.requestContext()
 	defer cancel()
 	res, err := t.Engine().PushFrames(ctx, sid, req.Frames)
 	if err != nil {
@@ -1438,7 +1383,32 @@ func (d *daemon) handleStream(req request, t *pool.Tenant, lw *lineWriter) {
 		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Status: res.Status.String(), Error: res.Err.Error(), ErrorKind: errorKind(res.Err)})
 		return
 	}
-	resp := response{Type: "stream", ID: req.ID, Tenant: echo, Session: sid, Status: res.Status.String()}
+	lw.write(streamResponse(req.ID, echo, sid, &res))
+}
+
+// decisionResponse renders one decision line; callers add the fields
+// of their serving path (timings, trace, forwarded).
+func decisionResponse(id, tenant string, dec core.Decision) response {
+	resp := response{
+		Type:       "decision",
+		ID:         id,
+		Tenant:     tenant,
+		Accepted:   &dec.Accepted,
+		Reason:     string(dec.Reason),
+		ReasonSlug: dec.Reason.Slug(),
+	}
+	if dec.LiveRan {
+		resp.LiveScore = &dec.LiveScore
+	}
+	if dec.FacingRan {
+		resp.FacingScore = &dec.FacingScore
+	}
+	return resp
+}
+
+// streamResponse renders the stream line for one frames push.
+func streamResponse(id, tenant, sid string, res *stream.PushResult) response {
+	resp := response{Type: "stream", ID: id, Tenant: tenant, Session: sid, Status: res.Status.String()}
 	switch res.Status {
 	case stream.StatusNoWake, stream.StatusSpotted, stream.StatusDecided:
 		score := res.SpotScore
@@ -1452,7 +1422,7 @@ func (d *daemon) handleStream(req request, t *pool.Tenant, lw *lineWriter) {
 		resp.Reason = string(dec.Reason)
 		resp.ReasonSlug = dec.Reason.Slug()
 	}
-	lw.write(resp)
+	return resp
 }
 
 // echoID returns a tenant id for response echoing on paths with no
@@ -1528,11 +1498,7 @@ func (d *daemon) handleModels(req request, t *pool.Tenant, lw *lineWriter) {
 func (d *daemon) handleCluster(req request, lw *lineWriter) {
 	switch {
 	case req.Restore != nil:
-		ctx := context.Background()
-		var cancel context.CancelFunc = func() {}
-		if d.opts.Deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, d.opts.Deadline)
-		}
+		ctx, cancel := d.requestContext()
 		defer cancel()
 		if err := d.restoreEnvelope(ctx, req.Restore); err != nil {
 			lw.write(response{Type: "error", ID: req.ID, Tenant: d.echoID(req.Restore.TenantID), Error: err.Error(), ErrorKind: errorKind(err)})
@@ -1600,11 +1566,7 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 	inflight.Add(1)
 	go func() {
 		defer inflight.Done()
-		ctx := context.Background()
-		var cancel context.CancelFunc = func() {}
-		if d.opts.Deadline > 0 {
-			ctx, cancel = context.WithTimeout(ctx, d.opts.Deadline)
-		}
+		ctx, cancel := d.requestContext()
 		defer cancel()
 		sid := req.Session
 		if sid == "" {
@@ -1631,17 +1593,11 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
 				return
 			}
-			resp := response{Type: "stream", ID: req.ID, Tenant: echo, Session: sid, Status: res.Status.String(), Forwarded: true}
-			switch res.Status {
-			case stream.StatusNoWake, stream.StatusSpotted, stream.StatusDecided:
-				score := res.SpotScore
-				resp.SpotScore = &score
-			}
-			if dec := res.Decision; dec != nil {
-				resp.Accepted = &dec.Accepted
-				resp.Reason = string(dec.Reason)
-				resp.ReasonSlug = dec.Reason.Slug()
-			}
+			// The peer wire carries no speaker attribution, so a
+			// forwarded line never echoes one.
+			res.Speaker = nil
+			resp := streamResponse(req.ID, echo, sid, &res)
+			resp.Forwarded = true
 			lw.write(resp)
 		default:
 			start := time.Now()
@@ -1650,22 +1606,9 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
 				return
 			}
-			resp := response{
-				Type:       "decision",
-				ID:         req.ID,
-				Tenant:     echo,
-				Accepted:   &dec.Accepted,
-				Reason:     string(dec.Reason),
-				ReasonSlug: dec.Reason.Slug(),
-				TotalUS:    time.Since(start).Microseconds(),
-				Forwarded:  true,
-			}
-			if dec.LiveRan {
-				resp.LiveScore = &dec.LiveScore
-			}
-			if dec.FacingRan {
-				resp.FacingScore = &dec.FacingScore
-			}
+			resp := decisionResponse(req.ID, echo, dec)
+			resp.TotalUS = time.Since(start).Microseconds()
+			resp.Forwarded = true
 			lw.write(resp)
 		}
 	}()

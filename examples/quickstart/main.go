@@ -26,8 +26,10 @@ func main() {
 
 	// 2. Build the privacy controller and enter HeadTalk mode.
 	sys, err := headtalk.NewSystem(headtalk.Config{
-		Liveness:    enr.Liveness,
-		Orientation: enr.Orientation,
+		Models: headtalk.NewStaticModels(headtalk.ModelSet{
+			Liveness:    enr.Liveness,
+			Orientation: enr.Orientation,
+		}),
 	})
 	if err != nil {
 		log.Fatalf("new system: %v", err)

@@ -24,8 +24,10 @@ func main() {
 		log.Fatalf("enroll: %v", err)
 	}
 	sys, err := headtalk.NewSystem(headtalk.Config{
-		Liveness:    enr.Liveness,
-		Orientation: enr.Orientation,
+		Models: headtalk.NewStaticModels(headtalk.ModelSet{
+			Liveness:    enr.Liveness,
+			Orientation: enr.Orientation,
+		}),
 	})
 	if err != nil {
 		log.Fatalf("new system: %v", err)

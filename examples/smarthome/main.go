@@ -48,8 +48,10 @@ func main() {
 
 	for _, mode := range []headtalk.Mode{headtalk.ModeNormal, headtalk.ModeHeadTalk} {
 		sys, err := headtalk.NewSystem(headtalk.Config{
-			Liveness:    enr.Liveness,
-			Orientation: enr.Orientation,
+			Models: headtalk.NewStaticModels(headtalk.ModelSet{
+				Liveness:    enr.Liveness,
+				Orientation: enr.Orientation,
+			}),
 		})
 		if err != nil {
 			log.Fatalf("new system: %v", err)

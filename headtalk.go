@@ -22,8 +22,10 @@
 // # Quickstart
 //
 //	sys, err := headtalk.NewSystem(headtalk.Config{
-//		Liveness:    livenessDetector,
-//		Orientation: orientationModel,
+//		Models: headtalk.NewStaticModels(headtalk.ModelSet{
+//			Liveness:    livenessDetector,
+//			Orientation: orientationModel,
+//		}),
 //	})
 //	sys.SetMode(headtalk.ModeHeadTalk)
 //	decision, err := sys.ProcessWake(ctx, recording)

@@ -50,7 +50,7 @@ func TestEnrollValidation(t *testing.T) {
 		t.Error("liveness trained despite SkipLiveness")
 	}
 
-	sys, err := NewSystem(Config{Orientation: enr.Orientation})
+	sys, err := NewSystem(Config{Models: NewStaticModels(ModelSet{Orientation: enr.Orientation})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,10 +8,8 @@ import (
 // BenchmarkForwardOverhead compares a decision served by the local
 // pool against the same decision forwarded to a peer over loopback
 // TCP — the federation tax: one round trip, conn pool, breaker and
-// semaphore included. The json and binary variants isolate the wire
-// encoding: json pins the legacy NDJSON frame (samples rendered as
-// decimal text), binary negotiates the length-prefixed frame that
-// ships raw float64 bits.
+// semaphore included. The forward ships the samples in the binary
+// peer frame (raw float64 bits).
 func BenchmarkForwardOverhead(b *testing.B) {
 	rec := testRecording(1)
 
@@ -27,19 +25,15 @@ func BenchmarkForwardOverhead(b *testing.B) {
 		}
 	})
 
-	forward := func(b *testing.B, disableBinary bool, wantWire int32) {
-		b.Helper()
-		c := newTestCluster(b, []string{"n1", "n2"}, clusterOpts{
-			tune: func(id string, cfg *Config) { cfg.DisableBinaryWire = disableBinary },
-		})
+	// The sub-benchmark keeps its "binary" name so recorded runs line
+	// up across tags.
+	b.Run("binary", func(b *testing.B) {
+		c := newTestCluster(b, []string{"n1", "n2"}, clusterOpts{})
 		tenant := c.tenantOwnedBy("n1", "n2")
 		c.addTenant("n2", tenant, plainSystem(b))
-		// Settle negotiation outside the timed region.
+		// Dial the peer connection outside the timed region.
 		if _, _, err := c.nodes["n1"].Decide(context.Background(), tenant, rec); err != nil {
 			b.Fatal(err)
-		}
-		if got := c.peerWire("n1", "n2"); got != wantWire {
-			b.Fatalf("negotiated wire = %d, want %d", got, wantWire)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -51,8 +45,5 @@ func BenchmarkForwardOverhead(b *testing.B) {
 				b.Fatal("expected a forward")
 			}
 		}
-	}
-
-	b.Run("json", func(b *testing.B) { forward(b, true, wireJSON) })
-	b.Run("binary", func(b *testing.B) { forward(b, false, wireBinary) })
+	})
 }

@@ -1,23 +1,21 @@
 package cluster
 
-// The binary peer frame: a length-prefixed request encoding for the
-// two sample-bearing operations (decide, frames), negotiated per peer
-// with the hello op and falling back to NDJSON against peers that do
-// not speak it. Marshaling multichannel float64 audio through JSON
-// costs a decimal render and re-parse per sample and dominates the
-// forwarded-decision round trip; the binary frame moves the bulk
-// samples as raw IEEE-754 bits and keeps only the small metadata
-// header in JSON, so the wire stays extensible where it is cheap and
-// flat where it is hot.
+// The binary peer frame: the only encoding of the two sample-bearing
+// operations (decide, frames). Every other op is an NDJSON line, and a
+// JSON decide or frames line is refused. Marshaling multichannel
+// float64 audio through JSON costs a decimal render and re-parse per
+// sample and dominates the forwarded-decision round trip; the binary
+// frame moves the bulk samples as raw IEEE-754 bits and keeps only the
+// small metadata header in JSON, so the wire stays extensible where it
+// is cheap and flat where it is hot.
 //
 // Frame layout (all integers and float bits little-endian):
 //
 //	0xB1 | u32 headerLen | header JSON | u32 nch | nch × (u32 n | n × f64)
 //
-// The header is the peerRequest with its Channels/Frames stripped; the
-// payload re-attaches to the field the op implies. Responses are always
-// NDJSON lines — they carry no sample data, and one response shape
-// keeps error reporting uniform across both request encodings. A
+// The header is the peerRequest's JSON form, which never includes
+// Channels/Frames; the payload attaches to the field the op implies.
+// Responses are always NDJSON lines — they carry no sample data. A
 // server tells the encodings apart by the first byte of each request:
 // 0xB1 opens a binary frame, anything else (in practice '{') is a JSON
 // line, so both kinds interleave freely on one connection.
@@ -59,10 +57,7 @@ func appendBinaryRequest(buf []byte, req *peerRequest) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("cluster: op %q has no binary frame encoding", req.Op)
 	}
-	header := *req
-	header.Channels = nil
-	header.Frames = nil
-	hdr, err := json.Marshal(&header)
+	hdr, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}

@@ -3,28 +3,20 @@ package cluster
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"time"
-)
 
-// peerWire reads the negotiated wire state of from's client for to.
-func (c *testCluster) peerWire(from, to string) int32 {
-	c.t.Helper()
-	n := c.nodes[from]
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	p, ok := n.peers[to]
-	if !ok {
-		c.t.Fatalf("node %s has no peer %s", from, to)
-	}
-	return p.client.wire.Load()
-}
+	"headtalk/internal/pool"
+	"headtalk/internal/speech"
+	"headtalk/internal/stream"
+	"headtalk/internal/va"
+)
 
 // TestBinaryFrameRoundTrip: a decide request survives the binary
 // encode/decode cycle bit-exactly, and the op-implied payload field is
@@ -129,54 +121,6 @@ func TestBinaryFrameDecodeBounds(t *testing.T) {
 	}
 }
 
-// TestMixedWireFederation: binary-capable nodes negotiate the binary
-// frame between themselves while a JSON-pinned node interoperates in
-// both directions on the fallback, all on the same federation.
-func TestMixedWireFederation(t *testing.T) {
-	c := newTestCluster(t, []string{"n1", "n2", "legacy"}, clusterOpts{
-		tune: func(id string, cfg *Config) {
-			if id == "legacy" {
-				cfg.DisableBinaryWire = true
-			}
-		},
-	})
-	tenants := map[string]string{
-		"n1":     c.tenantOwnedBy("n1", "n1"),
-		"n2":     c.tenantOwnedBy("n1", "n2"),
-		"legacy": c.tenantOwnedBy("n1", "legacy"),
-	}
-	for node, id := range tenants {
-		c.addTenant(node, id, plainSystem(t))
-	}
-	seed := uint64(100)
-	for _, from := range []string{"n1", "n2", "legacy"} {
-		for to, tenant := range tenants {
-			if to == from {
-				continue
-			}
-			seed++
-			d, forwarded, err := c.nodes[from].Decide(context.Background(), tenant, testRecording(seed))
-			if err != nil || !forwarded || !d.Accepted {
-				t.Fatalf("%s→%s decide = %+v, forwarded=%v, err=%v", from, to, d, forwarded, err)
-			}
-		}
-	}
-	// Capable pairs settled on binary; anything touching the pinned
-	// node settled on JSON — in both directions.
-	if got := c.peerWire("n1", "n2"); got != wireBinary {
-		t.Fatalf("n1→n2 wire = %d, want binary", got)
-	}
-	if got := c.peerWire("n2", "n1"); got != wireBinary {
-		t.Fatalf("n2→n1 wire = %d, want binary", got)
-	}
-	if got := c.peerWire("n1", "legacy"); got != wireJSON {
-		t.Fatalf("n1→legacy wire = %d, want JSON", got)
-	}
-	if got := c.peerWire("legacy", "n1"); got != wireJSON {
-		t.Fatalf("legacy→n1 wire = %d, want JSON", got)
-	}
-}
-
 // TestBinaryFrameBadInputDropsConn: a malformed binary frame gets a
 // bad_input answer and then the connection is dropped — the server
 // cannot trust stream alignment after a bad frame.
@@ -211,26 +155,112 @@ func TestBinaryFrameBadInputDropsConn(t *testing.T) {
 	}
 }
 
-// TestHelloNegotiation: a hello exchange settles the encoding once; a
-// server with the binary wire disabled answers negatively and the
-// client pins JSON.
-func TestHelloNegotiation(t *testing.T) {
-	c := newTestCluster(t, []string{"a", "b"}, clusterOpts{
-		tune: func(id string, cfg *Config) {
-			if id == "b" {
-				cfg.DisableBinaryWire = true
-			}
-		},
-	})
-	remote := c.tenantOwnedBy("a", "b")
-	c.addTenant("b", remote, plainSystem(t))
-	if got := c.peerWire("a", "b"); got != wireUnknown {
-		t.Fatalf("wire settled before any forward: %d", got)
-	}
-	if _, _, err := c.nodes["a"].Decide(context.Background(), remote, testRecording(3)); err != nil {
+// TestJSONLinesCarryNoSamples: samples ride only the binary frame. A
+// raw NDJSON decide carrying "channels" and a frames push carrying
+// "frames" for a hosted, streaming tenant are both refused as
+// bad_input, and nothing is decided or buffered.
+func TestJSONLinesCarryNoSamples(t *testing.T) {
+	c := newTestCluster(t, []string{"solo"}, clusterOpts{})
+	tenant := c.tenantOwnedBy("solo", "solo")
+	sys := plainSystem(t)
+	spotter, err := va.NewSpotter(speech.WordComputer, 3, 42)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.peerWire("a", "b"); got != wireJSON {
-		t.Fatalf("a→b wire = %d, want JSON against a disabled server", got)
+	if _, err := c.pools["solo"].AddTenant(pool.TenantConfig{
+		ID: tenant, System: sys, Workers: 2, QueueSize: 8,
+		Streaming: &stream.Config{SampleRate: 48000, Channels: 4, Spotter: spotter, JanitorEvery: -1},
+	}); err != nil {
+		t.Fatal(err)
 	}
+	conn, err := net.DialTimeout("tcp", c.addrs["solo"], time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+
+	rec := testRecording(21)
+	chunk := make([][]float64, len(rec.Channels))
+	for i, ch := range rec.Channels {
+		chunk[i] = ch[:480]
+	}
+	for _, raw := range []map[string]any{
+		{"op": opDecide, "tenant": tenant, "sample_rate": rec.SampleRate, "channels": rec.Channels},
+		{"op": opFrames, "tenant": tenant, "session": "s", "frames": chunk},
+	} {
+		line, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(append(line, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := ReadBoundedLine(br, nil, maxPeerLine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp peerResponse
+		if err := json.Unmarshal(reply, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.OK || resp.ErrorKind != "bad_input" || resp.Decision != nil || resp.Status != "" {
+			t.Fatalf("JSON %s line answered %+v, want a bad_input refusal", raw["op"], resp)
+		}
+	}
+	if h := sys.History(); len(h) != 0 {
+		t.Fatalf("JSON sample lines reached the tenant: %d decisions", len(h))
+	}
+	if ten, _ := c.pools["solo"].Tenant(tenant); ten.Streams().Len() != 0 {
+		t.Fatalf("JSON frames line opened %d stream sessions", ten.Streams().Len())
+	}
+}
+
+// FuzzBinaryRequest: readBinaryRequest (magic byte already consumed)
+// never panics, and every frame it accepts survives an
+// appendBinaryRequest → readBinaryRequest round trip with the same
+// header and bit-identical samples.
+func FuzzBinaryRequest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req peerRequest
+		if err := readBinaryRequest(bufio.NewReader(bytes.NewReader(data)), &req); err != nil {
+			return
+		}
+		buf, err := appendBinaryRequest(nil, &req)
+		if err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		var again peerRequest
+		if err := readBinaryRequest(bufio.NewReader(bytes.NewReader(buf[1:])), &again); err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		h1, err1 := json.Marshal(&req)
+		h2, err2 := json.Marshal(&again)
+		if err1 != nil || err2 != nil || !bytes.Equal(h1, h2) {
+			t.Fatalf("header changed across the round trip:\n%s\n%s", h1, h2)
+		}
+		if !sameBits(req.Channels, again.Channels) || !sameBits(req.Frames, again.Frames) {
+			t.Fatal("samples changed across the round trip")
+		}
+	})
+}
+
+// sameBits reports whether a and b hold the same shape and the same
+// IEEE-754 bit patterns (NaN payloads included).
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -18,15 +18,6 @@ import (
 // connections are closed rather than cached.
 const maxIdleConns = 4
 
-// Peer wire encodings, negotiated once per peer with the hello op and
-// cached on the client (wireUnknown until the first sample-bearing
-// forward triggers negotiation).
-const (
-	wireUnknown int32 = iota
-	wireBinary
-	wireJSON
-)
-
 // peerConn is one pooled peer connection with its read buffer and
 // encode scratch, which live and die with the connection — pooling
 // them together keeps repeat round trips free of the 64 KiB reader
@@ -52,9 +43,6 @@ type peerClient struct {
 	conns    chan *peerConn
 	inflight chan struct{}
 	closed   atomic.Bool
-	// wire caches the hello-negotiated request encoding for this peer
-	// (wireUnknown / wireBinary / wireJSON).
-	wire atomic.Int32
 
 	latency *metrics.Histogram // round-trip latency, successful attempts
 	retries *metrics.Counter   // re-attempts after a transport failure
@@ -109,9 +97,6 @@ func (c *peerClient) call(ctx context.Context, req peerRequest, retry bool) (*pe
 			lastErr = fmt.Errorf("%w: peer %s: breaker open", ErrPeerUnavailable, c.id)
 			continue
 		}
-		// Negotiate the wire encoding behind the breaker gate, so an
-		// open breaker still fails fast without touching the network.
-		c.maybeNegotiate(ctx, req.Op)
 		start := time.Now()
 		resp, err := c.roundTrip(ctx, req)
 		c.breaker.Record(err == nil, probe)
@@ -131,33 +116,8 @@ func (c *peerClient) call(ctx context.Context, req peerRequest, retry bool) (*pe
 	return nil, lastErr
 }
 
-// maybeNegotiate settles the peer's request encoding before the first
-// sample-bearing forward: one hello round trip asks whether the peer
-// accepts binary frames. A negative or error answer (an older peer
-// rejects the unknown op) selects JSON; only a transport failure
-// leaves the encoding unknown so a later call retries. Ops without a
-// binary form never trigger negotiation.
-func (c *peerClient) maybeNegotiate(ctx context.Context, op string) {
-	if op != opDecide && op != opFrames || c.wire.Load() != wireUnknown {
-		return
-	}
-	if c.cfg.DisableBinaryWire {
-		c.wire.Store(wireJSON)
-		return
-	}
-	resp, err := c.roundTrip(ctx, peerRequest{Op: opHello, Binary: true})
-	if err != nil {
-		return
-	}
-	if resp.OK && resp.Binary {
-		c.wire.Store(wireBinary)
-	} else {
-		c.wire.Store(wireJSON)
-	}
-}
-
-// roundTrip writes one request — a binary frame for negotiated
-// sample-bearing ops, an NDJSON line otherwise — and reads one NDJSON
+// roundTrip writes one request — a binary frame for the sample-bearing
+// ops (decide, frames), an NDJSON line otherwise — and reads one NDJSON
 // response line on a pooled (or freshly dialed) connection, with every
 // byte bounded by the context deadline. Any failure closes the
 // connection — a conn whose stream alignment is unknown must never
@@ -175,7 +135,7 @@ func (c *peerClient) roundTrip(ctx context.Context, req peerRequest) (*peerRespo
 		pc.Close()
 		return nil, err
 	}
-	if c.wire.Load() == wireBinary && (req.Op == opDecide || req.Op == opFrames) {
+	if req.Op == opDecide || req.Op == opFrames {
 		pc.buf, err = appendBinaryRequest(pc.buf[:0], &req)
 	} else {
 		var data []byte

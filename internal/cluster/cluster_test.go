@@ -17,6 +17,7 @@ import (
 	"headtalk/internal/metrics"
 	"headtalk/internal/orientation"
 	"headtalk/internal/pool"
+	"headtalk/internal/registry"
 )
 
 // testRecording is a short 4-channel noise burst — enough to run the
@@ -98,7 +99,7 @@ func trainedSystem(t testing.TB) *core.System {
 	}
 	sys, err := core.NewSystem(core.Config{
 		Features:       featCfg,
-		Orientation:    m,
+		Models:         registry.NewStatic(registry.ModelSet{Orientation: m}),
 		SessionTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -507,10 +508,20 @@ func TestWireRestoreJoinLeave(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
+	// Samples ride only the binary frame; every other op is a JSON line.
 	roundTrip := func(req peerRequest) peerResponse {
 		t.Helper()
-		if err := enc.Encode(req); err != nil {
+		var frame []byte
+		var err error
+		if req.Op == opDecide {
+			frame, err = appendBinaryRequest(nil, &req)
+		} else if frame, err = json.Marshal(req); err == nil {
+			frame = append(frame, '\n')
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 		line, err := ReadBoundedLine(br, nil, maxPeerLine)

@@ -96,14 +96,6 @@ type Config struct {
 	// excess forwards queue on the semaphore, bounded by their own
 	// deadlines.
 	MaxInFlight int
-	// DisableBinaryWire pins node-to-node sample payloads (decide /
-	// frames requests) to the NDJSON wire. By default this node's
-	// clients negotiate the length-prefixed binary frame encoding with
-	// each peer (hello op, falling back to JSON against peers that do
-	// not speak it), and its server accepts both encodings on one
-	// connection; with the flag set, its clients always send JSON and
-	// its server answers hello negatively so peers fall back too.
-	DisableBinaryWire bool
 
 	// ProbeInterval / ProbeTimeout drive the health prober (defaults
 	// 500ms / 250ms). A zero ProbeInterval with no Start call leaves

@@ -52,7 +52,7 @@ func (n *Node) servePeerConn(conn net.Conn) {
 			return // EOF, peer hangup, or transport damage: drop the conn
 		}
 		var req peerRequest
-		resp := peerResponse{OK: true, Node: n.cfg.NodeID}
+		var badInput string
 		if first[0] == binaryMagic {
 			_, _ = br.ReadByte()
 			if err := readBinaryRequest(br, &req); err != nil {
@@ -62,28 +62,30 @@ func (n *Node) servePeerConn(conn net.Conn) {
 				_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: fmt.Sprintf("decoding binary peer frame: %v", err)})
 				return
 			}
-			if err := n.handlePeer(&req, &resp); err != nil {
-				resp = peerResponse{OK: false, Node: n.cfg.NodeID, ErrorKind: kindOf(err), Error: err.Error()}
-			}
-			if err := enc.Encode(resp); err != nil {
+		} else {
+			line, err = ReadBoundedLine(br, line, maxPeerLine)
+			if err != nil {
+				if errors.Is(err, ErrLineTooLong) {
+					// The line was consumed; tell the peer before moving on.
+					_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: ErrLineTooLong.Error()})
+					continue
+				}
 				return
 			}
-			continue
-		}
-		line, err = ReadBoundedLine(br, line, maxPeerLine)
-		if err != nil {
-			if errors.Is(err, ErrLineTooLong) {
-				// The line was consumed; tell the peer before moving on.
-				_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: ErrLineTooLong.Error()})
+			if len(line) == 0 {
 				continue
 			}
-			return
+			if err := json.Unmarshal(line, &req); err != nil {
+				badInput = fmt.Sprintf("decoding peer request: %v", err)
+			} else if req.Op == opDecide || req.Op == opFrames {
+				// Samples ride only the binary frame; a JSON line's
+				// "channels"/"frames" were never decoded.
+				badInput = fmt.Sprintf("peer op %q must arrive as a binary frame", req.Op)
+			}
 		}
-		if len(line) == 0 {
-			continue
-		}
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp = peerResponse{OK: false, ErrorKind: "bad_input", Error: fmt.Sprintf("decoding peer request: %v", err)}
+		resp := peerResponse{OK: true, Node: n.cfg.NodeID}
+		if badInput != "" {
+			resp = peerResponse{OK: false, ErrorKind: "bad_input", Error: badInput}
 		} else if err := n.handlePeer(&req, &resp); err != nil {
 			resp = peerResponse{OK: false, Node: n.cfg.NodeID, ErrorKind: kindOf(err), Error: err.Error()}
 		}
@@ -100,9 +102,6 @@ func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 	defer cancel()
 	switch req.Op {
 	case opPing:
-		return nil
-	case opHello:
-		resp.Binary = !n.cfg.DisableBinaryWire
 		return nil
 	case opDecide:
 		t, ok := n.cfg.Pool.Tenant(req.Tenant)

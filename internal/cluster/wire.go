@@ -3,7 +3,7 @@
 // a consistent-hash ring (the same FNV-1a ring the pool uses for
 // anonymous routing, promoted to node-level ownership); a node serves
 // its own tenants locally and forwards requests for everyone else's to
-// the owning peer over a pooled, bounded NDJSON client with per-request
+// the owning peer over a pooled, bounded client with per-request
 // deadlines, capped exponential backoff, a single hedged retry for
 // idempotent decisions, and a per-peer circuit breaker. Health probes
 // drive membership (alive → suspect → down); a down peer is removed
@@ -31,7 +31,6 @@ import (
 // reused sequentially.
 const (
 	opPing       = "ping"
-	opHello      = "hello"
 	opDecide     = "decide"
 	opFrames     = "frames"
 	opEndSession = "end_session"
@@ -58,19 +57,18 @@ type peerRequest struct {
 	// Addr is the subject node's peer address (join only).
 	Addr   string `json:"addr,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// SampleRate and Channels inline the utterance for decide (one
-	// inner array per microphone channel).
-	SampleRate float64     `json:"sample_rate,omitempty"`
-	Channels   [][]float64 `json:"channels,omitempty"`
+	// SampleRate and Channels carry the utterance for decide (one
+	// inner slice per microphone channel).
+	SampleRate float64 `json:"sample_rate,omitempty"`
+	// Channels and Frames travel only as the binary frame's payload
+	// (binwire.go), never as JSON.
+	Channels [][]float64 `json:"-"`
 	// Session and Frames carry one streaming chunk for frames /
 	// end_session.
 	Session string      `json:"session,omitempty"`
-	Frames  [][]float64 `json:"frames,omitempty"`
+	Frames  [][]float64 `json:"-"`
 	// Envelope is the snapshot document for restore.
 	Envelope *Envelope `json:"envelope,omitempty"`
-	// Binary advertises, on a hello request, that the sender can emit
-	// binary peer frames (see binwire.go).
-	Binary bool `json:"binary,omitempty"`
 }
 
 // peerDecision is the wire form of a core.Decision.
@@ -133,9 +131,6 @@ type peerResponse struct {
 	Ended          *bool         `json:"ended,omitempty"`
 	// Envelope answers snapshot.
 	Envelope *Envelope `json:"envelope,omitempty"`
-	// Binary answers hello: the responder accepts binary peer frames on
-	// this and future connections.
-	Binary bool `json:"binary,omitempty"`
 }
 
 // RemoteError is an application-level failure reported by the owning

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"headtalk/internal/features"
+	"headtalk/internal/registry"
 )
 
 // decisionsEqual compares everything about two decisions except the
@@ -73,7 +74,7 @@ func TestProcessWakeOrientationPathAllocFree(t *testing.T) {
 		SessionTimeout: -time.Second, // sessions expire instantly
 		Clock:          clock.Now,
 		Features:       featCfg,
-		Orientation:    trainedOrientation(t, featCfg),
+		Models:         registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"headtalk/internal/audio"
 	"headtalk/internal/features"
 	"headtalk/internal/orientation"
+	"headtalk/internal/registry"
 )
 
 // Fail-closed fault-tolerance tests: every malformed or degraded input
@@ -165,10 +166,12 @@ func TestDegradedFallbackModelKeepsDeciding(t *testing.T) {
 		SessionTimeout: 10 * time.Second,
 		Clock:          clock.Now,
 		Features:       featCfg,
-		Orientation:    trainedOrientation(t, featCfg),
-		OrientationByChannels: map[int]*orientation.Model{
-			3: trainedFallback(t, featCfg, []int{0, 1, 2}),
-		},
+		Models: registry.NewStatic(registry.ModelSet{
+			Orientation: trainedOrientation(t, featCfg),
+			OrientationByChannels: map[int]*orientation.Model{
+				3: trainedFallback(t, featCfg, []int{0, 1, 2}),
+			},
+		}),
 	}
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -214,7 +217,7 @@ func TestRepairNonFiniteRecoversDecision(t *testing.T) {
 		SessionTimeout:  10 * time.Second,
 		Clock:           clock.Now,
 		Features:        featCfg,
-		Orientation:     trainedOrientation(t, featCfg),
+		Models:          registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
 		RepairNonFinite: true,
 	}
 	sys, err := NewSystem(cfg)

@@ -14,6 +14,7 @@ import (
 	"headtalk/internal/audio"
 	"headtalk/internal/features"
 	"headtalk/internal/orientation"
+	"headtalk/internal/registry"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/decisions.golden from the current code")
@@ -64,10 +65,12 @@ func goldenSystem(t *testing.T) *System {
 		SessionTimeout: -time.Second, // sessions expire instantly
 		Clock:          clock.Now,
 		Features:       featCfg,
-		Orientation:    trainedOrientation(t, featCfg),
-		OrientationByChannels: map[int]*orientation.Model{
-			3: trainedFallback(t, featCfg, []int{0, 1, 2}),
-		},
+		Models: registry.NewStatic(registry.ModelSet{
+			Orientation: trainedOrientation(t, featCfg),
+			OrientationByChannels: map[int]*orientation.Model{
+				3: trainedFallback(t, featCfg, []int{0, 1, 2}),
+			},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -269,30 +269,3 @@ func TestHotSwapWhileServing(t *testing.T) {
 		t.Fatalf("decision failed during hot-swap storm: %v", err)
 	}
 }
-
-func TestDeprecatedConfigFieldsStillServe(t *testing.T) {
-	// The pre-registry configuration shape — raw Orientation/Liveness
-	// fields, no Models provider — must keep deciding identically via
-	// the static wrapper NewSystem installs.
-	featCfg := features.DefaultConfig(13, 48000)
-	m := trainedOrientation(t, featCfg)
-	sys, err := NewSystem(Config{
-		SessionTimeout: 10 * time.Second,
-		Features:       featCfg,
-		Orientation:    m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetMode(ModeHeadTalk)
-	if sys.ModelSet().Orientation != m {
-		t.Fatal("legacy Orientation field not folded into the model set")
-	}
-	d, err := sys.ProcessWake(context.Background(), markedRecording(true, 80))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Accepted {
-		t.Fatalf("legacy-config decision %+v", d)
-	}
-}

@@ -15,6 +15,7 @@ import (
 	"headtalk/internal/dsp"
 	"headtalk/internal/features"
 	"headtalk/internal/metrics"
+	"headtalk/internal/registry"
 )
 
 func TestBoundedHistoryRing(t *testing.T) {
@@ -83,10 +84,10 @@ func TestMetricsWiring(t *testing.T) {
 	reg := metrics.NewRegistry()
 	featCfg := features.DefaultConfig(13, 48000)
 	sys, err := NewSystem(Config{
-		Clock:       clock.Now,
-		Metrics:     reg,
-		Features:    featCfg,
-		Orientation: trainedOrientation(t, featCfg),
+		Clock:    clock.Now,
+		Metrics:  reg,
+		Features: featCfg,
+		Models:   registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestConcurrentHammer(t *testing.T) {
 		Clock:       clock.Now,
 		LogCapacity: 8,
 		Features:    featCfg,
-		Orientation: trainedOrientation(t, featCfg),
+		Models:      registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,21 +173,10 @@ type Config struct {
 	// Models resolves the trained gates for every decision. This is
 	// the model-attachment API: pass a *registry.Registry for
 	// versioned models with hot-swap, rollback, shadow evaluation and
-	// online adaptation, or registry.NewStatic for a fixed set. When
-	// nil, NewSystem wraps the deprecated raw fields below into a
-	// static single-version provider, so existing configurations keep
-	// working unchanged.
-	Models registry.Provider
-	// Liveness and Orientation are the trained gates. Either may be
-	// nil: a nil liveness detector skips the human/mechanical check, a
-	// nil orientation model causes HeadTalk mode to reject with
+	// online adaptation, or registry.NewStatic for a fixed set. A nil
+	// Models is an empty static set: HeadTalk mode then rejects with
 	// ReasonNoOrientation.
-	//
-	// Deprecated: set Models instead. These fields are read only when
-	// Models is nil, in which case NewSystem folds them (together with
-	// OrientationByChannels) into a registry.Static provider.
-	Liveness    *liveness.Detector
-	Orientation *orientation.Model
+	Models registry.Provider
 	// LivenessThreshold is the minimum live score (default 0.5).
 	LivenessThreshold float64
 	// Features configures orientation feature extraction. A zero
@@ -217,17 +206,6 @@ type Config struct {
 	// gate will decide with (default 2); below it the decision fails
 	// closed with ReasonDegraded.
 	MinChannels int
-	// OrientationByChannels maps a channel count to a fallback
-	// orientation model trained for that count. When the array degrades
-	// below the primary subset size but at least MinChannels survive,
-	// the gate recomputes the GCC/SRP pair set over the surviving
-	// channels and scores with the matching fallback model; with no
-	// matching entry the decision fails closed with ReasonDegraded
-	// (a model trained on k channels cannot score a k'-channel feature
-	// vector).
-	//
-	// Deprecated: set Models instead (see Liveness/Orientation above).
-	OrientationByChannels map[int]*orientation.Model
 	// LogCapacity bounds the decision log. A long-running daemon
 	// otherwise grows the log without limit; once full, the oldest
 	// events are dropped and counted. Default 1024.
@@ -376,14 +354,7 @@ func NewSystem(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: designing bandpass: %w", err)
 	}
 	if cfg.Models == nil {
-		// Compatibility: fold the deprecated raw model fields into a
-		// static single-version provider so pre-registry configs keep
-		// working byte-for-byte.
-		cfg.Models = registry.NewStatic(registry.ModelSet{
-			Orientation:           cfg.Orientation,
-			OrientationByChannels: cfg.OrientationByChannels,
-			Liveness:              cfg.Liveness,
-		})
+		cfg.Models = registry.NewStatic(registry.ModelSet{})
 	}
 	s := &System{mode: ModeNormal, cfg: cfg, bp: bp}
 	s.prePool.New = func() any { return s.NewPreprocessor() }
@@ -435,8 +406,7 @@ func (s *System) NewPreprocessor() *Preprocessor {
 func (s *System) Config() Config { return s.cfg }
 
 // Models returns the system's model provider (a *registry.Registry
-// when one was attached, or the static wrapper NewSystem built from
-// the deprecated raw config fields).
+// when one was attached, or a registry.Static).
 func (s *System) Models() registry.Provider { return s.cfg.Models }
 
 // ModelSet resolves the current model set — the same one-atomic-load

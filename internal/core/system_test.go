@@ -11,6 +11,7 @@ import (
 	"headtalk/internal/dsp"
 	"headtalk/internal/features"
 	"headtalk/internal/orientation"
+	"headtalk/internal/registry"
 )
 
 // fakeClock is a controllable time source.
@@ -88,7 +89,7 @@ func testSystem(t *testing.T, clock *fakeClock) *System {
 	}
 	featCfg := features.DefaultConfig(13, 48000)
 	cfg.Features = featCfg
-	cfg.Orientation = trainedOrientation(t, featCfg)
+	cfg.Models = registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)})
 	sys, err := NewSystem(cfg)
 	if err != nil {
 		t.Fatal(err)

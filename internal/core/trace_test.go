@@ -10,14 +10,15 @@ import (
 	"time"
 
 	"headtalk/internal/features"
+	"headtalk/internal/registry"
 	"headtalk/internal/trace"
 )
 
 func TestTraceSpansCoverPipeline(t *testing.T) {
 	featCfg := features.DefaultConfig(13, 48000)
 	sys, err := NewSystem(Config{
-		Features:    featCfg,
-		Orientation: trainedOrientation(t, featCfg),
+		Features: featCfg,
+		Models:   registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -69,8 +69,12 @@ const (
 // read-only.
 type ModelSet struct {
 	// Orientation decides facing for captures on the default channel
-	// subset; OrientationByChannels overrides by active-channel count
-	// (degraded arrays).
+	// subset. OrientationByChannels maps a channel count to a fallback
+	// model trained for that count: when the array degrades below the
+	// subset size but at least core.Config.MinChannels survive, the
+	// gate scores the survivors with the matching fallback, and with
+	// no entry it fails closed with ReasonDegraded (a model trained on
+	// k channels cannot score a k'-channel feature vector).
 	Orientation           *orientation.Model
 	OrientationByChannels map[int]*orientation.Model
 	// Liveness is the spectral ConvNet gate; nil disables it.
@@ -123,9 +127,8 @@ type Provider interface {
 }
 
 // Static is the zero-machinery Provider: one fixed ModelSet, no
-// versioning, no adaptation. It is the compatibility wrapper the
-// deprecated core.Config.Orientation / OrientationByChannels /
-// Liveness fields are folded into, and the cheapest way to run tests.
+// versioning, no adaptation. core.NewSystem installs an empty one when
+// Config.Models is nil; it is also the cheapest way to run tests.
 type Static struct{ set *ModelSet }
 
 // NewStatic wraps a fixed model set (copied) in a Provider.
