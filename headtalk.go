@@ -107,8 +107,8 @@ type (
 	// MetricsSnapshot is a point-in-time scrape of a registry.
 	MetricsSnapshot = metrics.Snapshot
 	// StreamConfig attaches a continuous-listening ingest front end to
-	// an engine (EngineConfig.Streaming): per-session ring buffers,
-	// incremental STFT and online wake-word spotting with early-exit
+	// an engine (EngineConfig.Streaming): per-session ring buffers, a
+	// hop framer feeding online wake-word spotting, and early-exit
 	// gating ahead of the full pipeline (see internal/stream).
 	StreamConfig = stream.Config
 	// StreamManager owns an engine's streaming sessions (Engine.Streams).
@@ -368,11 +368,6 @@ type (
 	ArrayFingerprint = liveness.ArrayFingerprint
 	// FingerprintConfig tunes array-fingerprint enrollment.
 	FingerprintConfig = liveness.FingerprintConfig
-	// LivenessEnsemble fuses the spectral detector and the array
-	// fingerprint into one fail-closed liveness gate.
-	LivenessEnsemble = liveness.Ensemble
-	// LivenessEnsembleResult is one fused liveness check.
-	LivenessEnsembleResult = liveness.EnsembleResult
 )
 
 // NewLivenessDetector returns an untrained detector seeded for
@@ -556,10 +551,6 @@ type (
 	Spotter = va.Spotter
 	// Response is the assistant's reaction to audio.
 	Response = va.Response
-	// Listener turns a continuous audio stream into gated wake events.
-	Listener = va.Listener
-	// ListenerConfig sizes a Listener.
-	ListenerConfig = va.ListenerConfig
 	// Decider is the decision backend an Assistant routes wake words
 	// through — a System directly, or an Engine to share its worker
 	// pool (Assistant.UseDecider).
@@ -575,10 +566,4 @@ func NewSpotter(word WakeWord, numTemplates int, seed uint64) (*Spotter, error) 
 // voice assistant.
 func NewAssistant(name string, spotter *Spotter, sys *System) (*Assistant, error) {
 	return va.NewAssistant(name, spotter, sys, nil)
-}
-
-// NewListener attaches a streaming wake-word listener to an assistant:
-// feed it fixed-size capture frames and it returns gated wake events.
-func NewListener(assistant *Assistant, cfg ListenerConfig) (*Listener, error) {
-	return va.NewListener(assistant, cfg)
 }

@@ -231,24 +231,20 @@ func parseMode(s string) (core.Mode, error) {
 	}
 }
 
-// BuildSystem verifies the envelope and rebuilds the tenant's
-// core.System from it: model blobs are decoded through their typed
-// loaders (corruption and version skew surface as matchable errors),
-// thresholds and feature geometry are restored, and the captured
-// privacy mode is applied. metricsReg may be nil. Nothing is activated
-// here — the caller swaps the system in only after this fully
-// succeeds (restore-then-activate).
-func BuildSystem(e *Envelope, metricsReg *metrics.Registry) (*core.System, error) {
-	sys, _, err := BuildSystemWithModels(e, metricsReg)
-	return sys, err
-}
-
-// BuildSystemWithModels is BuildSystem returning, additionally, the
-// reconstructed model registry when the envelope was captured from a
-// registry-managed tenant (nil for static-model envelopes). The
-// registry is re-seeded through ImportActive with the captured version
-// numbers and canonical bytes, so a restored tenant's model_status —
-// and a re-capture — report exactly what the source node served.
+// BuildSystemWithModels verifies the envelope and rebuilds the
+// tenant's core.System from it: model blobs are decoded through their
+// typed loaders (corruption and version skew surface as matchable
+// errors), thresholds and feature geometry are restored, and the
+// captured privacy mode is applied. metricsReg may be nil. Nothing is
+// activated here — the caller swaps the system in only after this
+// fully succeeds (restore-then-activate).
+//
+// It also returns the reconstructed model registry when the envelope
+// was captured from a registry-managed tenant (nil for static-model
+// envelopes). The registry is re-seeded through ImportActive with the
+// captured version numbers and canonical bytes, so a restored tenant's
+// model_status — and a re-capture — report exactly what the source
+// node served.
 func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.System, *registry.Registry, error) {
 	if err := e.Verify(); err != nil {
 		return nil, nil, err

@@ -70,7 +70,7 @@ func TestPreprocessorMatchesFreshDesign(t *testing.T) {
 
 	p := sys.NewPreprocessor()
 	for round := 0; round < 2; round++ { // reuse must not leak state
-		got := p.Apply(rec)
+		got := p.applyInto(rec)
 		for i := range want {
 			if math.Abs(got.Channels[0][i]-want[i]) > 1e-12 {
 				t.Fatalf("round %d: cached filter diverges at sample %d: %g vs %g", round, i, got.Channels[0][i], want[i])
@@ -120,7 +120,7 @@ func TestMetricsWiring(t *testing.T) {
 }
 
 // TestConcurrentHammer mixes ProcessWake, SetMode, SessionActive,
-// History and Preprocess from many goroutines against one System; with
+// and History from many goroutines against one System; with
 // -race this is the system's concurrency proof. Decision counts are
 // checked against the log + dropped counter so no event vanishes.
 func TestConcurrentHammer(t *testing.T) {

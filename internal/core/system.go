@@ -414,23 +414,10 @@ func (s *System) Models() registry.Provider { return s.cfg.Models }
 // read-only.
 func (s *System) ModelSet() *registry.ModelSet { return s.cfg.Models.ModelSet() }
 
-// Apply runs the paper's fifth-order Butterworth band-pass
-// (100 Hz – 16 kHz) over every channel, returning a new recording.
-func (p *Preprocessor) Apply(rec *audio.Recording) *audio.Recording {
-	start := time.Now()
-	out := audio.NewRecording(rec.SampleRate, len(rec.Channels), rec.Len())
-	for i, ch := range rec.Channels {
-		p.bp.ApplyTo(out.Channels[i], ch)
-	}
-	if p.ins != nil {
-		p.ins.preprocess.ObserveDuration(time.Since(start))
-	}
-	return out
-}
-
-// applyInto is Apply writing into the preprocessor's arena. The
-// returned recording aliases p's backing store and is valid until the
-// next applyInto call; a warm arena makes it allocation-free.
+// applyInto runs the paper's fifth-order Butterworth band-pass
+// (100 Hz – 16 kHz) over every channel into the preprocessor's arena.
+// The returned recording aliases p's backing store and is valid until
+// the next applyInto call; a warm arena makes it allocation-free.
 func (p *Preprocessor) applyInto(rec *audio.Recording) *audio.Recording {
 	start := time.Now()
 	n := rec.Len()
@@ -470,16 +457,6 @@ func (p *Preprocessor) selectInto(src *audio.Recording, idx []int) (*audio.Recor
 	}
 	p.selRec = audio.Recording{SampleRate: src.SampleRate, Channels: p.selChans}
 	return &p.selRec, nil
-}
-
-// Preprocess applies the band-pass preprocessing stage using a pooled
-// Preprocessor; safe for concurrent use. The error return is kept for
-// API compatibility and is always nil now that the filter design is
-// validated at NewSystem.
-func (s *System) Preprocess(rec *audio.Recording) (*audio.Recording, error) {
-	p := s.prePool.Get().(*Preprocessor)
-	defer s.prePool.Put(p)
-	return p.Apply(rec), nil
 }
 
 // validateInput runs the input-hardening stage: validate, optionally
@@ -540,23 +517,18 @@ type planScratch struct {
 	active     []int
 }
 
-// planChannels scores channel health on the raw capture (band-passing
+// planChannelsInto scores channel health on the raw capture (band-passing
 // would hide DC-stuck channels) and assembles the orientation channel
 // set from healthy channels only. When a channel of the configured
 // subset has died, a healthy spare is substituted so the pair-set
 // cardinality — and with it the feature dimensionality the model was
 // trained on — is preserved. Only when too few healthy channels remain
 // does the plan fall back to a smaller per-count model, or fail closed.
-func (s *System) planChannels(rec *audio.Recording) channelPlan {
-	var scratch planScratch
-	return s.planChannelsInto(&scratch, rec, s.cfg.Models.ModelSet())
-}
-
-// planChannelsInto is planChannels running on caller-owned scratch and
-// an already-resolved model set (one resolution per decision keeps the
-// plan and the gates on the same registry version). The returned
-// plan's active and healthy slices alias the scratch and are valid
-// until its next use.
+//
+// The plan runs on caller-owned scratch and an already-resolved model
+// set (one resolution per decision keeps the plan and the gates on the
+// same registry version). The returned plan's active and healthy
+// slices alias the scratch and are valid until its next use.
 func (s *System) planChannelsInto(ps *planScratch, rec *audio.Recording, set *registry.ModelSet) channelPlan {
 	if s.cfg.DisableChannelHealth {
 		return channelPlan{active: s.cfg.ChannelSubset, ok: true, model: set.Orientation}

@@ -263,10 +263,7 @@ func TestPreprocessBandpass(t *testing.T) {
 			ti := float64(i) / 48000
 			rec.Channels[0][i] = math.Sin(2 * math.Pi * freq * ti)
 		}
-		pre, err := sys.Preprocess(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		pre := sys.NewPreprocessor().applyInto(rec)
 		// Skip the filter transient.
 		return dsp.RMS(pre.Channels[0][12000:])
 	}

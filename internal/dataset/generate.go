@@ -331,9 +331,42 @@ func (g *Generator) GenerateSubsets(c Condition, subsets [][]int) ([][]float64, 
 // channel subset. The returned Sample carries the first subset's
 // features.
 func (g *Generator) finish(c Condition, array *mic.Array, recording *audio.Recording, subsets [][]int) (*Sample, [][]float64, error) {
-	bp, err := g.bandpass(recording.SampleRate)
+	allFeats, first, err := g.extract(array, recording, subsets)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dataset: %s: %w", c, err)
+	}
+	s := &Sample{Cond: c, Features: allFeats[0]}
+	if g.KeepWaveforms {
+		wav, werr := dsp.Resample(first.Mono(), first.SampleRate, 16000)
+		if werr != nil {
+			return nil, nil, fmt.Errorf("dataset: %s: downsampling waveform: %w", c, werr)
+		}
+		s.Waveform = wav
+	}
+	return s, allFeats, nil
+}
+
+// Extract band-passes a raw capture of array's channels and extracts
+// the feature vector of the device's default microphone subset: the
+// preprocessing every generated Sample goes through, for captures
+// rendered outside the generator (moving speakers, multi-source
+// scenes).
+func (g *Generator) Extract(array *mic.Array, recording *audio.Recording) ([]float64, error) {
+	feats, _, err := g.extract(array, recording, [][]int{array.DefaultSubset()})
+	if err != nil {
+		return nil, fmt.Errorf("dataset: %w", err)
+	}
+	return feats[0], nil
+}
+
+// extract runs the paper's 5th-order Butterworth 100–16000 Hz band-pass
+// over every channel the subsets name (each once) and extracts one
+// feature vector per subset with the device's feature configuration.
+// It also returns the first subset's band-passed recording.
+func (g *Generator) extract(array *mic.Array, recording *audio.Recording, subsets [][]int) ([][]float64, *audio.Recording, error) {
+	bp, err := g.bandpass(recording.SampleRate)
+	if err != nil {
+		return nil, nil, err
 	}
 	filtered := make(map[int][]float64)
 	channelFor := func(ci int) ([]float64, error) {
@@ -341,7 +374,7 @@ func (g *Generator) finish(c Condition, array *mic.Array, recording *audio.Recor
 			return ch, nil
 		}
 		if ci < 0 || ci >= len(recording.Channels) {
-			return nil, fmt.Errorf("dataset: %s: channel %d out of range", c, ci)
+			return nil, fmt.Errorf("channel %d out of range", ci)
 		}
 		ch := bp.Apply(recording.Channels[ci])
 		filtered[ci] = ch
@@ -368,19 +401,11 @@ func (g *Generator) finish(c Condition, array *mic.Array, recording *audio.Recor
 		}
 		feats, ferr := features.Extract(pre, cfg)
 		if ferr != nil {
-			return nil, nil, fmt.Errorf("dataset: %s: extracting features: %w", c, ferr)
+			return nil, nil, fmt.Errorf("extracting features: %w", ferr)
 		}
 		allFeats = append(allFeats, feats)
 	}
-	s := &Sample{Cond: c, Features: allFeats[0]}
-	if g.KeepWaveforms {
-		wav, werr := dsp.Resample(first.Mono(), first.SampleRate, 16000)
-		if werr != nil {
-			return nil, nil, fmt.Errorf("dataset: %s: downsampling waveform: %w", c, werr)
-		}
-		s.Waveform = wav
-	}
-	return s, allFeats, nil
+	return allFeats, first, nil
 }
 
 // GenerateAll renders every condition, failing fast on the first
@@ -397,24 +422,26 @@ func (g *Generator) GenerateAll(conds []Condition) ([]*Sample, error) {
 	return out, nil
 }
 
-// bandpass returns the cached preprocessing filter for a sample rate.
-// Each caller gets its own state via Apply's internal reset, but the
-// filter itself is shared, so guard construction only.
+// bandpass returns a private clone of the cached preprocessing filter
+// for a sample rate. The design is computed once per rate; the clone
+// gives each caller its own section state, because Apply resets and
+// writes that state while filtering.
 func (g *Generator) bandpass(fs float64) (*dsp.IIRFilter, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.bpCache == nil {
 		g.bpCache = make(map[float64]*dsp.IIRFilter)
 	}
-	if f, ok := g.bpCache[fs]; ok {
-		return f, nil
+	f, ok := g.bpCache[fs]
+	if !ok {
+		var err error
+		f, err = dsp.NewButterworthBandPass(5, 100, 16000, fs)
+		if err != nil {
+			return nil, err
+		}
+		g.bpCache[fs] = f
 	}
-	f, err := dsp.NewButterworthBandPass(5, 100, 16000, fs)
-	if err != nil {
-		return nil, err
-	}
-	g.bpCache[fs] = f
-	return f, nil
+	return f.Clone(), nil
 }
 
 // geomAzimuth returns the azimuth of the direction from `from` toward

@@ -44,7 +44,7 @@ func TestPercentileInterpolation(t *testing.T) {
 	if got := Percentile(x, 25); math.Abs(got-17.5) > 1e-12 {
 		t.Errorf("25th percentile %g, want 17.5", got)
 	}
-	if got := Median([]float64{1, 2, 3, 100}); math.Abs(got-2.5) > 1e-12 {
+	if got := Percentile([]float64{1, 2, 3, 100}, 50); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("even-count median %g, want 2.5", got)
 	}
 }

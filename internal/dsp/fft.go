@@ -61,48 +61,6 @@ func fftInPlace(x []complex128, inverse bool) {
 	}
 }
 
-// FFTReal computes the DFT of a real-valued signal and returns the
-// full complex spectrum of the same length as x. Even lengths run
-// through the packed real transform and mirror the upper half; odd
-// lengths take the complex path.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	if n == 0 {
-		return out
-	}
-	if n == 1 {
-		out[0] = complex(x[0], 0)
-		return out
-	}
-	if n%2 == 0 {
-		p := Plan(n)
-		p.RFFT(out[:n/2+1], x)
-		for i := 1; i < n/2; i++ {
-			v := out[i]
-			out[n-i] = complex(real(v), -imag(v))
-		}
-		return out
-	}
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	fftInPlace(out, false)
-	return out
-}
-
-// IFFTReal computes the inverse DFT of a spectrum that is assumed to be
-// conjugate-symmetric and returns the real part of the result. Small
-// imaginary residues from rounding are discarded.
-func IFFTReal(spec []complex128) []float64 {
-	c := IFFT(spec)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	return out
-}
-
 // HalfSpectrum returns the non-redundant half of a real signal's
 // spectrum: bins 0..n/2 inclusive (n/2+1 bins for even n). It runs the
 // packed real transform (see FFTPlan.RFFT); use HalfSpectrumInto to

@@ -138,20 +138,6 @@ func TestHalfSpectrumLength(t *testing.T) {
 	}
 }
 
-func TestIFFTRealRecoversRealSignal(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 12))
-	x := make([]float64, 256)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	back := IFFTReal(FFTReal(x))
-	for i := range x {
-		if math.Abs(x[i]-back[i]) > 1e-9 {
-			t.Fatalf("round trip mismatch at %d: %g vs %g", i, x[i], back[i])
-		}
-	}
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 1023: 1024, 1024: 1024, 1025: 2048}
 	for in, want := range cases {

@@ -133,22 +133,6 @@ func (f *IIRFilter) ApplyTo(dst, x []float64) []float64 {
 	return dst
 }
 
-// FiltFilt applies the filter forward and then backward, yielding a
-// zero-phase response with twice the effective order. The filter state
-// is reset before each pass.
-func (f *IIRFilter) FiltFilt(x []float64) []float64 {
-	fwd := f.Apply(x)
-	// Reverse, filter, reverse again.
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	back := f.Apply(fwd)
-	for i, j := 0, len(back)-1; i < j; i, j = i+1, j-1 {
-		back[i], back[j] = back[j], back[i]
-	}
-	return back
-}
-
 // butterworthQs returns the section Q factors for an order-n Butterworth
 // prototype: one entry per conjugate pole pair. hasReal reports whether
 // an additional real pole (first-order section) is required (odd order).

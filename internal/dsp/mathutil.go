@@ -2,7 +2,5 @@ package dsp
 
 import "math"
 
-// Thin wrappers keep the hot spectral loops readable.
+// A thin wrapper keeps the hot spectral loops readable.
 func sqrt(x float64) float64 { return math.Sqrt(x) }
-func ln(x float64) float64   { return math.Log(x) }
-func exp(x float64) float64  { return math.Exp(x) }

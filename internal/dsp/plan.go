@@ -378,24 +378,6 @@ func IRFFT(dst []float64, spec []complex128, n int) []float64 {
 	return Plan(n).IRFFT(dst, spec)
 }
 
-// FFTInPlace transforms x in place through the cached plan for its
-// length — the allocation-free variant of FFT.
-func FFTInPlace(x []complex128) {
-	if len(x) <= 1 {
-		return
-	}
-	Plan(len(x)).Forward(x)
-}
-
-// IFFTInPlace inverse-transforms x in place (including the 1/N
-// normalization) — the allocation-free variant of IFFT.
-func IFFTInPlace(x []complex128) {
-	if len(x) <= 1 {
-		return
-	}
-	Plan(len(x)).Inverse(x)
-}
-
 // HalfSpectrumInto is the dst-reusing variant of HalfSpectrum: it
 // writes the n/2+1 non-redundant bins of x's spectrum into dst (grown
 // if needed) and returns the sized slice.

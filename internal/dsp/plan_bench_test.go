@@ -29,18 +29,10 @@ func benchComplex(n int) []complex128 {
 
 // BenchmarkRFFT compares the real-transform paths at n=1024 (the
 // spotter's frame size): the packed planned transform with a reused
-// destination, the same transform allocating its output, and the
-// full-complex-spectrum path RFFT replaces (FFTReal+HalfSpectrum —
-// itself already plan-accelerated; the pre-plan number lives in
-// BENCH_pr3.json).
+// destination and the same transform allocating its output (the
+// pre-plan full-complex-spectrum number lives in BENCH_pr3.json).
 func BenchmarkRFFT(b *testing.B) {
 	x := benchReal(1024)
-	b.Run("viaFFTReal", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			full := FFTReal(x)
-			_ = full[:len(full)/2+1]
-		}
-	})
 	b.Run("alloc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			RFFT(nil, x)

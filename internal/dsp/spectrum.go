@@ -67,25 +67,6 @@ func STFT(x []float64, frameLen, hop int, win Window) ([][]complex128, error) {
 	return frames, nil
 }
 
-// Spectrogram returns the magnitude spectrogram of x (frames ×
-// frequency bins).
-func Spectrogram(x []float64, frameLen, hop int, win Window) ([][]float64, error) {
-	frames, err := STFT(x, frameLen, hop, win)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(frames))
-	if len(frames) == 0 {
-		return out, nil
-	}
-	bins := len(frames[0])
-	backing := make([]float64, len(frames)*bins)
-	for i, f := range frames {
-		out[i] = MagnitudeInto(backing[i*bins:i*bins:(i+1)*bins], f)
-	}
-	return out, nil
-}
-
 // WelchPSD estimates the power spectral density of x by averaging
 // periodograms of Hann-windowed segments with 50% overlap. It returns
 // the one-sided PSD (frameLen/2+1 bins) and works for any signal at
@@ -156,25 +137,6 @@ func (w *PSDWorkspace) WelchPSD(dst, x []float64, frameLen int) ([]float64, erro
 	return psd, nil
 }
 
-// SpectralCentroid returns the magnitude-weighted mean frequency of x
-// at sample rate fs, a coarse "brightness" measure used by the liveness
-// feature set.
-func SpectralCentroid(x []float64, fs float64) float64 {
-	spec := HalfSpectrum(x)
-	var num, den float64
-	n := len(x)
-	for i, v := range spec {
-		re, im := real(v), imag(v)
-		mag := hypot(re, im)
-		num += BinFreq(i, n, fs) * mag
-		den += mag
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // SpectralRolloff returns the frequency below which frac (e.g. 0.85) of
 // the total spectral magnitude of x lies.
 func SpectralRolloff(x []float64, fs, frac float64) float64 {
@@ -196,37 +158,4 @@ func SpectralRolloff(x []float64, fs, frac float64) float64 {
 		}
 	}
 	return fs / 2
-}
-
-// SpectralFlatness returns the ratio of geometric to arithmetic mean of
-// the power spectrum in the band [lo, hi] Hz. Values near 1 indicate
-// noise-like (flat) spectra; values near 0 indicate tonal spectra. The
-// paper's observation that replayed audio is "more uniform above 4 kHz"
-// is exactly a high-band flatness statement.
-func SpectralFlatness(x []float64, fs, lo, hi float64) float64 {
-	spec := HalfSpectrum(x)
-	pow := Power(spec)
-	n := len(x)
-	loBin := FreqBin(lo, n, fs)
-	hiBin := FreqBin(hi, n, fs)
-	if hiBin >= len(pow) {
-		hiBin = len(pow) - 1
-	}
-	if loBin >= hiBin {
-		return 0
-	}
-	var logSum, sum float64
-	count := 0
-	for i := loBin; i <= hiBin; i++ {
-		p := pow[i] + 1e-20
-		logSum += ln(p)
-		sum += p
-		count++
-	}
-	arith := sum / float64(count)
-	geo := exp(logSum / float64(count))
-	if arith == 0 {
-		return 0
-	}
-	return geo / arith
 }

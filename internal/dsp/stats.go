@@ -37,20 +37,6 @@ func Std(x []float64) float64 {
 	return math.Sqrt(Variance(x))
 }
 
-// SampleStd returns the sample (n-1) standard deviation of x.
-func SampleStd(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var acc float64
-	for _, v := range x {
-		d := v - m
-		acc += d * d
-	}
-	return math.Sqrt(acc / float64(len(x)-1))
-}
-
 // RMS returns the root-mean-square of x, or 0 for empty input.
 func RMS(x []float64) float64 {
 	if len(x) == 0 {
@@ -159,12 +145,6 @@ func MAD(x []float64) float64 {
 		acc += math.Abs(v - m)
 	}
 	return acc / float64(len(x))
-}
-
-// Median returns the median of x, or 0 for empty input. The input is
-// not modified.
-func Median(x []float64) float64 {
-	return Percentile(x, 50)
 }
 
 // Percentile returns the p-th percentile of x (0 <= p <= 100) using

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Window identifies a window function.
 type Window int
@@ -60,19 +57,4 @@ func (w Window) Coefficients(n int) []float64 {
 		}
 	}
 	return out
-}
-
-// ApplyWindow multiplies x element-wise by the window coefficients and
-// returns a new slice. A length mismatch is reported as an error, not a
-// panic: windowing sits on the serving hot path, where a panic would
-// defeat the worker-isolation guarantees of internal/serve.
-func ApplyWindow(x, window []float64) ([]float64, error) {
-	if len(x) != len(window) {
-		return nil, fmt.Errorf("dsp: window length %d != frame length %d", len(window), len(x))
-	}
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] * window[i]
-	}
-	return out, nil
 }

@@ -148,7 +148,6 @@ func (r *Runner) runLivenessEnsemble() (ensembleCounts, error) {
 	if err != nil {
 		return c, fmt.Errorf("eval: ensemble fingerprint training: %w", err)
 	}
-	ens := &liveness.Ensemble{Spectral: det, Fingerprint: fp, SpectralThreshold: thr}
 
 	// Held-out set: unseen live captures plus replays through devices
 	// the spectral detector never trained on.
@@ -163,17 +162,20 @@ func (r *Runner) runLivenessEnsemble() (ensembleCounts, error) {
 		if err != nil {
 			return err
 		}
-		res, err := ens.Check(rec, mono, rec.SampleRate)
+		// The fused gate is the served AND: the raw capture must match
+		// the array fingerprint and the mono mix must score live.
+		fpOK, _, err := fp.Check(rec)
 		if err != nil {
 			return err
 		}
 		spLive := spScore >= thr
+		fused := fpOK && spLive
 		if live {
 			c.liveTotal++
 			if !spLive {
 				c.spectralFalseReject++
 			}
-			if !res.Live {
+			if !fused {
 				c.ensembleFalseReject++
 			}
 		} else {
@@ -181,7 +183,7 @@ func (r *Runner) runLivenessEnsemble() (ensembleCounts, error) {
 			if spLive {
 				c.spectralFalseAccept++
 			}
-			if res.Live {
+			if fused {
 				c.ensembleFalseAccept++
 			}
 		}

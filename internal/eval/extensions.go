@@ -12,8 +12,6 @@ import (
 
 	"headtalk/internal/audio"
 	"headtalk/internal/dataset"
-	"headtalk/internal/dsp"
-	"headtalk/internal/features"
 	"headtalk/internal/geom"
 	"headtalk/internal/mic"
 	"headtalk/internal/orientation"
@@ -34,22 +32,11 @@ func labScene(pos geom.Vec3, tailTaps int) *mic.Scene {
 	}
 }
 
-// extractD2 preprocesses and extracts features from a D2 capture using
-// the standard 4-mic subset.
-func extractD2(rec *audio.Recording) ([]float64, error) {
-	bp, err := dsp.NewButterworthBandPass(5, 100, 16000, rec.SampleRate)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := rec.Select(mic.DeviceD2().DefaultSubset())
-	if err != nil {
-		return nil, err
-	}
-	pre := &audio.Recording{SampleRate: rec.SampleRate}
-	for _, ch := range sel.Channels {
-		pre.Channels = append(pre.Channels, bp.Apply(ch))
-	}
-	return features.Extract(pre, features.DefaultConfig(13, 48000))
+// extractD2 preprocesses and extracts features from a full-array D2
+// capture through the corpus generator's band-pass-and-extract step,
+// so scene captures meet the same front end as the training corpus.
+func (r *Runner) extractD2(rec *audio.Recording) ([]float64, error) {
+	return r.gen.Extract(mic.DeviceD2(), rec)
 }
 
 // MovingSpeaker evaluates the model on speakers who move while
@@ -116,7 +103,7 @@ func (r *Runner) MovingSpeaker() (*Table, error) {
 			start := room.Source{Pos: sc.start, Azimuth: startAz, Dir: room.HumanDirectivity{}}
 			end := room.Source{Pos: sc.end, Azimuth: endAz, Dir: room.HumanDirectivity{}}
 			rec := scene.CaptureMoving(start, end, utt, 70, 5, rng)
-			feats, err := extractD2(rec)
+			feats, err := r.extractD2(rec)
 			if err != nil {
 				return nil, fmt.Errorf("eval: moving scenario %q: %w", sc.label, err)
 			}
@@ -195,11 +182,11 @@ func (r *Runner) DeviceSelection() (*Table, error) {
 				utt := mic.PrepareUtterance(buf, sceneA.Sim.Bands)
 				recA := sceneA.Capture(src, utt, 70, rng)
 				recC := sceneC.Capture(src, utt, 70, rng)
-				featsA, err := extractD2(recA)
+				featsA, err := r.extractD2(recA)
 				if err != nil {
 					return nil, err
 				}
-				featsC, err := extractD2(recC)
+				featsC, err := r.extractD2(recC)
 				if err != nil {
 					return nil, err
 				}

@@ -91,7 +91,7 @@ func (r *Runner) OverlappingTalkers() (*Table, error) {
 					})
 				}
 				rec := scene.CaptureMulti(srcs, rng)
-				feats, err := extractD2(rec)
+				feats, err := r.extractD2(rec)
 				if err != nil {
 					return nil, fmt.Errorf("eval: overlap level %q: %w", lv.label, err)
 				}
@@ -188,7 +188,7 @@ func (r *Runner) TrajectoryWaypoints() (*Table, error) {
 				Utterance:  utt,
 				SPL:        70,
 			}}, rng)
-			feats, err := extractD2(rec)
+			feats, err := r.extractD2(rec)
 			if err != nil {
 				return nil, fmt.Errorf("eval: trajectory scenario %q: %w", sc.label, err)
 			}
@@ -296,11 +296,11 @@ func (r *Runner) fusionCounts() (singleA, singleC, fused, total int, err error) 
 			killChannels(recC.Channels, subset[:2])
 		}
 
-		repA, okA, err := fusionArrayDecide(modelA, "A", recA)
+		repA, okA, err := r.fusionArrayDecide(modelA, "A", recA)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		repC, okC, err := fusionArrayDecide(modelC, "C", recC)
+		repC, okC, err := r.fusionArrayDecide(modelC, "C", recC)
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
@@ -334,7 +334,7 @@ func killChannels(channels [][]float64, idx []int) {
 // fail closed when any subset channel is degraded, otherwise an
 // orientation margin from the shared model. The returned bool is the
 // array's standalone accept decision.
-func fusionArrayDecide(model *orientation.Model, id string, rec *audio.Recording) (fusion.ArrayReport, bool, error) {
+func (r *Runner) fusionArrayDecide(model *orientation.Model, id string, rec *audio.Recording) (fusion.ArrayReport, bool, error) {
 	h := mic.AssessHealth(rec, mic.HealthConfig{})
 	rep := fusion.ArrayReport{
 		ArrayID:  id,
@@ -345,7 +345,7 @@ func fusionArrayDecide(model *orientation.Model, id string, rec *audio.Recording
 		rep.Decision = core.Decision{Reason: core.ReasonDegraded, DegradedChannels: h.Degraded()}
 		return rep, false, nil
 	}
-	feats, err := extractD2(rec)
+	feats, err := r.extractD2(rec)
 	if err != nil {
 		return rep, false, fmt.Errorf("eval: fusion array %s: %w", id, err)
 	}

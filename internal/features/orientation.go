@@ -4,13 +4,7 @@
 // high/low band ratio and 20-chunk low-band statistics).
 package features
 
-import (
-	"fmt"
-
-	"headtalk/internal/audio"
-	"headtalk/internal/dsp"
-	"headtalk/internal/srp"
-)
+import "headtalk/internal/audio"
 
 // Config controls orientation feature extraction.
 type Config struct {
@@ -80,63 +74,12 @@ func DefaultConfig(maxLag int, sampleRate float64) Config {
 //
 // for 267 features total (the paper's "6×27+6 = 168" reverberation
 // core plus statistical summaries and directivity features).
+//
+// Extract allocates a fresh Workspace per call and returns a vector the
+// caller owns; a serving worker keeps its own Workspace instead.
 func Extract(rec *audio.Recording, cfg Config) ([]float64, error) {
-	if len(rec.Channels) < 2 {
-		return nil, fmt.Errorf("features: need >= 2 channels, have %d", len(rec.Channels))
-	}
-	if cfg.MaxLag <= 0 {
-		return nil, fmt.Errorf("features: MaxLag must be positive, got %d", cfg.MaxLag)
-	}
-	var mono []float64
-	if start, length := FocusBounds(rec, cfg.AnalysisWindow, &mono); length < rec.Len() {
-		focus := &audio.Recording{SampleRate: rec.SampleRate, Channels: make([][]float64, len(rec.Channels))}
-		for i, ch := range rec.Channels {
-			focus.Channels[i] = ch[start : start+length]
-		}
-		rec = focus
-	}
-	var out []float64
-
-	if !cfg.DisableReverbFeatures {
-		pairs, err := srp.AllPairs(rec.Channels, srp.PairOptions{
-			MaxLag:     cfg.MaxLag,
-			PHAT:       cfg.UsePHAT,
-			SampleRate: cfg.SampleRate,
-			BandLo:     cfg.GCCBandLo,
-			BandHi:     cfg.GCCBandHi,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("features: computing GCCs: %w", err)
-		}
-		for _, p := range pairs {
-			out = append(out, p.R...)
-			out = append(out, float64(p.TDoA))
-		}
-		if !cfg.GCCOnly {
-			for _, p := range pairs {
-				out = append(out, statSummary(p.R)...)
-			}
-			curve := srp.SRP(pairs)
-			peaks := dsp.TopPeaks(curve, 3)
-			for i := 0; i < 3; i++ {
-				if i < len(peaks) {
-					out = append(out, peaks[i].Value)
-				} else {
-					out = append(out, 0)
-				}
-			}
-			out = append(out, statSummary(curve)...)
-		}
-	}
-
-	if !cfg.DisableDirectivityFeatures && !cfg.GCCOnly {
-		out = append(out, directivityFeatures(rec, cfg)...)
-	}
-
-	if len(out) == 0 {
-		return nil, fmt.Errorf("features: all feature groups disabled")
-	}
-	return out, nil
+	var ws Workspace
+	return ws.Extract(rec, cfg)
 }
 
 // FocusBounds locates the highest-energy window of the requested length
@@ -177,73 +120,4 @@ func FocusBounds(rec *audio.Recording, window int, mono *[]float64) (start, leng
 		}
 	}
 	return bestStart, window
-}
-
-// statSummary returns the paper's five statistics of a curve:
-// kurtosis, skewness, maximum, mean absolute deviation and standard
-// deviation.
-func statSummary(x []float64) []float64 {
-	return []float64{
-		dsp.Kurtosis(x),
-		dsp.Skewness(x),
-		dsp.Max(x),
-		dsp.MAD(x),
-		dsp.Std(x),
-	}
-}
-
-// directivityFeatures computes HLBR and the 20-chunk low-band
-// statistics from the mean of all channels. The window is normalized
-// to unit RMS first: orientation lives in the spectral *shape*, and
-// without normalization the chunk magnitudes scale with absolute
-// loudness, throwing a 60/80 dB utterance far outside a 70 dB-trained
-// model's feature distribution (§IV-B12).
-func directivityFeatures(rec *audio.Recording, cfg Config) []float64 {
-	mono := rec.Mono()
-	if r := dsp.RMS(mono); r > 0 {
-		scaled := make([]float64, len(mono))
-		for i, v := range mono {
-			scaled[i] = v / r
-		}
-		mono = scaled
-	}
-	n := len(mono)
-	spec := dsp.RFFT(nil, mono)
-	fs := cfg.SampleRate
-	if fs == 0 {
-		fs = rec.SampleRate
-	}
-
-	low := dsp.BandEnergy(spec, n, fs, cfg.LowBandLo, cfg.LowBandHi)
-	high := dsp.BandEnergy(spec, n, fs, cfg.HighBandLo, cfg.HighBandHi)
-	hlbr := 0.0
-	if low > 0 {
-		hlbr = high / low
-	}
-	out := []float64{hlbr}
-
-	chunks := cfg.LowBandChunks
-	if chunks <= 0 {
-		chunks = 20
-	}
-	width := (cfg.LowBandHi - cfg.LowBandLo) / float64(chunks)
-	// One magnitude scratch reused across chunks (chunk widths are a
-	// few bins each; the largest bounds them all).
-	maxChunkBins := dsp.FreqBin(cfg.LowBandHi, n, fs) - dsp.FreqBin(cfg.LowBandLo, n, fs) + 1
-	magScratch := make([]float64, 0, maxChunkBins)
-	for c := 0; c < chunks; c++ {
-		lo := cfg.LowBandLo + float64(c)*width
-		hi := lo + width
-		loBin := dsp.FreqBin(lo, n, fs)
-		hiBin := dsp.FreqBin(hi, n, fs)
-		if hiBin >= len(spec) {
-			hiBin = len(spec) - 1
-		}
-		var mags []float64
-		if hiBin >= loBin {
-			mags = dsp.MagnitudeInto(magScratch[:0], spec[loBin:hiBin+1])
-		}
-		out = append(out, dsp.Mean(mags), dsp.RMS(mags), dsp.Std(mags))
-	}
-	return out
 }

@@ -30,11 +30,12 @@ type Workspace struct {
 	vec []float64
 }
 
-// Extract is features.Extract running entirely on workspace scratch:
-// the capture's focus window is located first (channel headers only,
-// no samples move), then its GCC pair set is computed over the window
-// and the feature vector assembled. The returned vector is valid until
-// the next call on the same workspace.
+// Extract computes the orientation feature vector (layout on the
+// package-level Extract) entirely on workspace scratch: the capture's
+// focus window is located first (channel headers only, no samples
+// move), then its GCC pair set is computed over the window and the
+// feature vector assembled. The returned vector is valid until the
+// next call on the same workspace.
 func (ws *Workspace) Extract(rec *audio.Recording, cfg Config) ([]float64, error) {
 	if cfg.MaxLag <= 0 {
 		return nil, fmt.Errorf("features: MaxLag must be positive, got %d", cfg.MaxLag)

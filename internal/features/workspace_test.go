@@ -30,9 +30,9 @@ func vectorsEqual(t *testing.T, want, got []float64) {
 	}
 }
 
-// The workspace extractor must reproduce Extract bit for bit across
-// every feature-group configuration — it is the same arithmetic on
-// reused buffers, and the serving path swaps it in silently.
+// One warm workspace reused across every feature-group configuration
+// must reproduce Extract's fresh workspace bit for bit: no scratch
+// left over from an earlier capture or config may leak into a vector.
 func TestWorkspaceExtractMatchesExtract(t *testing.T) {
 	r := rand.New(rand.NewPCG(5, 0))
 	recs := []*audio.Recording{

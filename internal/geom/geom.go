@@ -95,15 +95,3 @@ func AngleBetweenDeg(dir Vec3, from, to Vec3) float64 {
 	}
 	return Rad2Deg(math.Acos(cos))
 }
-
-// RotateZ rotates v around the vertical axis by deg degrees
-// (counterclockwise when viewed from above).
-func RotateZ(v Vec3, deg float64) Vec3 {
-	r := Deg2Rad(deg)
-	c, s := math.Cos(r), math.Sin(r)
-	return Vec3{
-		X: v.X*c - v.Y*s,
-		Y: v.X*s + v.Y*c,
-		Z: v.Z,
-	}
-}

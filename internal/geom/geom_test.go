@@ -120,23 +120,3 @@ func TestAngleBetweenDegenerate(t *testing.T) {
 		t.Errorf("coincident points: %g, want 0", got)
 	}
 }
-
-func TestRotateZ(t *testing.T) {
-	v := Vec3{X: 1, Z: 5}
-	got := RotateZ(v, 90)
-	if !vecAlmostEq(got, Vec3{Y: 1, Z: 5}, 1e-12) {
-		t.Errorf("RotateZ 90° = %+v", got)
-	}
-	// Rotation preserves norm.
-	f := func(x, y, deg float64) bool {
-		if math.IsNaN(x+y+deg) || math.IsInf(x+y+deg, 0) || math.Abs(x) > 1e6 || math.Abs(y) > 1e6 {
-			return true
-		}
-		v := Vec3{X: x, Y: y}
-		r := RotateZ(v, deg)
-		return math.Abs(r.Norm()-v.Norm()) < 1e-6*(1+v.Norm())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

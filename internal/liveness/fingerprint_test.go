@@ -137,22 +137,3 @@ func TestFingerprintSaveLoadByteStable(t *testing.T) {
 		t.Fatalf("future version: %v, want ErrUnsupportedVersion", err)
 	}
 }
-
-func TestEnsembleFailsClosedOnMissingModel(t *testing.T) {
-	fp := trainedFingerprint(t, 1)
-	rec := coloredCapture(700, 1, 24000)
-	mono := rec.Channels[0]
-
-	for _, e := range []*Ensemble{
-		{Spectral: nil, Fingerprint: fp},
-		{Spectral: nil, Fingerprint: nil},
-	} {
-		res, err := e.Check(rec, mono, 48000)
-		if err == nil {
-			t.Fatalf("ensemble with missing model must reject, got %+v", res)
-		}
-		if res.Live {
-			t.Fatal("fail-closed result must not be live")
-		}
-	}
-}

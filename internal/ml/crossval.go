@@ -48,50 +48,3 @@ func CrossValidate(factory func() Classifier, x [][]float64, y []int, folds int,
 	}
 	return float64(totalCorrect) / float64(totalSeen), nil
 }
-
-// GroupedCrossValidate performs leave-one-group-out evaluation (e.g.
-// leave-one-user-out, paper §IV-B14): for each distinct group label it
-// trains on all other groups and tests on the held-out one. It returns
-// per-group binary metrics keyed by group.
-func GroupedCrossValidate(factory func() Classifier, x [][]float64, y, groups []int) (map[int]BinaryMetrics, error) {
-	if len(x) != len(y) || len(x) != len(groups) {
-		return nil, fmt.Errorf("ml: length mismatch x=%d y=%d groups=%d", len(x), len(y), len(groups))
-	}
-	distinct := make(map[int]bool)
-	for _, g := range groups {
-		distinct[g] = true
-	}
-	if len(distinct) < 2 {
-		return nil, fmt.Errorf("ml: grouped CV needs >= 2 groups, have %d", len(distinct))
-	}
-	out := make(map[int]BinaryMetrics, len(distinct))
-	for g := range distinct {
-		var trainX [][]float64
-		var trainY []int
-		var testX [][]float64
-		var testY []int
-		for i := range x {
-			if groups[i] == g {
-				testX = append(testX, x[i])
-				testY = append(testY, y[i])
-			} else {
-				trainX = append(trainX, x[i])
-				trainY = append(trainY, y[i])
-			}
-		}
-		clf := factory()
-		if err := clf.Fit(trainX, trainY); err != nil {
-			return nil, fmt.Errorf("ml: group %d fit: %w", g, err)
-		}
-		pred := make([]int, len(testX))
-		for i, tx := range testX {
-			pred[i] = clf.Predict(tx)
-		}
-		m, err := EvaluateBinary(testY, pred)
-		if err != nil {
-			return nil, err
-		}
-		out[g] = m
-	}
-	return out, nil
-}

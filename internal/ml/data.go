@@ -198,18 +198,6 @@ func Shuffle(x [][]float64, y []int, rng *rand.Rand) {
 	}
 }
 
-// TrainTestSplit shuffles and splits (x, y) with the given train
-// fraction.
-func TrainTestSplit(x [][]float64, y []int, trainFrac float64, rng *rand.Rand) (xTrain [][]float64, yTrain []int, xTest [][]float64, yTest []int) {
-	xs := make([][]float64, len(x))
-	ys := make([]int, len(y))
-	copy(xs, x)
-	copy(ys, y)
-	Shuffle(xs, ys, rng)
-	n := int(float64(len(xs)) * trainFrac)
-	return xs[:n], ys[:n], xs[n:], ys[n:]
-}
-
 // CountClasses returns a map from label to count.
 func CountClasses(y []int) map[int]int {
 	out := make(map[int]int)

@@ -175,25 +175,6 @@ func EER(scores []float64, labels []int) (eer, threshold float64, err error) {
 	return eer, threshold, nil
 }
 
-// ConfusionMatrix counts yTrue (rows) versus yPred (columns) over
-// labels 0..k-1.
-func ConfusionMatrix(yTrue, yPred []int, k int) ([][]int, error) {
-	if len(yTrue) != len(yPred) {
-		return nil, fmt.Errorf("ml: label length mismatch %d != %d", len(yTrue), len(yPred))
-	}
-	m := make([][]int, k)
-	for i := range m {
-		m[i] = make([]int, k)
-	}
-	for i := range yTrue {
-		if yTrue[i] < 0 || yTrue[i] >= k || yPred[i] < 0 || yPred[i] >= k {
-			return nil, fmt.Errorf("ml: label out of range at %d (true=%d pred=%d k=%d)", i, yTrue[i], yPred[i], k)
-		}
-		m[yTrue[i]][yPred[i]]++
-	}
-	return m, nil
-}
-
 // MeanStd returns the mean and sample standard deviation of values.
 func MeanStd(values []float64) (mean, std float64) {
 	if len(values) == 0 {
@@ -212,14 +193,4 @@ func MeanStd(values []float64) (mean, std float64) {
 		acc += d * d
 	}
 	return mean, math.Sqrt(acc / float64(len(values)-1))
-}
-
-// ConfidenceInterval95 returns the half-width of the 95% confidence
-// interval of the mean (normal approximation).
-func ConfidenceInterval95(values []float64) float64 {
-	if len(values) < 2 {
-		return 0
-	}
-	_, std := MeanStd(values)
-	return 1.96 * std / math.Sqrt(float64(len(values)))
 }

@@ -94,19 +94,6 @@ func TestEERErrors(t *testing.T) {
 	}
 }
 
-func TestConfusionMatrix(t *testing.T) {
-	m, err := ConfusionMatrix([]int{0, 0, 1, 1, 1}, []int{0, 1, 1, 1, 0}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m[0][0] != 1 || m[0][1] != 1 || m[1][0] != 1 || m[1][1] != 2 {
-		t.Errorf("confusion %v", m)
-	}
-	if _, err := ConfusionMatrix([]int{5}, []int{0}, 2); err == nil {
-		t.Error("expected out-of-range error")
-	}
-}
-
 func TestMeanStd(t *testing.T) {
 	mean, std := MeanStd([]float64{2, 4, 4, 4, 5, 5, 7, 9})
 	if math.Abs(mean-5) > 1e-12 {
@@ -120,17 +107,5 @@ func TestMeanStd(t *testing.T) {
 	}
 	if m, s := MeanStd([]float64{3}); m != 3 || s != 0 {
 		t.Error("single-value MeanStd wrong")
-	}
-}
-
-func TestConfidenceInterval95(t *testing.T) {
-	if ci := ConfidenceInterval95([]float64{5}); ci != 0 {
-		t.Errorf("single-sample CI %g", ci)
-	}
-	ci := ConfidenceInterval95([]float64{1, 2, 3, 4, 5})
-	// std = sqrt(2.5), CI = 1.96*sqrt(2.5)/sqrt(5).
-	want := 1.96 * math.Sqrt(2.5) / math.Sqrt(5)
-	if math.Abs(ci-want) > 1e-12 {
-		t.Errorf("CI %g, want %g", ci, want)
 	}
 }

@@ -51,11 +51,7 @@ func newDense(in, out int, rng *rand.Rand) *denseLayer {
 	return l
 }
 
-func (l *denseLayer) forward(x []float64) []float64 {
-	return l.forwardInto(make([]float64, l.out), x)
-}
-
-// forwardInto is forward writing into dst (grown if needed).
+// forwardInto computes W·x + b into dst (grown if needed).
 func (l *denseLayer) forwardInto(dst, x []float64) []float64 {
 	if cap(dst) < l.out {
 		dst = make([]float64, l.out)
@@ -88,10 +84,6 @@ func (l *denseLayer) backward(x, gradOut, gw, gb []float64) []float64 {
 	return gradIn
 }
 
-func relu(x []float64) []float64 {
-	return reluInto(make([]float64, len(x)), x)
-}
-
 // reluInto writes max(x, 0) into dst (grown if needed).
 func reluInto(dst, x []float64) []float64 {
 	if cap(dst) < len(x) {
@@ -119,140 +111,6 @@ func reluGrad(pre, grad []float64) []float64 {
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
-
-// MLPConfig configures an MLP classifier.
-type MLPConfig struct {
-	Hidden       []int // hidden layer widths
-	LearningRate float64
-	Epochs       int
-	BatchSize    int
-	Seed         uint64
-}
-
-// DefaultMLPConfig returns a small two-layer network.
-func DefaultMLPConfig() MLPConfig {
-	return MLPConfig{Hidden: []int{32, 16}, LearningRate: 1e-3, Epochs: 60, BatchSize: 16, Seed: 1}
-}
-
-// MLP is a feed-forward binary classifier with ReLU hidden layers and a
-// sigmoid output trained with Adam on cross-entropy loss.
-type MLP struct {
-	Cfg    MLPConfig
-	layers []*denseLayer
-	opts   []*adam // one per layer weight slice, then bias slice
-}
-
-var (
-	_ Classifier = (*MLP)(nil)
-	_ Scorer     = (*MLP)(nil)
-)
-
-// NewMLP returns an untrained MLP.
-func NewMLP(cfg MLPConfig) *MLP { return &MLP{Cfg: cfg} }
-
-// Fit implements Classifier.
-func (m *MLP) Fit(x [][]float64, y []int) error {
-	if len(x) == 0 || len(x) != len(y) {
-		return fmt.Errorf("ml: mlp: invalid training set (n=%d, labels=%d)", len(x), len(y))
-	}
-	rng := rand.New(rand.NewPCG(m.Cfg.Seed, 0xDEADBEEF))
-	dims := append([]int{len(x[0])}, m.Cfg.Hidden...)
-	dims = append(dims, 1)
-	m.layers = nil
-	m.opts = nil
-	for i := 0; i+1 < len(dims); i++ {
-		l := newDense(dims[i], dims[i+1], rng)
-		m.layers = append(m.layers, l)
-		m.opts = append(m.opts, newAdam(len(l.w), m.Cfg.LearningRate), newAdam(len(l.b), m.Cfg.LearningRate))
-	}
-	batch := m.Cfg.BatchSize
-	if batch <= 0 {
-		batch = 16
-	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
-		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < len(idx); start += batch {
-			end := start + batch
-			if end > len(idx) {
-				end = len(idx)
-			}
-			m.trainBatch(x, y, idx[start:end])
-		}
-	}
-	return nil
-}
-
-// trainBatch runs forward/backward over a minibatch and applies Adam.
-func (m *MLP) trainBatch(x [][]float64, y []int, batch []int) {
-	gw := make([][]float64, len(m.layers))
-	gb := make([][]float64, len(m.layers))
-	for li, l := range m.layers {
-		gw[li] = make([]float64, len(l.w))
-		gb[li] = make([]float64, len(l.b))
-	}
-	for _, i := range batch {
-		// Forward, keeping pre-activations.
-		acts := [][]float64{x[i]}
-		pres := make([][]float64, len(m.layers))
-		cur := x[i]
-		for li, l := range m.layers {
-			pre := l.forward(cur)
-			pres[li] = pre
-			if li < len(m.layers)-1 {
-				cur = relu(pre)
-			} else {
-				cur = pre
-			}
-			acts = append(acts, cur)
-		}
-		p := sigmoid(pres[len(m.layers)-1][0])
-		target := 0.0
-		if y[i] == 1 {
-			target = 1
-		}
-		grad := []float64{(p - target) / float64(len(batch))}
-		// Backward.
-		for li := len(m.layers) - 1; li >= 0; li-- {
-			gin := m.layers[li].backward(acts[li], grad, gw[li], gb[li])
-			if li > 0 {
-				grad = reluGrad(pres[li-1], gin)
-			}
-		}
-	}
-	for li, l := range m.layers {
-		m.opts[2*li].step(l.w, gw[li])
-		m.opts[2*li+1].step(l.b, gb[li])
-	}
-}
-
-// Score implements Scorer: the class-1 probability.
-func (m *MLP) Score(x []float64) float64 {
-	cur := x
-	for li, l := range m.layers {
-		pre := l.forward(cur)
-		if li < len(m.layers)-1 {
-			cur = relu(pre)
-		} else {
-			cur = pre
-		}
-	}
-	if len(cur) == 0 {
-		return 0
-	}
-	return sigmoid(cur[0])
-}
-
-// Predict implements Classifier.
-func (m *MLP) Predict(x []float64) int {
-	if m.Score(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
 
 // convLayer is a 1-D valid convolution over a (time × channels)
 // sequence.

@@ -161,45 +161,6 @@ func TestCrossValidate(t *testing.T) {
 	}
 }
 
-func TestGroupedCrossValidate(t *testing.T) {
-	// Three groups, data separable everywhere: every held-out group
-	// should score well.
-	var x [][]float64
-	var y, groups []int
-	rng := rand.New(rand.NewPCG(8, 8))
-	for g := 0; g < 3; g++ {
-		for i := 0; i < 20; i++ {
-			cls := i % 2
-			base := -2.0
-			if cls == 1 {
-				base = 2
-			}
-			x = append(x, []float64{base + 0.4*rng.NormFloat64(), base + 0.4*rng.NormFloat64()})
-			y = append(y, cls)
-			groups = append(groups, g)
-		}
-	}
-	factory := func() Classifier { return NewKNN() }
-	out, err := GroupedCrossValidate(factory, x, y, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 {
-		t.Fatalf("%d groups scored, want 3", len(out))
-	}
-	for g, m := range out {
-		if m.Accuracy() < 0.9 {
-			t.Errorf("group %d accuracy %g", g, m.Accuracy())
-		}
-	}
-	if _, err := GroupedCrossValidate(factory, x, y, make([]int, len(x))); err == nil {
-		t.Error("expected error for single group")
-	}
-	if _, err := GroupedCrossValidate(factory, x, y, groups[:3]); err == nil {
-		t.Error("expected error for length mismatch")
-	}
-}
-
 // One ConvNetWorkspace reused over sequences of varying length scores
 // exactly as a fresh one, and a warm one scores without allocating.
 func TestConvNetWorkspaceReuse(t *testing.T) {

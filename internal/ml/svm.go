@@ -341,32 +341,3 @@ func plattObjective(scores, t []float64, a, b float64) float64 {
 	}
 	return f
 }
-
-// GridSearchRBF selects (C, gamma) for an RBF SVM by k-fold
-// cross-validated accuracy, mirroring the paper's LIBSVM grid search
-// with 10-fold CV. It returns the best parameters and their CV
-// accuracy.
-func GridSearchRBF(x [][]float64, y []int, cs, gammas []float64, folds int, seed uint64) (bestC, bestGamma, bestAcc float64, err error) {
-	if folds < 2 {
-		return 0, 0, 0, fmt.Errorf("ml: grid search needs >= 2 folds, got %d", folds)
-	}
-	bestAcc = -1
-	for _, c := range cs {
-		for _, g := range gammas {
-			factory := func() Classifier {
-				svm := NewSVM(c, RBFKernel{Gamma: g})
-				svm.FitPlatt = false
-				svm.Seed = seed
-				return svm
-			}
-			acc, cvErr := CrossValidate(factory, x, y, folds, seed)
-			if cvErr != nil {
-				return 0, 0, 0, fmt.Errorf("ml: grid search CV: %w", cvErr)
-			}
-			if acc > bestAcc {
-				bestAcc, bestC, bestGamma = acc, c, g
-			}
-		}
-	}
-	return bestC, bestGamma, bestAcc, nil
-}

@@ -45,21 +45,6 @@ func DefaultBands() []Band {
 	}
 }
 
-// FineBands returns an eight-band decomposition for higher-fidelity
-// (slower) simulation, used by the simulation-fidelity ablation bench.
-func FineBands() []Band {
-	return []Band{
-		{100, 250},
-		{250, 500},
-		{500, 1000},
-		{1000, 2000},
-		{2000, 4000},
-		{4000, 8000},
-		{8000, 12000},
-		{12000, 16000},
-	}
-}
-
 // SplitBands decomposes x into len(bands) signals via FFT-domain
 // masking with raised-cosine transitions (10% of band width). Summing
 // the outputs reconstructs the band-limited part of x. This is

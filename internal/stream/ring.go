@@ -2,9 +2,9 @@
 // layer that turns an endless multichannel sample feed into the
 // discrete wake-word decisions the rest of the system serves. Each
 // session owns a fixed-capacity multichannel ring buffer fed by
-// chunked frame pushes, an incremental STFT/fingerprint path over
-// overlapping hops (every hop is transformed exactly once on the
-// planned FFT engine; window slide reuses previously transformed
+// chunked frame pushes, a hop framer feeding the spotter's fingerprint
+// path over overlapping hops (every hop is transformed exactly once on
+// the planned FFT engine; window slide reuses previously transformed
 // hops), an online wake-word spotter, and an early-exit cascade that
 // fails fast on the cheap gates — frame validation, the energy/VAD
 // floor, then the spotter — so the expensive liveness/orientation

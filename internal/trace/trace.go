@@ -42,8 +42,8 @@ const (
 	// previous candidate.
 	StageIngest Stage = iota
 	// StageSpot is the online wake-word spotting work that preceded a
-	// streamed decision: incremental STFT hops plus sliding-window
-	// template scoring, accumulated like StageIngest.
+	// streamed decision: hop framing, one spectrum per hop and
+	// sliding-window template scoring, accumulated like StageIngest.
 	StageSpot
 	// StageForward is the cross-node round trip for a decision the
 	// local node did not own: serialization, the pooled-client network

@@ -159,93 +159,3 @@ func TestFingerprintErrors(t *testing.T) {
 		t.Error("expected error for too-short audio")
 	}
 }
-
-func TestListenerDetectsWakeWordInStream(t *testing.T) {
-	spotter, err := NewSpotter(speech.WordComputer, 4, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(core.Config{SampleRate: 16000, BandpassHigh: 7500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assistant, err := NewAssistant("stream", spotter, sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	listener, err := NewListener(assistant, ListenerConfig{
-		SampleRate: 16000, Channels: 1, Source: "stream-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Stream: 1 s of quiet noise, the wake word, 1 s of quiet noise,
-	// fed in 20 ms frames.
-	rng := rand.New(rand.NewPCG(71, 72))
-	word := speech.Synthesize(speech.WordComputer, speech.RandomVoice(rng), 16000, rng)
-	var stream []float64
-	quiet := func(n int) {
-		for i := 0; i < n; i++ {
-			stream = append(stream, 0.005*rng.NormFloat64())
-		}
-	}
-	quiet(16000)
-	stream = append(stream, word.Samples...)
-	quiet(16000)
-
-	var hits int
-	const frame = 320 // 20 ms
-	for start := 0; start+frame <= len(stream); start += frame {
-		resps, err := listener.Feed([][]float64{stream[start : start+frame]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range resps {
-			if r.WakeDetected {
-				hits++
-			}
-		}
-	}
-	if hits < 1 {
-		t.Fatal("listener never detected the wake word in the stream")
-	}
-	if hits > 3 {
-		t.Errorf("listener re-triggered %d times on one utterance", hits)
-	}
-	// Normal mode: the detection should have uploaded.
-	if got := assistant.UploadsBySource()["stream-test"]; got < 1 {
-		t.Error("no upload logged for the stream detection")
-	}
-}
-
-func TestListenerValidation(t *testing.T) {
-	spotter, err := NewSpotter(speech.WordComputer, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := core.NewSystem(core.Config{SampleRate: 16000, BandpassHigh: 7500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assistant, err := NewAssistant("x", spotter, sys, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewListener(nil, ListenerConfig{SampleRate: 16000, Channels: 1}); err == nil {
-		t.Error("expected error for nil assistant")
-	}
-	if _, err := NewListener(assistant, ListenerConfig{Channels: 1}); err == nil {
-		t.Error("expected error for zero sample rate")
-	}
-	l, err := NewListener(assistant, ListenerConfig{SampleRate: 16000, Channels: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Feed([][]float64{make([]float64, 100)}); err == nil {
-		t.Error("expected error for wrong channel count")
-	}
-	if _, err := l.Feed([][]float64{make([]float64, 100), make([]float64, 99)}); err == nil {
-		t.Error("expected error for ragged frame")
-	}
-}
