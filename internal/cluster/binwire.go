@@ -39,6 +39,13 @@ const (
 	maxBinaryChannels = 4096
 )
 
+// sampleChunk is how many samples readBinaryRequest decodes per read.
+// Samples arrive through one fixed scratch buffer of this many
+// float64s, and a channel's slice grows only as its bytes arrive, so a
+// frame that claims more samples than it carries costs what it
+// delivered, not what it claimed.
+const sampleChunk = 512
+
 // errBinaryFrame reports a malformed or over-limit binary frame.
 // Unlike an oversized JSON line, the remaining frame length cannot be
 // trusted, so the connection must be dropped after answering.
@@ -104,6 +111,7 @@ func readBinaryRequest(br *bufio.Reader, req *peerRequest) error {
 	}
 	var total uint64
 	payload := make([][]float64, nch)
+	scratch := make([]byte, 8*sampleChunk)
 	for i := range payload {
 		n, err := readU32(br)
 		if err != nil {
@@ -113,13 +121,22 @@ func readBinaryRequest(br *bufio.Reader, req *peerRequest) error {
 		if total > maxPeerLine {
 			return fmt.Errorf("%w: %d payload bytes", errBinaryFrame, total)
 		}
-		ch := make([]float64, n)
-		raw := make([]byte, 8*int(n))
-		if _, err := io.ReadFull(br, raw); err != nil {
-			return err
-		}
-		for j := range ch {
-			ch[j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[j*8:]))
+		ch := make([]float64, 0, min(int(n), sampleChunk))
+		for left := int(n); left > 0; {
+			k := min(left, sampleChunk)
+			raw := scratch[:8*k]
+			if _, err := io.ReadFull(br, raw); err != nil {
+				return err
+			}
+			if len(ch)+k > cap(ch) {
+				grown := make([]float64, len(ch), min(int(n), max(2*cap(ch), len(ch)+k)))
+				copy(grown, ch)
+				ch = grown
+			}
+			for j := 0; j < k; j++ {
+				ch = append(ch, math.Float64frombits(binary.LittleEndian.Uint64(raw[j*8:])))
+			}
+			left -= k
 		}
 		payload[i] = ch
 	}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -118,6 +119,39 @@ func TestBinaryFrameDecodeBounds(t *testing.T) {
 		u32(b, 0)
 	}), &req); !errors.Is(err, errBinaryFrame) {
 		t.Fatalf("payload on ping: err = %v", err)
+	}
+}
+
+// claimsManySamples is a 36-byte decide frame (35 after the magic
+// byte) whose one channel claims 4 000 000 samples but carries one.
+func claimsManySamples() []byte {
+	hdr := []byte(`{"op":"decide"}`)
+	var b []byte
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(hdr)))
+	b = append(b, hdr...)
+	b = binary.LittleEndian.AppendUint32(b, 1)         // channels
+	b = binary.LittleEndian.AppendUint32(b, 4_000_000) // claimed samples
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.5))
+	return b
+}
+
+// TestBinaryFrameClaimAllocatesWhatArrives: a frame claiming far more
+// samples than it carries fails, and what the decoder allocated on the
+// way is tied to the bytes that arrived, not to the claim (4 000 000
+// samples would be 61 MiB sized up front).
+func TestBinaryFrameClaimAllocatesWhatArrives(t *testing.T) {
+	frame := claimsManySamples()
+	br := bufio.NewReader(bytes.NewReader(frame))
+	var req peerRequest
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := readBinaryRequest(br, &req)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame short of its claimed samples decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("decoding a %d-byte frame allocated %d bytes, want < 1 MiB", len(frame), got)
 	}
 }
 
