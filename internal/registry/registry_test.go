@@ -112,6 +112,33 @@ func TestEnvelopeFileRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzReadEnvelopeFile: whatever bytes sit in an envelope file,
+// ReadEnvelopeFile never panics; it either fails with ErrModelCorrupt
+// or ErrModelVersion, or returns an envelope whose opened payload
+// re-seals to the checksum the file recorded.
+func FuzzReadEnvelopeFile(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "model.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		env, err := ReadEnvelopeFile(path)
+		if err != nil {
+			if !errors.Is(err, ErrModelCorrupt) && !errors.Is(err, ErrModelVersion) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		payload, err := env.Open()
+		if err != nil {
+			t.Fatalf("read envelope does not open: %v", err)
+		}
+		if got := Seal(Kind(env.Kind), env.ModelVersion, payload).Checksum; got != env.Checksum {
+			t.Fatalf("payload re-seals to %s, file says %s", got, env.Checksum)
+		}
+	})
+}
+
 func TestAtomicWriteFileLeavesNoLitter(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
