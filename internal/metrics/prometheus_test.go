@@ -70,3 +70,78 @@ func TestWritePrometheusEmpty(t *testing.T) {
 		t.Fatalf("empty registry rendered %q", b.String())
 	}
 }
+
+// pinSnapshot is one fixed snapshot for the byte pins below: two
+// counters, a negative gauge, and a histogram whose last observation
+// fell past every bound (the overflow bucket).
+func pinSnapshot() Snapshot {
+	return Snapshot{
+		Counters: map[string]uint64{"serve.accepted": 7, "core.rejected.total": 2},
+		Gauges:   map[string]int64{"serve.queue_depth": -3},
+		Histograms: map[string]HistogramSnapshot{
+			"core.latency": {
+				Count: 4, Sum: 5.0105, Min: 0.0005, Max: 5, HasData: true,
+				Bounds: []float64{0.001, 0.01, 0.1},
+				Counts: []uint64{1, 2, 0, 1},
+			},
+		},
+	}
+}
+
+// TestWritePrometheusBytes pins the unlabeled scrape byte for byte.
+func TestWritePrometheusBytes(t *testing.T) {
+	var b strings.Builder
+	if err := pinSnapshot().WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE core_rejected_total counter
+core_rejected_total 2
+# TYPE serve_accepted counter
+serve_accepted 7
+# TYPE serve_queue_depth gauge
+serve_queue_depth -3
+# TYPE core_latency histogram
+core_latency_bucket{le="0.001"} 1
+core_latency_bucket{le="0.01"} 3
+core_latency_bucket{le="0.1"} 3
+core_latency_bucket{le="+Inf"} 4
+core_latency_sum 5.0105
+core_latency_count 4
+`
+	if got := b.String(); got != want {
+		t.Fatalf("scrape bytes changed:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWritePrometheusGroupedBytes pins the per-tenant scrape byte for
+// byte, including a label value that needs escaping and a tenant that
+// lacks some instruments.
+func TestWritePrometheusGroupedBytes(t *testing.T) {
+	other := Snapshot{Counters: map[string]uint64{"serve.accepted": 1}}
+	var b strings.Builder
+	err := WritePrometheusGrouped(&b, "tenant", map[string]Snapshot{
+		"lab":          pinSnapshot(),
+		"q\"uo\\te\nd": other,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `# TYPE core_rejected_total counter
+core_rejected_total{tenant="lab"} 2
+# TYPE serve_accepted counter
+serve_accepted{tenant="lab"} 7
+serve_accepted{tenant="q\"uo\\te\nd"} 1
+# TYPE serve_queue_depth gauge
+serve_queue_depth{tenant="lab"} -3
+# TYPE core_latency histogram
+core_latency_bucket{tenant="lab",le="0.001"} 1
+core_latency_bucket{tenant="lab",le="0.01"} 3
+core_latency_bucket{tenant="lab",le="0.1"} 3
+core_latency_bucket{tenant="lab",le="+Inf"} 4
+core_latency_sum{tenant="lab"} 5.0105
+core_latency_count{tenant="lab"} 4
+`
+	if got := b.String(); got != want {
+		t.Fatalf("scrape bytes changed:\n%s\nwant:\n%s", got, want)
+	}
+}
