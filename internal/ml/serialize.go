@@ -208,19 +208,28 @@ func LoadConvNet(r io.Reader) (*ConvNet, error) {
 	if err := validateConvNetConfig(dto.Cfg); err != nil {
 		return nil, err
 	}
+	// Check every layer's shape against the config before building the
+	// network, so a document that claims a huge network costs what it
+	// carries, not what it claims (each dimension is at most 2^16, so
+	// the products cannot overflow).
+	inC := dto.Cfg.InputDim
+	for i, outC := range dto.Cfg.ConvChannels {
+		if len(dto.Convs[i].W) != outC*inC*dto.Cfg.KernelSize || len(dto.Convs[i].B) != outC {
+			return nil, fmt.Errorf("%w: conv layer %d shape mismatch", ErrCorruptModel, i)
+		}
+		inC = outC
+	}
+	hidden := dto.Cfg.HiddenDim
+	if len(dto.Dense1.W) != 2*inC*hidden || len(dto.Dense1.B) != hidden || len(dto.Dense2.W) != hidden || len(dto.Dense2.B) != 1 {
+		return nil, fmt.Errorf("%w: dense layer shape mismatch", ErrCorruptModel)
+	}
 	c := NewConvNet(dto.Cfg)
 	// Build layers with the right shapes, then overwrite weights.
 	rng := randForInit(dto.Cfg.Seed)
 	c.initLayers(rng)
 	for i, l := range c.convs {
-		if len(dto.Convs[i].W) != len(l.w) || len(dto.Convs[i].B) != len(l.b) {
-			return nil, fmt.Errorf("%w: conv layer %d shape mismatch", ErrCorruptModel, i)
-		}
 		copy(l.w, dto.Convs[i].W)
 		copy(l.b, dto.Convs[i].B)
-	}
-	if len(dto.Dense1.W) != len(c.dense1.w) || len(dto.Dense2.W) != len(c.dense2.w) {
-		return nil, fmt.Errorf("%w: dense layer shape mismatch", ErrCorruptModel)
 	}
 	copy(c.dense1.w, dto.Dense1.W)
 	copy(c.dense1.b, dto.Dense1.B)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -153,6 +154,24 @@ func TestLoadConvNetTypedErrors(t *testing.T) {
 				t.Fatalf("LoadConvNet(%s) = %v, %v; want errors.Is(err, %v)", tc.name, m, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestLoadConvNetClaimAllocatesWhatArrives: a document whose config
+// claims a 16M-weight conv layer but carries no weights fails before
+// the network is built (building it first cost 384 MiB with the
+// optimizer state).
+func TestLoadConvNetClaimAllocatesWhatArrives(t *testing.T) {
+	doc := `{"version":1,"config":{"InputDim":1024,"ConvChannels":[1024],"KernelSize":16,"HiddenDim":4},"convs":[{"w":[],"b":[]}],"dense1":{},"dense2":{}}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadConvNet(strings.NewReader(doc))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("LoadConvNet = %v, want ErrCorruptModel", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a %d-byte document allocated %d bytes, want < 1 MiB", len(doc), got)
 	}
 }
 
