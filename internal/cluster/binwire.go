@@ -22,6 +22,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -95,11 +96,17 @@ func readBinaryRequest(br *bufio.Reader, req *peerRequest) error {
 	if hlen > maxBinaryHeader {
 		return fmt.Errorf("%w: header %d bytes", errBinaryFrame, hlen)
 	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	// The header buffer grows as its bytes arrive, like the samples
+	// below: a frame that claims more header than it carries costs
+	// what it delivered.
+	var hdr bytes.Buffer
+	if n, err := io.CopyN(&hdr, br, int64(hlen)); err != nil {
+		if err == io.EOF && n > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
-	if err := json.Unmarshal(hdr, req); err != nil {
+	if err := json.Unmarshal(hdr.Bytes(), req); err != nil {
 		return fmt.Errorf("%w: %v", errBinaryFrame, err)
 	}
 	nch, err := readU32(br)

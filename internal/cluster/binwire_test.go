@@ -135,23 +135,39 @@ func claimsManySamples() []byte {
 	return b
 }
 
+// claimsLongHeader is a 5-byte frame (after the magic byte) whose
+// header claims the 1 MiB limit but carries one '{'.
+func claimsLongHeader() []byte {
+	b := binary.LittleEndian.AppendUint32(nil, maxBinaryHeader)
+	return append(b, '{')
+}
+
 // TestBinaryFrameClaimAllocatesWhatArrives: a frame claiming far more
-// samples than it carries fails, and what the decoder allocated on the
-// way is tied to the bytes that arrived, not to the claim (4 000 000
-// samples would be 61 MiB sized up front).
+// samples or header than it carries fails, and what the decoder
+// allocated on the way is tied to the bytes that arrived, not to the
+// claim (4 000 000 samples would be 61 MiB sized up front, the header
+// 1 MiB).
 func TestBinaryFrameClaimAllocatesWhatArrives(t *testing.T) {
-	frame := claimsManySamples()
-	br := bufio.NewReader(bytes.NewReader(frame))
-	var req peerRequest
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := readBinaryRequest(br, &req)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a frame short of its claimed samples decoded")
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("decoding a %d-byte frame allocated %d bytes, want < 1 MiB", len(frame), got)
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		limit uint64
+	}{
+		{"samples", claimsManySamples(), 1 << 20},
+		{"header", claimsLongHeader(), 64 << 10},
+	} {
+		br := bufio.NewReader(bytes.NewReader(tc.frame))
+		var req peerRequest
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := readBinaryRequest(br, &req)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a frame short of its claim decoded", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+			t.Fatalf("%s: decoding a %d-byte frame allocated %d bytes, want < %d", tc.name, len(tc.frame), got, tc.limit)
+		}
 	}
 }
 
