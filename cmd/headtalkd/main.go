@@ -454,21 +454,8 @@ type daemon struct {
 	draining  atomic.Bool
 }
 
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "normal":
-		return core.ModeNormal, nil
-	case "mute":
-		return core.ModeMute, nil
-	case "headtalk":
-		return core.ModeHeadTalk, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want normal|mute|headtalk)", s)
-	}
-}
-
 func newDaemon(opts daemonOptions) (*daemon, error) {
-	m, err := parseMode(opts.Mode)
+	m, err := core.ParseMode(opts.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -1219,7 +1206,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 		return
 	}
 	if req.Mode != "" {
-		m, err := parseMode(req.Mode)
+		m, err := core.ParseMode(req.Mode)
 		if err != nil {
 			lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: "mode"})
 			return

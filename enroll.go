@@ -1,10 +1,10 @@
 package headtalk
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -179,25 +179,23 @@ func Enroll(opts EnrollmentOptions) (*Enrollment, error) {
 	return out, nil
 }
 
+// models views the enrollment's trained gates as a model set.
+func (e *Enrollment) models() *registry.ModelSet {
+	return &registry.ModelSet{Orientation: e.Orientation, Liveness: e.Liveness, ArrayFingerprint: e.ArrayFingerprint}
+}
+
 // Registry seeds a versioned model registry with the enrollment's
 // trained gates (each installed as the active version 1..n) — the
 // bridge from the one-shot enrollment flow to the registry-managed
 // lifecycle.
 func (e *Enrollment) Registry(cfg RegistryConfig) (*Registry, error) {
 	reg := registry.New(cfg)
-	if e.Orientation != nil {
-		if _, err := reg.Install(registry.KindOrientation, e.Orientation); err != nil {
-			return nil, fmt.Errorf("headtalk: installing orientation model: %w", err)
-		}
-	}
-	if e.Liveness != nil {
-		if _, err := reg.Install(registry.KindLiveness, e.Liveness); err != nil {
-			return nil, fmt.Errorf("headtalk: installing liveness model: %w", err)
-		}
-	}
-	if e.ArrayFingerprint != nil {
-		if _, err := reg.Install(registry.KindArrayFingerprint, e.ArrayFingerprint); err != nil {
-			return nil, fmt.Errorf("headtalk: installing array fingerprint: %w", err)
+	set := e.models()
+	for _, k := range registry.Kinds() {
+		if m := set.Model(k); m != nil {
+			if _, err := reg.Install(k, m); err != nil {
+				return nil, fmt.Errorf("headtalk: installing %s model: %w", k, err)
+			}
 		}
 	}
 	return reg, nil
@@ -216,119 +214,54 @@ func (e *Enrollment) SaveTo(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("headtalk: creating %s: %w", dir, err)
 	}
-	save := func(name string, kind registry.Kind, write func(io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return fmt.Errorf("headtalk: serializing %s: %w", name, err)
+	set := e.models()
+	for _, k := range registry.Kinds() {
+		m := set.Model(k)
+		if m == nil {
+			continue
 		}
-		env := registry.Seal(kind, 0, bytes.TrimSpace(buf.Bytes()))
-		if err := registry.WriteEnvelopeFile(filepath.Join(dir, name), env); err != nil {
-			return fmt.Errorf("headtalk: writing %s: %w", name, err)
+		doc, err := registry.EncodeModel(k, m)
+		if err != nil {
+			return fmt.Errorf("headtalk: serializing %s model: %w", k, err)
 		}
-		return nil
-	}
-	if err := save("orientation.json", registry.KindOrientation, e.Orientation.Save); err != nil {
-		return err
-	}
-	if e.Liveness != nil {
-		if err := save("liveness.json", registry.KindLiveness, e.Liveness.Save); err != nil {
-			return err
-		}
-	}
-	if e.ArrayFingerprint != nil {
-		if err := save("fingerprint.json", registry.KindArrayFingerprint, e.ArrayFingerprint.Save); err != nil {
-			return err
+		if err := registry.WriteEnvelopeFile(modelPath(dir, k), registry.Seal(k, 0, doc)); err != nil {
+			return fmt.Errorf("headtalk: writing %s model: %w", k, err)
 		}
 	}
 	return nil
 }
 
-// readModelDoc loads one enrollment model file and returns the raw
-// model document. Envelope files (SaveTo's format) are
-// checksum-verified and unwrapped; pre-envelope files — the raw model
-// JSON older versions wrote — pass through unchanged, so existing
-// enrollment directories keep loading.
-func readModelDoc(path string, kind registry.Kind) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var probe struct {
-		Kind     string `json:"kind"`
-		Checksum string `json:"checksum"`
-	}
-	if json.Unmarshal(data, &probe) == nil && probe.Kind != "" && probe.Checksum != "" {
-		var env registry.Envelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", registry.ErrModelCorrupt, filepath.Base(path), err)
-		}
-		if env.Kind != string(kind) {
-			return nil, fmt.Errorf("%w: %s holds a %q model, want %q", registry.ErrModelCorrupt, filepath.Base(path), env.Kind, kind)
-		}
-		return env.Open()
-	}
-	// Legacy layout: the file is the bare model document.
-	return data, nil
+// modelPath names kind k's file in an enrollment directory.
+func modelPath(dir string, k registry.Kind) string {
+	return filepath.Join(dir, string(k)+".json")
 }
 
-// LoadEnrollment restores an enrollment saved with SaveTo (either the
-// current envelope format or the legacy bare-JSON layout). A missing
-// liveness.json or fingerprint.json leaves that gate nil
-// (orientation-only deployments are valid). Damage surfaces as typed
-// errors: ErrModelCorrupt / ErrModelVersion for envelope-level
-// problems, the model loaders' sentinels for blob-level ones.
+// LoadEnrollment restores an enrollment saved with SaveTo. Every file
+// must be a sealed model envelope of its kind: a file without one (the
+// bare model JSON of releases before envelopes) is refused with
+// ErrModelCorrupt, never loaded unverified. A missing liveness.json or
+// fingerprint.json leaves that gate nil (orientation-only deployments
+// are valid). Damage surfaces as typed errors: ErrModelCorrupt /
+// ErrModelVersion for envelope-level problems, the model loaders'
+// sentinels for blob-level ones.
 func LoadEnrollment(dir string) (*Enrollment, error) {
-	doc, err := readModelDoc(filepath.Join(dir, "orientation.json"), registry.KindOrientation)
-	if err != nil {
-		return nil, fmt.Errorf("headtalk: loading orientation model: %w", err)
-	}
-	model, err := orientation.Load(bytes.NewReader(doc))
-	if err != nil {
-		return nil, err
-	}
-	out := &Enrollment{Orientation: model}
-
-	doc, err = readModelDoc(filepath.Join(dir, "liveness.json"), registry.KindLiveness)
-	switch {
-	case err == nil:
-		det, err := liveness.Load(bytes.NewReader(doc))
+	var set registry.ModelSet
+	for _, k := range registry.Kinds() {
+		env, err := registry.ReadEnvelopeFile(modelPath(dir, k))
+		if errors.Is(err, fs.ErrNotExist) && k != registry.KindOrientation {
+			continue
+		}
+		if err == nil && env.Kind != string(k) {
+			err = fmt.Errorf("%w: %s.json holds a %q model", registry.ErrModelCorrupt, k, env.Kind)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("headtalk: loading %s model: %w", k, err)
+		}
+		m, err := registry.DecodeModel(k, env.Payload)
 		if err != nil {
 			return nil, err
 		}
-		out.Liveness = det
-	case os.IsNotExist(err):
-	default:
-		return nil, fmt.Errorf("headtalk: loading liveness model: %w", err)
+		set.SetModel(m)
 	}
-
-	doc, err = readModelDoc(filepath.Join(dir, "fingerprint.json"), registry.KindArrayFingerprint)
-	switch {
-	case err == nil:
-		fp, err := liveness.LoadFingerprint(bytes.NewReader(doc))
-		if err != nil {
-			return nil, err
-		}
-		out.ArrayFingerprint = fp
-	case os.IsNotExist(err):
-	default:
-		return nil, fmt.Errorf("headtalk: loading array fingerprint: %w", err)
-	}
-	return out, nil
-}
-
-// writeModel writes one model file atomically: the document is
-// serialized to memory, written to a temp file in the target
-// directory, fsynced, and renamed over the destination (with a
-// directory fsync so the rename itself is durable). A crash at any
-// point leaves either the old complete file or the new complete file —
-// never a truncated model.
-func writeModel(path string, save func(io.Writer) error) error {
-	var buf bytes.Buffer
-	if err := save(&buf); err != nil {
-		return fmt.Errorf("headtalk: serializing %s: %w", path, err)
-	}
-	if err := registry.AtomicWriteFile(path, buf.Bytes()); err != nil {
-		return fmt.Errorf("headtalk: writing %s: %w", path, err)
-	}
-	return nil
+	return &Enrollment{Orientation: set.Orientation, Liveness: set.Liveness, ArrayFingerprint: set.ArrayFingerprint}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -141,8 +140,9 @@ func TestSaveToWritesVerifiedEnvelopes(t *testing.T) {
 }
 
 func TestLoadEnrollmentLegacyBareFormat(t *testing.T) {
-	// Pre-envelope enrollment directories hold the bare model JSON.
-	// They must keep loading unchanged.
+	// Pre-envelope enrollment directories hold the bare model JSON,
+	// with no checksum to verify: they are refused, not loaded
+	// unverified.
 	enr := cheapEnrollment(t)
 	dir := t.TempDir()
 	var buf bytes.Buffer
@@ -152,12 +152,8 @@ func TestLoadEnrollmentLegacyBareFormat(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "orientation.json"), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadEnrollment(dir)
-	if err != nil {
-		t.Fatalf("legacy bare-format directory failed to load: %v", err)
-	}
-	if loaded.Orientation == nil || loaded.ArrayFingerprint != nil || loaded.Liveness != nil {
-		t.Fatalf("legacy load shape wrong: %+v", loaded)
+	if loaded, err := LoadEnrollment(dir); !errors.Is(err, registry.ErrModelCorrupt) {
+		t.Fatalf("bare model file: %+v, %v; want ErrModelCorrupt", loaded, err)
 	}
 }
 
@@ -216,32 +212,28 @@ func TestLoadEnrollmentTypedErrors(t *testing.T) {
 	}
 }
 
-// TestWriteModelCrashSafety pins writeModel's atomicity contract: a
-// save that dies mid-serialization leaves the previous complete file
-// untouched and no temp litter; a successful save replaces the file
+// TestSaveToCrashSafety pins SaveTo's no-torn-file contract: a save
+// whose serialization fails leaves the previous complete file
+// untouched and no temp litter; a successful save replaces each file
 // whole. (The temp-file + fsync + rename discipline itself lives in
 // registry.AtomicWriteFile, whose no-litter behavior registry's own
 // tests pin — this guards the enrollment-side wiring.)
-func TestWriteModelCrashSafety(t *testing.T) {
+func TestSaveToCrashSafety(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "model.json")
 	old := []byte(`{"generation":"old"}`)
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"orientation.json", "liveness.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), old, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// Simulated crash: the serializer writes half a document, then dies.
-	boom := errors.New("power cut")
-	err := writeModel(path, func(w io.Writer) error {
-		if _, err := w.Write([]byte(`{"generation":"ne`)); err != nil {
-			return err
-		}
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("writeModel swallowed the failure: %v", err)
+	// An untrained detector cannot serialize: the save dies at liveness.
+	enr := cheapEnrollment(t)
+	enr.Liveness = liveness.NewDetector(1)
+	if err := enr.SaveTo(dir); err == nil {
+		t.Fatal("SaveTo swallowed the serialization failure")
 	}
-	got, err := os.ReadFile(path)
+	got, err := os.ReadFile(filepath.Join(dir, "liveness.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,20 +242,13 @@ func TestWriteModelCrashSafety(t *testing.T) {
 	}
 	assertNoTempLitter(t, dir)
 
-	// A good save lands the complete new document.
-	fresh := []byte(`{"generation":"new"}`)
-	if err := writeModel(path, func(w io.Writer) error {
-		_, err := w.Write(fresh)
-		return err
-	}); err != nil {
+	// A good save lands complete, verifiable envelopes.
+	enr.Liveness = nil
+	if err := enr.SaveTo(dir); err != nil {
 		t.Fatal(err)
 	}
-	got, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, fresh) {
-		t.Fatalf("successful save wrote %q", got)
+	if _, err := registry.ReadEnvelopeFile(filepath.Join(dir, "orientation.json")); err != nil {
+		t.Fatalf("successful save left an unreadable file: %v", err)
 	}
 	assertNoTempLitter(t, dir)
 }

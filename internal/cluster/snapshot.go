@@ -1,17 +1,14 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"time"
 
 	"headtalk/internal/core"
 	"headtalk/internal/features"
-	"headtalk/internal/liveness"
 	"headtalk/internal/metrics"
 	"headtalk/internal/orientation"
 	"headtalk/internal/pool"
@@ -92,11 +89,15 @@ type snapshotPayload struct {
 	EnsembleMode bool `json:"ensemble_mode,omitempty"`
 }
 
-// checksum hashes payload bytes with FNV-64a, hex-encoded.
-func checksum(b []byte) string {
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+// blob returns the payload field that carries kind k's model document.
+func (p *snapshotPayload) blob(k registry.Kind) *json.RawMessage {
+	switch k {
+	case registry.KindOrientation:
+		return &p.Orientation
+	case registry.KindLiveness:
+		return &p.Liveness
+	}
+	return &p.ArrayFingerprint
 }
 
 // CaptureTenant snapshots one tenant into an envelope. device and room
@@ -119,56 +120,39 @@ func CaptureTenant(t *pool.Tenant, device, room string) (*Envelope, error) {
 	}
 	set := sys.ModelSet()
 	p.EnsembleMode = set.RequireEnsemble
-	if reg := t.Models(); reg != nil {
-		// Registry-managed tenant: embed the stored canonical bytes and
-		// version numbers directly. No re-serialization happens, so the
-		// blob a restored registry serves is byte-for-byte the blob the
-		// source registry served, and re-capture reproduces the same
-		// envelope checksum.
+	reg := t.Models()
+	if reg != nil {
 		p.RegistryVersions = make(map[string]uint64)
-		if b, num := reg.ActiveBytes(registry.KindOrientation); b != nil {
-			p.Orientation = bytes.TrimSpace(b)
-			p.RegistryVersions[string(registry.KindOrientation)] = num
-		}
-		if b, num := reg.ActiveBytes(registry.KindLiveness); b != nil {
-			p.Liveness = bytes.TrimSpace(b)
-			p.RegistryVersions[string(registry.KindLiveness)] = num
-		}
-		if b, num := reg.ActiveBytes(registry.KindArrayFingerprint); b != nil {
-			p.ArrayFingerprint = bytes.TrimSpace(b)
-			p.RegistryVersions[string(registry.KindArrayFingerprint)] = num
-		}
-	} else {
-		if set.Liveness != nil {
-			var buf bytes.Buffer
-			if err := set.Liveness.Save(&buf); err != nil {
-				return nil, fmt.Errorf("cluster: capturing liveness model for %q: %w", t.ID(), err)
+	}
+	for _, k := range registry.Kinds() {
+		if reg != nil {
+			// Registry-managed tenant: embed the stored canonical bytes
+			// and version numbers directly. No re-serialization happens,
+			// so the blob a restored registry serves is byte-for-byte the
+			// blob the source registry served, and re-capture reproduces
+			// the same envelope checksum.
+			if b, num := reg.ActiveBytes(k); b != nil {
+				*p.blob(k) = b
+				p.RegistryVersions[string(k)] = num
 			}
-			p.Liveness = bytes.TrimSpace(buf.Bytes())
+			continue
 		}
-		if set.Orientation != nil {
-			var buf bytes.Buffer
-			if err := set.Orientation.Save(&buf); err != nil {
-				return nil, fmt.Errorf("cluster: capturing orientation model for %q: %w", t.ID(), err)
+		if m := set.Model(k); m != nil {
+			doc, err := registry.EncodeModel(k, m)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: capturing %s model for %q: %w", k, t.ID(), err)
 			}
-			p.Orientation = bytes.TrimSpace(buf.Bytes())
-		}
-		if set.ArrayFingerprint != nil {
-			var buf bytes.Buffer
-			if err := set.ArrayFingerprint.Save(&buf); err != nil {
-				return nil, fmt.Errorf("cluster: capturing array fingerprint for %q: %w", t.ID(), err)
-			}
-			p.ArrayFingerprint = bytes.TrimSpace(buf.Bytes())
+			*p.blob(k) = doc
 		}
 	}
 	if len(set.OrientationByChannels) > 0 {
 		p.OrientationByChannels = make(map[string]json.RawMessage, len(set.OrientationByChannels))
 		for n, m := range set.OrientationByChannels {
-			var buf bytes.Buffer
-			if err := m.Save(&buf); err != nil {
+			doc, err := registry.EncodeModel(registry.KindOrientation, m)
+			if err != nil {
 				return nil, fmt.Errorf("cluster: capturing %d-channel fallback model for %q: %w", n, t.ID(), err)
 			}
-			p.OrientationByChannels[strconv.Itoa(n)] = bytes.TrimSpace(buf.Bytes())
+			p.OrientationByChannels[strconv.Itoa(n)] = doc
 		}
 	}
 	payload, err := json.Marshal(p)
@@ -178,7 +162,7 @@ func CaptureTenant(t *pool.Tenant, device, room string) (*Envelope, error) {
 	return &Envelope{
 		Version:  SnapshotVersion,
 		TenantID: t.ID(),
-		Checksum: checksum(payload),
+		Checksum: registry.Checksum(payload),
 		Payload:  payload,
 	}, nil
 }
@@ -198,7 +182,7 @@ func (e *Envelope) Verify() error {
 	if len(e.Payload) == 0 {
 		return fmt.Errorf("%w: empty payload", ErrSnapshotCorrupt)
 	}
-	if got := checksum(e.Payload); got != e.Checksum {
+	if got := registry.Checksum(e.Payload); got != e.Checksum {
 		return fmt.Errorf("%w: payload hashes to %s, envelope says %s", ErrSnapshotChecksum, got, e.Checksum)
 	}
 	return nil
@@ -215,20 +199,6 @@ func (e *Envelope) Profile() (device, room string, err error) {
 		return "", "", fmt.Errorf("%w: decoding payload: %v", ErrSnapshotCorrupt, err)
 	}
 	return p.Device, p.Room, nil
-}
-
-// parseMode reverses core.Mode.String.
-func parseMode(s string) (core.Mode, error) {
-	switch s {
-	case "normal":
-		return core.ModeNormal, nil
-	case "mute":
-		return core.ModeMute, nil
-	case "headtalk":
-		return core.ModeHeadTalk, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown privacy mode %q", ErrSnapshotCorrupt, s)
-	}
 }
 
 // BuildSystemWithModels verifies the envelope and rebuilds the
@@ -253,9 +223,9 @@ func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.Sys
 	if err := json.Unmarshal(e.Payload, &p); err != nil {
 		return nil, nil, fmt.Errorf("%w: decoding payload: %v", ErrSnapshotCorrupt, err)
 	}
-	mode, err := parseMode(p.Mode)
+	mode, err := core.ParseMode(p.Mode)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: %v", ErrSnapshotCorrupt, err)
 	}
 	cfg := core.Config{
 		SampleRate:        p.SampleRate,
@@ -266,40 +236,19 @@ func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.Sys
 		MinChannels:       p.MinChannels,
 		Metrics:           metricsReg,
 	}
-	set := registry.ModelSet{RequireEnsemble: p.EnsembleMode}
-	if len(p.Liveness) > 0 {
-		det, err := liveness.Load(bytes.NewReader(p.Liveness))
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: snapshot liveness model: %w", err)
-		}
-		set.Liveness = det
-	}
-	if len(p.Orientation) > 0 {
-		m, err := orientation.Load(bytes.NewReader(p.Orientation))
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: snapshot orientation model: %w", err)
-		}
-		set.Orientation = m
-	}
-	if len(p.ArrayFingerprint) > 0 {
-		fp, err := liveness.LoadFingerprint(bytes.NewReader(p.ArrayFingerprint))
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: snapshot array fingerprint: %w", err)
-		}
-		set.ArrayFingerprint = fp
-	}
+	var fallbacks map[int]*orientation.Model
 	if len(p.OrientationByChannels) > 0 {
-		set.OrientationByChannels = make(map[int]*orientation.Model, len(p.OrientationByChannels))
+		fallbacks = make(map[int]*orientation.Model, len(p.OrientationByChannels))
 		for key, blob := range p.OrientationByChannels {
 			n, err := strconv.Atoi(key)
 			if err != nil || n < 1 {
 				return nil, nil, fmt.Errorf("%w: fallback model key %q is not a channel count", ErrSnapshotCorrupt, key)
 			}
-			m, err := orientation.Load(bytes.NewReader(blob))
+			m, err := registry.DecodeModel(registry.KindOrientation, blob)
 			if err != nil {
 				return nil, nil, fmt.Errorf("cluster: snapshot %d-channel fallback model: %w", n, err)
 			}
-			set.OrientationByChannels[n] = m
+			fallbacks[n] = m.(*orientation.Model)
 		}
 	}
 
@@ -308,29 +257,32 @@ func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.Sys
 		// Registry-managed capture: rebuild a versioned registry from
 		// the canonical blobs at their recorded version numbers.
 		models = registry.New(registry.Config{Metrics: metricsReg, EnsembleMode: p.EnsembleMode})
-		imp := func(k registry.Kind, blob json.RawMessage) error {
-			num := p.RegistryVersions[string(k)]
+		for _, k := range registry.Kinds() {
+			blob, num := *p.blob(k), p.RegistryVersions[string(k)]
 			if len(blob) == 0 || num == 0 {
-				return nil
+				continue
 			}
-			return models.ImportActive(k, num, blob)
-		}
-		if err := imp(registry.KindOrientation, p.Orientation); err != nil {
-			return nil, nil, fmt.Errorf("cluster: restoring orientation version: %w", err)
-		}
-		if err := imp(registry.KindLiveness, p.Liveness); err != nil {
-			return nil, nil, fmt.Errorf("cluster: restoring liveness version: %w", err)
-		}
-		if err := imp(registry.KindArrayFingerprint, p.ArrayFingerprint); err != nil {
-			return nil, nil, fmt.Errorf("cluster: restoring fingerprint version: %w", err)
+			if err := models.ImportActive(k, num, blob); err != nil {
+				return nil, nil, fmt.Errorf("cluster: restoring %s version: %w", k, err)
+			}
 		}
 		cfg.Models = models
 		// The degraded-array fallbacks are not registry-versioned;
 		// layer them over the registry's sets via a composite provider.
-		if len(set.OrientationByChannels) > 0 {
-			cfg.Models = &fallbackProvider{inner: models, fallbacks: set.OrientationByChannels}
+		if len(fallbacks) > 0 {
+			cfg.Models = &fallbackProvider{inner: models, fallbacks: fallbacks}
 		}
 	} else {
+		set := registry.ModelSet{RequireEnsemble: p.EnsembleMode, OrientationByChannels: fallbacks}
+		for _, k := range registry.Kinds() {
+			if blob := *p.blob(k); len(blob) > 0 {
+				m, err := registry.DecodeModel(k, blob)
+				if err != nil {
+					return nil, nil, fmt.Errorf("cluster: snapshot %s model: %w", k, err)
+				}
+				set.SetModel(m)
+			}
+		}
 		cfg.Models = registry.NewStatic(set)
 	}
 	sys, err := core.NewSystem(cfg)

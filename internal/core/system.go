@@ -51,6 +51,16 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode reverses Mode.String.
+func ParseMode(s string) (Mode, error) {
+	for _, m := range []Mode{ModeNormal, ModeMute, ModeHeadTalk} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown privacy mode %q (want normal|mute|headtalk)", s)
+}
+
 // Reason explains a decision.
 type Reason string
 

@@ -121,7 +121,7 @@ func (a *adapter) build() (uint64, error) {
 	if payload == nil {
 		return 0, fmt.Errorf("registry: no active orientation model to adapt")
 	}
-	model, err := decodeModel(KindOrientation, payload)
+	model, err := DecodeModel(KindOrientation, payload)
 	if err != nil {
 		return 0, fmt.Errorf("registry: cloning orientation v%d: %w", activeNum, err)
 	}

@@ -2,8 +2,8 @@ package registry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,14 +31,6 @@ const (
 // Kinds lists every model family a registry manages, in canonical
 // order.
 func Kinds() []Kind { return []Kind{KindOrientation, KindLiveness, KindArrayFingerprint} }
-
-func validKind(k Kind) bool {
-	switch k {
-	case KindOrientation, KindLiveness, KindArrayFingerprint:
-		return true
-	}
-	return false
-}
 
 // State is a version's position in the lifecycle:
 // candidate → shadow → active → archived.
@@ -116,6 +108,33 @@ func (s *ModelSet) Version(k Kind) uint64 {
 		return 0
 	}
 	return s.Versions[k]
+}
+
+// Model returns the set's model of kind k, typed as DecodeModel
+// returns it, or nil when the set has none.
+func (s *ModelSet) Model(k Kind) any {
+	switch {
+	case k == KindOrientation && s.Orientation != nil:
+		return s.Orientation
+	case k == KindLiveness && s.Liveness != nil:
+		return s.Liveness
+	case k == KindArrayFingerprint && s.ArrayFingerprint != nil:
+		return s.ArrayFingerprint
+	}
+	return nil
+}
+
+// SetModel stores m, a model as DecodeModel returns it, in its kind's
+// slot.
+func (s *ModelSet) SetModel(m any) {
+	switch m := m.(type) {
+	case *orientation.Model:
+		s.Orientation = m
+	case *liveness.Detector:
+		s.Liveness = m
+	case *liveness.ArrayFingerprint:
+		s.ArrayFingerprint = m
+	}
 }
 
 // Provider resolves the current ModelSet. Implementations must return
@@ -270,11 +289,11 @@ func (r *Registry) kind(k Kind) *kindState {
 	return ks
 }
 
-// decodeModel validates payload as a model document of the given kind
-// by decoding a fresh instance. The decoded value is returned as
-// *orientation.Model, *liveness.Detector, or
-// *liveness.ArrayFingerprint.
-func decodeModel(k Kind, payload []byte) (any, error) {
+// DecodeModel decodes payload as a fresh model of kind k: an
+// *orientation.Model, *liveness.Detector or *liveness.ArrayFingerprint.
+// It is the one decoder of model documents; damage surfaces as the
+// model loaders' typed errors.
+func DecodeModel(k Kind, payload []byte) (any, error) {
 	switch k {
 	case KindOrientation:
 		return orientation.Load(bytes.NewReader(payload))
@@ -286,44 +305,41 @@ func decodeModel(k Kind, payload []byte) (any, error) {
 	return nil, fmt.Errorf("registry: unknown model kind %q", k)
 }
 
-// encodeModel serializes a live model into its canonical byte-stable
-// document.
-func encodeModel(k Kind, model any) ([]byte, error) {
-	var buf bytes.Buffer
-	var err error
-	switch m := model.(type) {
-	case *orientation.Model:
-		err = m.Save(&buf)
-	case *liveness.Detector:
-		err = m.Save(&buf)
-	case *liveness.ArrayFingerprint:
-		err = m.Save(&buf)
-	default:
-		err = fmt.Errorf("registry: cannot serialize %T as %s", model, k)
+// EncodeModel serializes a live model (as DecodeModel returns it) into
+// its canonical byte-stable document, without surrounding whitespace.
+// It is the one encoder of model documents.
+func EncodeModel(k Kind, model any) ([]byte, error) {
+	m, ok := model.(interface{ Save(io.Writer) error })
+	if !ok {
+		return nil, fmt.Errorf("registry: cannot serialize %T as %s", model, k)
 	}
-	if err != nil {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	return bytes.TrimSpace(buf.Bytes()), nil
+}
+
+// storable validates payload as a document of kind k by decoding a
+// fresh instance, and returns the copy the registry stores: surrounding
+// whitespace (json.Encoder's trailing newline) is stripped, so the same
+// document always stores, and checksums, identically wherever it came
+// from.
+func storable(k Kind, payload []byte) ([]byte, error) {
+	if _, err := DecodeModel(k, payload); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(bytes.TrimSpace(payload)), nil
 }
 
 // Add stores payload (the model's canonical serialized document) as a
 // new candidate version of kind, validating it by decoding a fresh
 // instance first. The new version does not serve until promoted.
 func (r *Registry) Add(k Kind, payload []byte) (uint64, error) {
-	if !validKind(k) {
-		return 0, fmt.Errorf("registry: unknown model kind %q", k)
-	}
-	if _, err := decodeModel(k, payload); err != nil {
+	stored, err := storable(k, payload)
+	if err != nil {
 		return 0, fmt.Errorf("%w: %s candidate rejected: %v", ErrModelCorrupt, k, err)
 	}
-	// Canonicalize: strip surrounding whitespace (json.Encoder's
-	// trailing newline) so the same document always stores — and
-	// checksums — identically, wherever it came from.
-	trimmed := bytes.TrimSpace(payload)
-	stored := make([]byte, len(trimmed))
-	copy(stored, trimmed)
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextNum++
@@ -332,7 +348,7 @@ func (r *Registry) Add(k Kind, payload []byte) (uint64, error) {
 	ks.versions[num] = &Version{
 		Kind:     k,
 		Number:   num,
-		Checksum: checksum(stored),
+		Checksum: Checksum(stored),
 		State:    StateCandidate,
 		Bytes:    stored,
 	}
@@ -342,7 +358,7 @@ func (r *Registry) Add(k Kind, payload []byte) (uint64, error) {
 
 // AddModel serializes a live model and stores it as a candidate.
 func (r *Registry) AddModel(k Kind, model any) (uint64, error) {
-	payload, err := encodeModel(k, model)
+	payload, err := EncodeModel(k, model)
 	if err != nil {
 		return 0, err
 	}
@@ -454,35 +470,18 @@ func (r *Registry) Shadow(num uint64) error {
 	return nil
 }
 
-// ClearShadow stops shadow evaluation.
-func (r *Registry) ClearShadow() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ks := r.kind(KindOrientation)
-	if v := ks.versions[ks.shadow]; v != nil && v.State == StateShadow {
-		v.State = StateCandidate
-	}
-	ks.shadow = 0
-	r.publishLocked()
-}
-
 // ImportActive installs payload as version num of kind and makes it
 // active without allocating a new number — how snapshot restore
 // reconstructs a registry so version numbers (and therefore Status and
 // re-capture) survive the round trip.
 func (r *Registry) ImportActive(k Kind, num uint64, payload []byte) error {
-	if !validKind(k) {
-		return fmt.Errorf("registry: unknown model kind %q", k)
-	}
-	if _, err := decodeModel(k, payload); err != nil {
+	stored, err := storable(k, payload)
+	if err != nil {
 		return fmt.Errorf("%w: %s import rejected: %v", ErrModelCorrupt, k, err)
 	}
 	if num == 0 {
 		return fmt.Errorf("registry: import needs a nonzero version number")
 	}
-	trimmed := bytes.TrimSpace(payload)
-	stored := make([]byte, len(trimmed))
-	copy(stored, trimmed)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -493,7 +492,7 @@ func (r *Registry) ImportActive(k Kind, num uint64, payload []byte) error {
 	ks.versions[num] = &Version{
 		Kind:     k,
 		Number:   num,
-		Checksum: checksum(stored),
+		Checksum: Checksum(stored),
 		State:    StateActive,
 		Bytes:    stored,
 	}
@@ -619,40 +618,24 @@ func (r *Registry) pruneLocked(ks *kindState) {
 // version can never be mutated out from under the registry and
 // rollback is byte-exact by construction. Called with r.mu held.
 func (r *Registry) publishLocked() {
-	set := &ModelSet{Versions: make(map[Kind]uint64)}
-	load := func(k Kind) any {
-		ks := r.kinds[k]
-		if ks == nil || ks.active == 0 {
-			return nil
-		}
+	set := &ModelSet{Versions: make(map[Kind]uint64), RequireEnsemble: r.cfg.EnsembleMode}
+	for k, ks := range r.kinds {
 		v := ks.versions[ks.active]
 		if v == nil {
-			return nil
+			continue
 		}
-		m, err := decodeModel(k, v.Bytes)
+		m, err := DecodeModel(k, v.Bytes)
 		if err != nil {
 			// Can't happen: bytes were validated at Add/Import. Treat
 			// as missing rather than serving a broken model.
-			return nil
+			continue
 		}
+		set.SetModel(m)
 		set.Versions[k] = v.Number
-		return m
-	}
-	if m := load(KindOrientation); m != nil {
-		set.Orientation = m.(*orientation.Model)
-	}
-	if m := load(KindLiveness); m != nil {
-		set.Liveness = m.(*liveness.Detector)
-	}
-	if m := load(KindArrayFingerprint); m != nil {
-		set.ArrayFingerprint = m.(*liveness.ArrayFingerprint)
-	}
-	if r.cfg.EnsembleMode {
-		set.RequireEnsemble = true
 	}
 	if ks := r.kinds[KindOrientation]; ks != nil && ks.shadow != 0 {
 		if v := ks.versions[ks.shadow]; v != nil {
-			if m, err := decodeModel(KindOrientation, v.Bytes); err == nil {
+			if m, err := DecodeModel(KindOrientation, v.Bytes); err == nil {
 				set.Shadow = m.(*orientation.Model)
 				set.ShadowVersion = v.Number
 			}
@@ -680,9 +663,4 @@ func (r *Registry) observeShadow(activePred, shadowPred int, activeScore, shadow
 	if activePred != shadowPred {
 		r.ins.shadowDiv.Inc()
 	}
-}
-
-// MarshalStatus renders Status as JSON (for the daemon wire).
-func (r *Registry) MarshalStatus() (json.RawMessage, error) {
-	return json.Marshal(r.Status())
 }
