@@ -79,48 +79,6 @@ func TestMergeSnapshotsMismatchedBoundsKeepsFirst(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusLabeled(t *testing.T) {
-	s := snapshotFor(t, func(r *Registry) {
-		r.Counter("serve.completed.total").Add(4)
-		r.Gauge("serve.queue.depth").Set(1)
-		r.Histogram("serve.latency", []float64{0.1, 1}).Observe(0.05)
-	})
-	var b strings.Builder
-	if err := s.WritePrometheusLabeled(&b, map[string]string{"tenant": "lab"}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE serve_completed_total counter",
-		`serve_completed_total{tenant="lab"} 4`,
-		`serve_queue_depth{tenant="lab"} 1`,
-		`serve_latency_bucket{tenant="lab",le="0.1"} 1`,
-		`serve_latency_bucket{tenant="lab",le="+Inf"} 1`,
-		`serve_latency_count{tenant="lab"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("labeled exposition missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestWritePrometheusLabeledNilLabelsMatchesUnlabeled(t *testing.T) {
-	s := snapshotFor(t, func(r *Registry) {
-		r.Counter("c").Inc()
-		r.Histogram("h", []float64{1}).Observe(0.5)
-	})
-	var labeled, plain strings.Builder
-	if err := s.WritePrometheusLabeled(&labeled, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.WritePrometheus(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if labeled.String() != plain.String() {
-		t.Fatalf("nil-label render differs:\n%s\nvs\n%s", labeled.String(), plain.String())
-	}
-}
-
 func TestPromEscape(t *testing.T) {
 	got := promEscape("a\"b\\c\nd")
 	want := `a\"b\\c\nd`

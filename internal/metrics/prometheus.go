@@ -56,43 +56,121 @@ func sortedKeys[V any](m map[string]V) []string {
 // names are sanitized with promName, so the registry's dotted names
 // (serve.queue_wait) come out scrape-safe (serve_queue_wait).
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	for _, k := range sortedKeys(s.Counters) {
-		n := promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, s.Counters[k]); err != nil {
-			return err
+	return WritePrometheusGrouped(w, "", map[string]Snapshot{"": s})
+}
+
+// WritePrometheusGrouped renders one snapshot per label value (e.g.
+// tenant ID → snapshot) grouped by metric name, so each # TYPE header
+// appears exactly once even when several tenants expose the same
+// instrument — the exposition format forbids repeating a metadata line
+// per metric. labelName names the distinguishing label ("tenant");
+// with an empty labelName the samples carry no label, which is how
+// WritePrometheus renders its one snapshot. Counters sort before
+// gauges before histograms, each alphabetized, and label values sort
+// within a metric, so scrape output is deterministic.
+func WritePrometheusGrouped(w io.Writer, labelName string, snaps map[string]Snapshot) error {
+	values := sortedKeys(snaps)
+	// labels renders a sample's label set: the group label, then le for
+	// a histogram bucket.
+	labels := func(v, le string) string {
+		var set []string
+		if labelName != "" {
+			set = append(set, promName(labelName)+`="`+promEscape(v)+`"`)
+		}
+		if le != "" {
+			set = append(set, `le="`+le+`"`)
+		}
+		if len(set) == 0 {
+			return ""
+		}
+		return "{" + strings.Join(set, ",") + "}"
+	}
+	counters, gauges, hists := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for _, s := range snaps {
+		for k := range s.Counters {
+			counters[k] = true
+		}
+		for k := range s.Gauges {
+			gauges[k] = true
+		}
+		for k := range s.Histograms {
+			hists[k] = true
 		}
 	}
-	for _, k := range sortedKeys(s.Gauges) {
+	ew := &stickyWriter{w: w}
+	for _, k := range sortedKeys(counters) {
 		n := promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", n, n, s.Gauges[k]); err != nil {
-			return err
-		}
-	}
-	for _, k := range sortedKeys(s.Histograms) {
-		n := promName(k)
-		h := s.Histograms[k]
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
-		// Buckets are cumulative per the exposition format; the +Inf
-		// bucket and _count are the cumulative total so the series stays
-		// self-consistent even if Counts raced with the Count field.
-		var cum uint64
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", n, promFloat(bound), cum); err != nil {
-				return err
+		ew.printf("# TYPE %s counter\n", n)
+		for _, v := range values {
+			if c, ok := snaps[v].Counters[k]; ok {
+				ew.printf("%s%s %d\n", n, labels(v, ""), c)
 			}
 		}
-		if len(h.Counts) > len(h.Bounds) {
-			cum += h.Counts[len(h.Bounds)]
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, cum); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", n, promFloat(h.Sum), n, cum); err != nil {
-			return err
+	}
+	for _, k := range sortedKeys(gauges) {
+		n := promName(k)
+		ew.printf("# TYPE %s gauge\n", n)
+		for _, v := range values {
+			if g, ok := snaps[v].Gauges[k]; ok {
+				ew.printf("%s%s %d\n", n, labels(v, ""), g)
+			}
 		}
 	}
-	return nil
+	for _, k := range sortedKeys(hists) {
+		n := promName(k)
+		ew.printf("# TYPE %s histogram\n", n)
+		for _, v := range values {
+			h, ok := snaps[v].Histograms[k]
+			if !ok {
+				continue
+			}
+			// Buckets are cumulative per the exposition format; the +Inf
+			// bucket and _count are the cumulative total so the series
+			// stays self-consistent even if Counts raced with Count.
+			var cum uint64
+			for i, bound := range h.Bounds {
+				cum += h.Counts[i]
+				ew.printf("%s_bucket%s %d\n", n, labels(v, promFloat(bound)), cum)
+			}
+			if len(h.Counts) > len(h.Bounds) {
+				cum += h.Counts[len(h.Bounds)]
+			}
+			ew.printf("%s_bucket%s %d\n", n, labels(v, "+Inf"), cum)
+			ls := labels(v, "")
+			ew.printf("%s_sum%s %s\n%s_count%s %d\n", n, ls, promFloat(h.Sum), n, ls, cum)
+		}
+	}
+	return ew.err
+}
+
+// stickyWriter keeps the first write error and drops every write after
+// it.
+type stickyWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (s *stickyWriter) printf(format string, args ...any) {
+	if s.err == nil {
+		_, s.err = fmt.Fprintf(s.w, format, args...)
+	}
+}
+
+// promEscape escapes a label value for the text exposition format.
+func promEscape(v string) string {
+	var b strings.Builder
+	b.Grow(len(v))
+	for _, r := range v {
+		switch r {
+		case '\\':
+			b.WriteString(`\\`)
+		case '"':
+			b.WriteString(`\"`)
+		case '\n':
+			b.WriteString(`\n`)
+		default:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
 }
