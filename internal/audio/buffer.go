@@ -93,11 +93,6 @@ func (r *Recording) Len() int {
 	return len(r.Channels[0])
 }
 
-// Channel returns channel i; it panics on out-of-range indices.
-func (r *Recording) Channel(i int) []float64 {
-	return r.Channels[i]
-}
-
 // Select returns a new Recording containing only the given channel
 // indices (sharing the underlying sample slices). It reports an error
 // for out-of-range indices.

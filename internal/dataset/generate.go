@@ -408,20 +408,6 @@ func (g *Generator) extract(array *mic.Array, recording *audio.Recording, subset
 	return allFeats, first, nil
 }
 
-// GenerateAll renders every condition, failing fast on the first
-// error.
-func (g *Generator) GenerateAll(conds []Condition) ([]*Sample, error) {
-	out := make([]*Sample, 0, len(conds))
-	for _, c := range conds {
-		s, err := g.Generate(c)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
 // bandpass returns a private clone of the cached preprocessing filter
 // for a sample rate. The design is computed once per rate; the clone
 // gives each caller its own section state, because Apply resets and

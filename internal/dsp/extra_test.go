@@ -39,16 +39,6 @@ func TestConvolutionTheorem(t *testing.T) {
 	}
 }
 
-func TestPercentileInterpolation(t *testing.T) {
-	x := []float64{10, 20, 30, 40}
-	if got := Percentile(x, 25); math.Abs(got-17.5) > 1e-12 {
-		t.Errorf("25th percentile %g, want 17.5", got)
-	}
-	if got := Percentile([]float64{1, 2, 3, 100}, 50); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("even-count median %g, want 2.5", got)
-	}
-}
-
 func TestBlackmanWindowShape(t *testing.T) {
 	c := Blackman.Coefficients(128)
 	// Blackman edges are ~0 (slightly negative rounding is the exact

@@ -78,16 +78,6 @@ func Magnitude(spec []complex128) []float64 {
 	return out
 }
 
-// Power returns |spec[i]|^2 for every bin.
-func Power(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, v := range spec {
-		re, im := real(v), imag(v)
-		out[i] = re*re + im*im
-	}
-	return out
-}
-
 // BinFreq returns the center frequency in Hz of FFT bin i for a
 // transform of length n at sample rate fs.
 func BinFreq(i, n int, fs float64) float64 {

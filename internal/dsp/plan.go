@@ -135,9 +135,6 @@ func newBluesteinPlan(n int) *bluesteinPlan {
 func (p *FFTPlan) getScratch() *[]complex128  { return p.pool.Get().(*[]complex128) }
 func (p *FFTPlan) putScratch(s *[]complex128) { p.pool.Put(s) }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
 // Forward computes the DFT of x in place. len(x) must equal the plan
 // size.
 func (p *FFTPlan) Forward(x []complex128) {

@@ -77,17 +77,6 @@ func BenchmarkBluestein(b *testing.B) {
 	}
 }
 
-// BenchmarkSTFT frames one second of 48 kHz audio (92 hops of 1024).
-func BenchmarkSTFT(b *testing.B) {
-	x := benchReal(48000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := STFT(x, 1024, 512, Hann); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWelchPSD averages periodograms over a paper-scale analysis
 // window.
 func BenchmarkWelchPSD(b *testing.B) {

@@ -210,40 +210,6 @@ func TestPlanConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSTFTPreallocatedLayout checks STFT's flat-backing frames against
-// per-frame HalfSpectrum, and that writing one frame cannot corrupt its
-// neighbor (full-slice-expression capacity).
-func TestSTFTPreallocatedLayout(t *testing.T) {
-	rng := rand.New(rand.NewPCG(35, 36))
-	x := randReal(4096, rng)
-	frames, err := STFT(x, 512, 256, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantFrames := (4096-512)/256 + 1
-	if len(frames) != wantFrames {
-		t.Fatalf("%d frames, want %d", len(frames), wantFrames)
-	}
-	win := Hann.Coefficients(512)
-	for fi, frame := range frames {
-		if len(frame) != 257 {
-			t.Fatalf("frame %d has %d bins, want 257", fi, len(frame))
-		}
-		start := fi * 256
-		windowed := make([]float64, 512)
-		for i := range windowed {
-			windowed[i] = x[start+i] * win[i]
-		}
-		want := HalfSpectrum(windowed)
-		if err := maxErr(frame, want); err > 1e-9 {
-			t.Errorf("frame %d differs from HalfSpectrum by %g", fi, err)
-		}
-		if extra := cap(frame) - len(frame); extra != 0 {
-			t.Errorf("frame %d has %d bins of spare capacity into its neighbor", fi, extra)
-		}
-	}
-}
-
 // --- allocation-regression gates ---
 
 // The alloc gates pin steady-state allocation counts after the pools
@@ -272,25 +238,5 @@ func TestAllocsRFFTSteadyState(t *testing.T) {
 		p.IRFFT(rdst, dst)
 	}); avg > 1 {
 		t.Errorf("IRFFT steady state allocates %.1f times per op, want <= 1", avg)
-	}
-}
-
-// TestAllocsSTFTFrame gates the per-frame allocation rate of STFT: the
-// flat backing plus scratch amortize to ~1 allocation per frame, down
-// from 4+ (window copy, complex widening, spectrum, append growth).
-func TestAllocsSTFTFrame(t *testing.T) {
-	x := randReal(48000, rand.New(rand.NewPCG(39, 40)))
-	if _, err := STFT(x, 1024, 512, Hann); err != nil {
-		t.Fatal(err)
-	}
-	frames := (48000-1024)/512 + 1
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := STFT(x, 1024, 512, Hann); err != nil {
-			t.Fatal(err)
-		}
-	})
-	perFrame := avg / float64(frames)
-	if perFrame > 1 {
-		t.Errorf("STFT allocates %.2f times per frame (%.0f total / %d frames), want <= 1", perFrame, avg, frames)
 	}
 }

@@ -28,45 +28,6 @@ func hypot(a, b float64) float64 {
 	return sqrt(a*a + b*b)
 }
 
-// frameCount returns how many full frames of frameLen hopped by hop fit
-// in n samples.
-func frameCount(n, frameLen, hop int) int {
-	if n < frameLen {
-		return 0
-	}
-	return (n-frameLen)/hop + 1
-}
-
-// STFT computes a short-time Fourier transform of x with the given
-// frame length, hop size and window, returning one half-spectrum per
-// frame. Frames that would run past the end of x are dropped. Frame
-// storage is allocated up front in one flat backing array (the frame
-// count is known), and a single scratch buffer carries each windowed
-// frame into the planned real transform.
-func STFT(x []float64, frameLen, hop int, win Window) ([][]complex128, error) {
-	if frameLen <= 0 || hop <= 0 {
-		return nil, fmt.Errorf("dsp: invalid STFT parameters frameLen=%d hop=%d", frameLen, hop)
-	}
-	coeffs := win.Coefficients(frameLen)
-	count := frameCount(len(x), frameLen, hop)
-	if count == 0 {
-		return nil, nil
-	}
-	bins := frameLen/2 + 1
-	frames := make([][]complex128, count)
-	backing := make([]complex128, count*bins)
-	scratch := make([]float64, frameLen)
-	p := Plan(frameLen)
-	for fi := 0; fi < count; fi++ {
-		start := fi * hop
-		for i := range scratch {
-			scratch[i] = x[start+i] * coeffs[i]
-		}
-		frames[fi] = p.RFFT(backing[fi*bins:fi*bins:(fi+1)*bins], scratch)
-	}
-	return frames, nil
-}
-
 // WelchPSD estimates the power spectral density of x by averaging
 // periodograms of Hann-windowed segments with 50% overlap. It returns
 // the one-sided PSD (frameLen/2+1 bins) and works for any signal at

@@ -43,30 +43,6 @@ func TestWindowEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSTFTFrameCount(t *testing.T) {
-	x := make([]float64, 1000)
-	frames, err := STFT(x, 256, 128, Hann)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Starts at 0,128,256,...,744: floor((1000-256)/128)+1 = 6.
-	if len(frames) != 6 {
-		t.Errorf("got %d frames, want 6", len(frames))
-	}
-	if len(frames[0]) != 129 {
-		t.Errorf("frame spectrum length %d, want 129", len(frames[0]))
-	}
-}
-
-func TestSTFTInvalidParams(t *testing.T) {
-	if _, err := STFT(make([]float64, 100), 0, 10, Hann); err == nil {
-		t.Error("expected error for zero frame length")
-	}
-	if _, err := STFT(make([]float64, 100), 64, 0, Hann); err == nil {
-		t.Error("expected error for zero hop")
-	}
-}
-
 func TestWelchPSDPeak(t *testing.T) {
 	const fs = 8000.0
 	x := sine(1000, fs, 8000)

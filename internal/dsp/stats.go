@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of x, or 0 for empty input.
@@ -145,31 +144,6 @@ func MAD(x []float64) float64 {
 		acc += math.Abs(v - m)
 	}
 	return acc / float64(len(x))
-}
-
-// Percentile returns the p-th percentile of x (0 <= p <= 100) using
-// linear interpolation between closest ranks. The input is not
-// modified.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	sorted := make([]float64, len(x))
-	copy(sorted, x)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Normalize scales x so its maximum absolute value is 1 and returns a

@@ -32,9 +32,6 @@ func TestEmptyInputs(t *testing.T) {
 	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
 		t.Error("Max/Min of empty input should be ∓Inf")
 	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("Percentile(nil, 50) should be 0")
-	}
 }
 
 func TestMinMaxArgMax(t *testing.T) {
@@ -72,24 +69,6 @@ func TestConstantInputMoments(t *testing.T) {
 	x := []float64{2, 2, 2, 2}
 	if Skewness(x) != 0 || Kurtosis(x) != 0 {
 		t.Error("constant input should yield zero higher moments")
-	}
-}
-
-func TestMedianPercentile(t *testing.T) {
-	x := []float64{5, 1, 3}
-	if got := Percentile(x, 50); got != 3 {
-		t.Errorf("median = %g, want 3", got)
-	}
-	// Percentile must not modify its input.
-	if x[0] != 5 || x[1] != 1 || x[2] != 3 {
-		t.Error("Percentile modified input")
-	}
-	y := []float64{0, 10}
-	if got := Percentile(y, 50); got != 5 {
-		t.Errorf("50th percentile of {0,10} = %g, want 5", got)
-	}
-	if Percentile(y, 0) != 0 || Percentile(y, 100) != 10 {
-		t.Error("percentile endpoints wrong")
 	}
 }
 

@@ -3,7 +3,6 @@ package faultinject
 import (
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,10 +22,9 @@ import (
 // BlackHole is a listener that accepts connections and consumes
 // requests without ever responding.
 type BlackHole struct {
-	ln    net.Listener
-	conns atomic.Int64
-	wg    sync.WaitGroup
-	done  chan struct{}
+	ln   net.Listener
+	wg   sync.WaitGroup
+	done chan struct{}
 }
 
 // NewBlackHole starts a black hole on addr ("127.0.0.1:0" for an
@@ -44,9 +42,6 @@ func NewBlackHole(addr string) (*BlackHole, error) {
 
 // Addr is the listen address to hand to the system under test.
 func (b *BlackHole) Addr() string { return b.ln.Addr().String() }
-
-// Conns reports how many connections have been swallowed.
-func (b *BlackHole) Conns() int64 { return b.conns.Load() }
 
 // Close stops the listener and hangs up every swallowed connection.
 func (b *BlackHole) Close() error {
@@ -68,7 +63,6 @@ func (b *BlackHole) accept() {
 		if err != nil {
 			return
 		}
-		b.conns.Add(1)
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()

@@ -87,15 +87,6 @@ func (d *Detector) ScoreWith(w *Workspace, waveform []float64, fs float64) (floa
 	return d.net.PredictProbaWith(&w.net, frames)
 }
 
-// IsHuman applies the default 0.5 decision threshold.
-func (d *Detector) IsHuman(waveform []float64, fs float64) (bool, error) {
-	s, err := d.Score(waveform, fs)
-	if err != nil {
-		return false, err
-	}
-	return s >= 0.5, nil
-}
-
 // Evaluate scores a labeled set and returns the EER with its threshold
 // plus accuracy at the 0.5 operating point.
 func (d *Detector) Evaluate(waveforms [][]float64, fs float64, labels []int) (eer, threshold, accuracy float64, err error) {

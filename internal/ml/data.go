@@ -163,9 +163,6 @@ func (p *Pipeline) PredictScore(x, scratch []float64) (label int, score float64,
 	return label, score, z
 }
 
-// Inner returns the wrapped classifier (for inspection in tests).
-func (p *Pipeline) Inner() Classifier { return p.clf }
-
 // TransformFeature applies the fitted standardizer to one raw feature
 // vector, for callers that need to talk to the inner classifier
 // directly (e.g. Platt-calibrated confidence queries).

@@ -111,16 +111,6 @@ func (r *Ring) search(key string) int {
 	return i
 }
 
-// Members returns the ring's distinct member IDs, sorted.
-func (r *Ring) Members() []string {
-	if r == nil {
-		return nil
-	}
-	out := make([]string, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Len returns the distinct member count.
 func (r *Ring) Len() int {
 	if r == nil {

@@ -114,15 +114,6 @@ func (s Stage) String() string {
 	}
 }
 
-// Stages lists every stage in pipeline order.
-func Stages() []Stage {
-	out := make([]Stage, numStages)
-	for i := range out {
-		out[i] = Stage(i)
-	}
-	return out
-}
-
 // Span is one recorded stage duration.
 type Span struct {
 	Stage    Stage

@@ -42,9 +42,6 @@ const (
 // decimated (the streaming ingest path) down to it first.
 const SpotterSampleRate = 16000.0
 
-// SpotterBands returns the fingerprint band count per frame.
-func SpotterBands() int { return spotBands }
-
 // NewSpotter builds a spotter for the word from numTemplates
 // synthesized speaker variants.
 func NewSpotter(word speech.WakeWord, numTemplates int, seed uint64) (*Spotter, error) {
@@ -257,7 +254,7 @@ func (o *OnlineSpotter) Reset() {
 // Ready reports whether a full template-length window has accumulated.
 func (o *OnlineSpotter) Ready() bool { return o.filled == o.s.frames }
 
-// PushFrame appends one fingerprint frame (len == SpotterBands()) and,
+// PushFrame appends one fingerprint frame (one value per band) and,
 // once a full window has accumulated, returns the best normalized
 // template correlation for the window ending at this frame and
 // ready=true. The call performs no allocations.
