@@ -92,7 +92,7 @@ func GroundTruthFacing(angleDeg float64) bool {
 type ModelConfig struct {
 	// C and Gamma parameterize the RBF SVM. Zero values select C=1
 	// and gamma=1/d (features are standardized first), the optimum of
-	// the cmd/tune grid search on the Table III cell.
+	// a grid search on the Table III cell.
 	C, Gamma float64
 	// Seed drives SMO randomness.
 	Seed uint64
