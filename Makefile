@@ -108,7 +108,7 @@ BENCH_TAG  ?= pr10
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkRuntime|BenchmarkPipelineStages|BenchmarkStreamEndToEnd' -benchmem -benchtime 50x . \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand' -benchmem ./internal/dsp ./internal/srp \
+	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkIRFFTLags|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand' -benchmem ./internal/dsp ./internal/srp \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
 	$(GO) test -run xxx -bench 'BenchmarkForwardOverhead' -benchmem -benchtime 50x ./internal/cluster \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)

@@ -1,14 +1,51 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
 )
 
-// Differential oracles for the band-pass, decimation and Welch
+// Differential oracles for the FFT, band-pass, decimation and Welch
 // kernels: each reference below is the straightforward loop the kernel
 // replaced, and the kernel must match it bit for bit.
+
+// radix2Ref is the one-stage-per-pass radix-2 transform: the
+// bit-reversal permutation, then each stage reading its twiddles at
+// stride n/size from a single table exp(∓2πik/n), k < n/2.
+func radix2Ref(x []complex128, inverse bool) {
+	n := len(x)
+	p := Plan(n)
+	for i, pj := range p.perm {
+		if j := int(pj); j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	tw := make([]complex128, n/2)
+	for k := range tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		s, c := math.Sincos(ang)
+		tw[k] = complex(c, s)
+		if inverse {
+			tw[k] = complex(c, -s)
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		stride := n / size
+		for start := 0; start < n; start += size {
+			ti := 0
+			for k := start; k < start+half; k++ {
+				even := x[k]
+				odd := x[k+half] * tw[ti]
+				x[k] = even + odd
+				x[k+half] = even - odd
+				ti += stride
+			}
+		}
+	}
+}
 
 // applyToRef runs the cascade one section per pass over the signal.
 func applyToRef(f *IIRFilter, dst, x []float64) []float64 {
@@ -122,6 +159,90 @@ func sameBits(t *testing.T, what string, want, got []float64) {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: sample %d = %v (%#x), want %v (%#x)", what, i,
 				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+// sameComplexBits is sameBits over the real and imaginary parts.
+func sameComplexBits(t *testing.T, what string, want, got []complex128) {
+	t.Helper()
+	flat := func(z []complex128) []float64 {
+		out := make([]float64, 0, 2*len(z))
+		for _, v := range z {
+			out = append(out, real(v), imag(v))
+		}
+		return out
+	}
+	sameBits(t, what, flat(want), flat(got))
+}
+
+// oracleComplex returns n Gaussian values from seed; sparse keeps only
+// every seventh and leaves the rest signed zeros, so the kernels'
+// handling of -0 is compared too.
+func oracleComplex(n int, seed uint64, sparse bool) []complex128 {
+	rng := rand.New(rand.NewPCG(seed, 11))
+	z := make([]complex128, n)
+	for i := range z {
+		re, im := rng.NormFloat64(), rng.NormFloat64()
+		if sparse && i%7 != 0 {
+			re, im = math.Copysign(0, re), math.Copysign(0, im)
+		}
+		z[i] = complex(re, im)
+	}
+	return z
+}
+
+// The fused two-stages-per-pass kernel matches the one-stage-per-pass
+// loop on every bit, forward and inverse, at every power of two from 2
+// to 2^17.
+func TestRadix2MatchesReference(t *testing.T) {
+	for n := 2; n <= 1<<17; n <<= 1 {
+		for _, inverse := range []bool{false, true} {
+			for _, sparse := range []bool{false, true} {
+				x := oracleComplex(n, uint64(n), sparse)
+				want := append([]complex128(nil), x...)
+				radix2Ref(want, inverse)
+				Plan(n).radix2(x, inverse)
+				sameComplexBits(t, fmt.Sprintf("n=%d inverse=%v sparse=%v", n, inverse, sparse), want, x)
+			}
+		}
+	}
+}
+
+// windowRef reads lags -maxLag..+maxLag out of a circular sequence.
+func windowRef(r []float64, maxLag int) []float64 {
+	out := make([]float64, 2*maxLag+1)
+	for k := -maxLag; k <= maxLag; k++ {
+		idx := k
+		if idx < 0 {
+			idx += len(r)
+		}
+		out[k+maxLag] = r[idx]
+	}
+	return out
+}
+
+// IRFFTLags matches IRFFT followed by the lag window on every bit, on
+// windows narrow enough to prune the late stages and on windows wide
+// enough to fall back to the whole inverse.
+func TestIRFFTLagsMatchesWindowedIRFFT(t *testing.T) {
+	for _, m := range []int{4, 8, 2048, 65536} {
+		h := m / 2
+		p := Plan(m)
+		scratch := make([]complex128, h)
+		for _, sparse := range []bool{false, true} {
+			spec := oracleComplex(h+1, uint64(m)+3, sparse)
+			r := p.IRFFT(nil, spec)
+			for _, maxLag := range []int{0, 1, 2, 13, 21, 27, h / 2, h - 1} {
+				if maxLag >= m {
+					continue
+				}
+				for i := range scratch {
+					scratch[i] = complex(math.NaN(), math.NaN())
+				}
+				got := p.IRFFTLags(nil, spec, maxLag, scratch)
+				sameBits(t, fmt.Sprintf("m=%d maxLag=%d sparse=%v", m, maxLag, sparse), windowRef(r, maxLag), got)
+			}
 		}
 	}
 }
