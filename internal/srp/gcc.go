@@ -6,12 +6,27 @@
 package srp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
 
 	"headtalk/internal/dsp"
 )
+
+// ErrLagWindow reports a lag window wider than the circular
+// correlation it is read from: MaxLag must stay below the padded
+// transform length m = NextPow2(2·len(channel)).
+var ErrLagWindow = errors.New("srp: lag window does not fit the correlation")
+
+// lagFits checks that lags -maxLag..+maxLag (maxLag >= 0) index an
+// m-point circular correlation.
+func lagFits(maxLag, m int) error {
+	if maxLag >= m {
+		return fmt.Errorf("%w: maxLag %d, %d-point correlation", ErrLagWindow, maxLag, m)
+	}
+	return nil
+}
 
 // phatEps is the magnitude floor below which a bin is dropped from the
 // whitened cross-spectrum instead of being blown up to unit magnitude.
@@ -49,6 +64,9 @@ func GCCPHATBand(a, b []float64, maxLag int, fs, loHz, hiHz float64) ([]float64,
 	}
 	n := len(a)
 	m := dsp.NextPow2(2 * n)
+	if err := lagFits(maxLag, m); err != nil {
+		return nil, err
+	}
 	p := dsp.Plan(m)
 	padded := make([]float64, m)
 	copy(padded, a)
@@ -127,6 +145,9 @@ func CrossCorrPHATless(a, b []float64, maxLag int) ([]float64, error) {
 	}
 	n := len(a)
 	m := dsp.NextPow2(2 * n)
+	if err := lagFits(maxLag, m); err != nil {
+		return nil, err
+	}
 	p := dsp.Plan(m)
 	padded := make([]float64, m)
 	copy(padded, a)

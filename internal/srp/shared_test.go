@@ -1,6 +1,7 @@
 package srp
 
 import (
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -80,6 +81,32 @@ func TestAllPairsErrorCases(t *testing.T) {
 	}
 	if _, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: -1}); err == nil {
 		t.Error("expected negative-lag error")
+	}
+	// A 2-sample channel pads to a 4-point correlation: lags ±5 do not
+	// exist in it.
+	if _, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 5, PHAT: true}); !errors.Is(err, ErrLagWindow) {
+		t.Errorf("MaxLag past the correlation: err=%v, want ErrLagWindow", err)
+	}
+	if _, err := GCCPHATBand([]float64{1, 2}, []float64{3, 4}, 4, 0, 0, 0); !errors.Is(err, ErrLagWindow) {
+		t.Errorf("GCCPHATBand MaxLag past the correlation: err=%v, want ErrLagWindow", err)
+	}
+	if _, err := CrossCorrPHATless([]float64{1, 2}, []float64{3, 4}, 4); !errors.Is(err, ErrLagWindow) {
+		t.Errorf("CrossCorrPHATless MaxLag past the correlation: err=%v, want ErrLagWindow", err)
+	}
+	// The widest window that fits, m-1, still works, and matches the
+	// pairwise path.
+	pairs, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 3, PHAT: true})
+	if err != nil {
+		t.Fatalf("MaxLag 3 on a 4-point correlation: %v", err)
+	}
+	want, err := GCCPHATBand([]float64{1, 2}, []float64{3, 4}, 3, 0, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range want {
+		if d := math.Abs(pairs[0].R[k] - want[k]); d > 1e-12 {
+			t.Errorf("MaxLag 3 lag %d: shared %g vs pairwise %g", k-3, pairs[0].R[k], want[k])
+		}
 	}
 	// Fewer than two channels: no pairs, no error (unchanged behavior).
 	if pairs, err := AllPairs([][]float64{{1, 2}}, PairOptions{MaxLag: 3}); err != nil || len(pairs) != 0 {

@@ -8,10 +8,12 @@ import (
 )
 
 // Workspace owns every scratch buffer the pair-correlation path needs:
-// padded FFT input, per-channel spectra, cross-spectrum, circular
-// correlation, lag windows and the PairGCC headers themselves. A
-// workspace reused across calls performs no steady-state allocation —
-// the shape the serving engine's per-worker arenas rely on.
+// padded FFT input, per-channel spectra, cross-spectrum, the inverse
+// transform's complex scratch, lag windows and the PairGCC headers
+// themselves. A workspace reused across calls performs no steady-state
+// allocation, also across garbage collections (nothing comes from a
+// sync.Pool) — the shape the serving engine's per-worker arenas rely
+// on.
 //
 // Results returned by workspace methods alias workspace-owned memory
 // and are valid only until the next call on the same workspace. A
@@ -22,7 +24,7 @@ type Workspace struct {
 	specs  [][]complex128
 	rms    []float64
 	cross  []complex128
-	rbuf   []float64
+	inv    []complex128
 	rback  []float64
 	out    []PairGCC
 	srp    []float64
@@ -118,6 +120,9 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 	npairs := nch * (nch - 1) / 2
 	want := 2*opt.MaxLag + 1
 	m := dsp.NextPow2(2 * n)
+	if err := lagFits(opt.MaxLag, m); err != nil {
+		return nil, err
+	}
 	p := dsp.Plan(m)
 	bins := m/2 + 1
 	ws.flat = growC(ws.flat, nch*bins)
@@ -133,7 +138,7 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 		ws.padded = ws.padded[:m]
 	}
 	ws.cross = growC(ws.cross, bins)
-	ws.rbuf = growF(ws.rbuf, m)
+	ws.inv = growC(ws.inv, m/2)
 	ws.rback = growF(ws.rback, npairs*want)
 	if cap(ws.out) < npairs {
 		ws.out = make([]PairGCC, npairs)
@@ -202,8 +207,10 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 				}
 				scale = 1 / norm
 			}
-			p.IRFFT(ws.rbuf, ws.cross)
-			r := lagWindow(ws.rback[k*want:k*want:(k+1)*want], ws.rbuf, opt.MaxLag, scale)
+			r := p.IRFFTLags(ws.rback[k*want:k*want:(k+1)*want], ws.cross, opt.MaxLag, ws.inv)
+			for i := range r {
+				r[i] *= scale
+			}
 			ws.out[k] = PairGCC{
 				I:    subset[a],
 				J:    subset[b],
