@@ -285,12 +285,70 @@ func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.Sys
 		}
 		cfg.Models = registry.NewStatic(set)
 	}
+	if err := checkGeometry(p.Features, p.ChannelSubset, cfg.Models.ModelSet()); err != nil {
+		return nil, nil, err
+	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: rebuilding system: %v", ErrSnapshotCorrupt, err)
 	}
 	sys.SetMode(mode)
 	return sys, models, nil
+}
+
+// checkGeometry refuses a feature configuration the restored
+// orientation models cannot score, which would otherwise fail every
+// decision after restore: a lag window that is not positive, or one
+// that extracts vectors of another length than a model was trained on.
+// The primary model scores the channel subset, or any count of at
+// least two channels when the envelope names none; each degraded-array
+// fallback scores its own channel count.
+func checkGeometry(cfg features.Config, subset []int, set *registry.ModelSet) error {
+	if cfg.MaxLag <= 0 {
+		return fmt.Errorf("%w: features MaxLag %d is not positive", ErrSnapshotCorrupt, cfg.MaxLag)
+	}
+	if m := set.Orientation; m != nil && !scoresDim(cfg, m.FeatureDim(), len(subset)) {
+		return fmt.Errorf("%w: features (MaxLag %d) do not extract the orientation model's %d dimensions",
+			ErrSnapshotCorrupt, cfg.MaxLag, m.FeatureDim())
+	}
+	for n, m := range set.OrientationByChannels {
+		if !scoresDim(cfg, m.FeatureDim(), n) {
+			return fmt.Errorf("%w: features (MaxLag %d) do not extract the %d-channel fallback model's %d dimensions",
+				ErrSnapshotCorrupt, cfg.MaxLag, n, m.FeatureDim())
+		}
+	}
+	return nil
+}
+
+// scoresDim reports whether cfg extracts d-dimensional vectors from
+// nch channels, or from some count of at least two when nch is 0. A
+// model that does not know its dimensionality (d 0) fits any config.
+func scoresDim(cfg features.Config, d, nch int) bool {
+	if d == 0 {
+		return true
+	}
+	// A lag window or chunk count larger than d alone outgrows the
+	// vector; rejecting it first also keeps Dim from overflowing.
+	if !cfg.DisableReverbFeatures && cfg.MaxLag > d {
+		return false
+	}
+	if !cfg.DisableDirectivityFeatures && !cfg.GCCOnly && cfg.LowBandChunks > d {
+		return false
+	}
+	if nch > 0 {
+		return cfg.Dim(nch) == d
+	}
+	// Dim grows with the channel count unless the pair-wise group is
+	// off, in which case the count does not matter.
+	for c := 2; ; c++ {
+		got := cfg.Dim(c)
+		if got == d {
+			return true
+		}
+		if got > d || cfg.DisableReverbFeatures {
+			return false
+		}
+	}
 }
 
 // fallbackProvider overlays static degraded-array fallback models on a

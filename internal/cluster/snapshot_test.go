@@ -22,6 +22,11 @@ import (
 
 var update = flag.Bool("update", false, "rebuild the pinned snapshot envelopes in testdata/")
 
+// pinFeatures is the feature geometry both pinned tenants serve: the
+// GCC-only layout at a ±1 lag window, whose 24-dimensional vectors from
+// four channels (12 from three) keep the pinned models small.
+var pinFeatures = features.Config{MaxLag: 1, SampleRate: 48000, GCCOnly: true, UsePHAT: true}
+
 // snapshotPins are the committed envelopes in testdata/: one tenant
 // whose models are a static set (every model kind plus a degraded-array
 // fallback, ensemble armed) and one whose models resolve through a
@@ -35,11 +40,12 @@ var snapshotPins = []struct {
 	{"snapshot-registry.json", "", "", registryPinTenant},
 }
 
-// pinOrientation trains an orientation model on eight 4-dimensional
-// vectors: it keeps the pinned envelopes small, and capture and restore
-// never check a model's dimension against the feature geometry.
-func pinOrientation(t testing.TB, shift float64) *orientation.Model {
+// pinOrientation trains an orientation model on eight synthetic vectors
+// of the length the pins' feature geometry extracts from nch channels:
+// restore refuses a model whose dimension the geometry cannot produce.
+func pinOrientation(t testing.TB, shift float64, nch int) *orientation.Model {
 	t.Helper()
+	dim := pinFeatures.Dim(nch)
 	var x [][]float64
 	var y []int
 	for i := 0; i < 8; i++ {
@@ -47,7 +53,11 @@ func pinOrientation(t testing.TB, shift float64) *orientation.Model {
 		if i%2 == 1 {
 			v, label = 1, orientation.LabelFacing
 		}
-		x = append(x, []float64{v + shift, float64(i % 3), 0.5 * v, shift - 0.1*float64(i)})
+		vec := []float64{v + shift, float64(i % 3), 0.5 * v, shift - 0.1*float64(i)}
+		for k := len(vec); k < dim; k++ {
+			vec = append(vec, float64((7*i+k)%5))
+		}
+		x = append(x, vec)
 		y = append(y, label)
 	}
 	m, err := orientation.Train(x, y, orientation.ModelConfig{Seed: 1})
@@ -85,10 +95,10 @@ func staticPinTenant(t testing.TB) (*core.System, *registry.Registry) {
 		t.Fatal(err)
 	}
 	sys, err := core.NewSystem(core.Config{
-		Features: features.DefaultConfig(13, 48000),
+		Features: pinFeatures,
 		Models: registry.NewStatic(registry.ModelSet{
-			Orientation:           pinOrientation(t, 0),
-			OrientationByChannels: map[int]*orientation.Model{3: pinOrientation(t, 0.25)},
+			Orientation:           pinOrientation(t, 0, 4),
+			OrientationByChannels: map[int]*orientation.Model{3: pinOrientation(t, 0.25, 3)},
 			Liveness:              det,
 			ArrayFingerprint:      pinFingerprint(t, 500),
 			RequireEnsemble:       true,
@@ -107,18 +117,18 @@ func staticPinTenant(t testing.TB) (*core.System, *registry.Registry) {
 func registryPinTenant(t testing.TB) (*core.System, *registry.Registry) {
 	t.Helper()
 	reg := registry.New(registry.Config{})
-	if _, err := reg.Install(registry.KindOrientation, pinOrientation(t, 0)); err != nil {
+	if _, err := reg.Install(registry.KindOrientation, pinOrientation(t, 0, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Install(registry.KindOrientation, pinOrientation(t, 0.5)); err != nil {
+	if _, err := reg.Install(registry.KindOrientation, pinOrientation(t, 0.5, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := reg.Install(registry.KindArrayFingerprint, pinFingerprint(t, 600)); err != nil {
 		t.Fatal(err)
 	}
 	sys, err := core.NewSystem(core.Config{
-		Features:       features.DefaultConfig(13, 48000),
-		Models:         &fallbackProvider{inner: reg, fallbacks: map[int]*orientation.Model{3: pinOrientation(t, 0.75)}},
+		Features:       pinFeatures,
+		Models:         &fallbackProvider{inner: reg, fallbacks: map[int]*orientation.Model{3: pinOrientation(t, 0.75, 3)}},
 		SessionTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -224,6 +234,48 @@ func resealed(t testing.TB, env *Envelope, edit func(p map[string]any)) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestRestoreRefusesUnscorableGeometry: an envelope whose feature
+// geometry its orientation models cannot score is refused at restore
+// with ErrSnapshotCorrupt, instead of restoring a tenant that fails
+// every decision.
+func TestRestoreRefusesUnscorableGeometry(t *testing.T) {
+	_, static := readPin(t, "snapshot-static.json")
+	setLag := func(lag int) func(p map[string]any) {
+		return func(p map[string]any) { p["features"].(map[string]any)["MaxLag"] = lag }
+	}
+	for _, c := range []struct {
+		name string
+		edit func(p map[string]any)
+		ok   bool
+	}{
+		{"lag-20000", setLag(20000), false},
+		{"lag-minus-3", setLag(-3), false},
+		{"lag-0", setLag(0), false},
+		{"lag-2", setLag(2), false},
+		// The primary model is 24-dimensional: four channels, not three.
+		{"subset-of-4", func(p map[string]any) { p["channel_subset"] = []int{0, 1, 2, 3} }, true},
+		{"subset-of-3", func(p map[string]any) { p["channel_subset"] = []int{0, 1, 2} }, false},
+		// The 3-channel fallback filed under another channel count.
+		{"fallback-as-2", func(p map[string]any) {
+			fb := p["orientation_by_channels"].(map[string]any)
+			fb["2"] = fb["3"]
+			delete(fb, "3")
+		}, false},
+	} {
+		var env Envelope
+		if err := json.Unmarshal(resealed(t, static, c.edit), &env); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := BuildSystemWithModels(&env, nil)
+		if c.ok && err != nil {
+			t.Errorf("%s: restore refused: %v", c.name, err)
+		}
+		if !c.ok && !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: restore err = %v, want ErrSnapshotCorrupt", c.name, err)
+		}
+	}
 }
 
 // FuzzSnapshotEnvelope: whatever bytes arrive as a snapshot envelope,

@@ -98,6 +98,40 @@ func TestExtractFeatureGroupToggles(t *testing.T) {
 	}
 }
 
+// Config.Dim predicts the length of every vector Extract assembles,
+// across channel counts, lag windows and feature-group toggles.
+func TestDimMatchesExtract(t *testing.T) {
+	rng := rand.New(rand.NewPCG(6, 1))
+	cfgs := []Config{DefaultConfig(13, 48000), DefaultConfig(21, 48000)}
+	for _, edit := range []func(*Config){
+		func(c *Config) { c.GCCOnly = true },
+		func(c *Config) { c.DisableDirectivityFeatures = true },
+		func(c *Config) { c.DisableReverbFeatures = true },
+		func(c *Config) { c.LowBandChunks = 7 },
+	} {
+		c := DefaultConfig(13, 48000)
+		edit(&c)
+		cfgs = append(cfgs, c)
+	}
+	for _, nch := range []int{2, 3, 4, 7} {
+		rec := audio.NewRecording(48000, nch, 4000)
+		for _, ch := range rec.Channels {
+			for i := range ch {
+				ch[i] = rng.NormFloat64()
+			}
+		}
+		for _, cfg := range cfgs {
+			feats, err := Extract(rec, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.Dim(nch); got != len(feats) {
+				t.Errorf("%d channels, %+v: Dim %d, Extract %d", nch, cfg, got, len(feats))
+			}
+		}
+	}
+}
+
 func TestExtractValidation(t *testing.T) {
 	rec := testRecording(20000, 5)
 	cfg := DefaultConfig(0, 48000)

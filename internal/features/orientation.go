@@ -60,6 +60,29 @@ func DefaultConfig(maxLag int, sampleRate float64) Config {
 	}
 }
 
+// Dim returns the length of the vector Extract assembles under c from
+// a capture of the given channel count, following the layout on
+// Extract. The caller keeps MaxLag and LowBandChunks small enough that
+// the count cannot overflow.
+func (c Config) Dim(channels int) int {
+	pairs := channels * (channels - 1) / 2
+	n := 0
+	if !c.DisableReverbFeatures {
+		n += pairs * (2*c.MaxLag + 2) // GCC window and TDoA per pair
+		if !c.GCCOnly {
+			n += pairs*5 + 3 + 5 // pair statistics, SRP peaks and statistics
+		}
+	}
+	if !c.DisableDirectivityFeatures && !c.GCCOnly {
+		chunks := c.LowBandChunks
+		if chunks <= 0 {
+			chunks = 20
+		}
+		n += 1 + 3*chunks // HLBR and the low-band chunk statistics
+	}
+	return n
+}
+
 // Extract computes the orientation feature vector from a multi-channel
 // recording (already preprocessed/bandpassed). The vector layout for a
 // 4-channel capture with maxLag=13 is:
