@@ -63,8 +63,8 @@ func fftInPlace(x []complex128, inverse bool) {
 
 // HalfSpectrum returns the non-redundant half of a real signal's
 // spectrum: bins 0..n/2 inclusive (n/2+1 bins for even n). It runs the
-// packed real transform (see FFTPlan.RFFT); use HalfSpectrumInto to
-// reuse an output buffer across calls.
+// packed real transform (see FFTPlan.RFFT); use RFFT to reuse an
+// output buffer across calls.
 func HalfSpectrum(x []float64) []complex128 {
 	return RFFT(nil, x)
 }

@@ -32,9 +32,6 @@ type IIRFilter struct {
 	sections []Biquad
 }
 
-// Sections returns the number of biquad sections in the cascade.
-func (f *IIRFilter) Sections() int { return len(f.sections) }
-
 // Clone returns an independent filter with the same coefficients and
 // freshly reset state. Cloning a designed filter is much cheaper than
 // re-running the design math (no trig), and gives each goroutine its

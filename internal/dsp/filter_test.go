@@ -83,8 +83,8 @@ func TestButterworthOrderSections(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := (order + 1) / 2
-		if f.Sections() != want {
-			t.Errorf("order %d: %d sections, want %d", order, f.Sections(), want)
+		if len(f.sections) != want {
+			t.Errorf("order %d: %d sections, want %d", order, len(f.sections), want)
 		}
 	}
 }

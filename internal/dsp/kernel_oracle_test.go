@@ -3,7 +3,9 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand/v2"
+	"sync"
 	"testing"
 )
 
@@ -16,9 +18,9 @@ import (
 // stride n/size from a single table exp(∓2πik/n), k < n/2.
 func radix2Ref(x []complex128, inverse bool) {
 	n := len(x)
-	p := Plan(n)
-	for i, pj := range p.perm {
-		if j := int(pj); j > i {
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := range x {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
@@ -209,6 +211,50 @@ func TestRadix2MatchesReference(t *testing.T) {
 	}
 }
 
+// A plan used only through the real transforms never builds its own
+// radix-2 tables: RFFT, IRFFT and IRFFTLags run on the half-size plan.
+func TestRealTransformsLeaveComplexTablesUnbuilt(t *testing.T) {
+	const n = 1 << 12
+	p := newPlan(n)
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(0.01 * float64(i))
+	}
+	spec := p.RFFT(nil, x)
+	p.IRFFT(nil, spec)
+	p.IRFFTLags(nil, spec, 13, make([]complex128, n/2))
+	if p.perm != nil || p.twf != nil || p.twi != nil {
+		t.Fatalf("real transforms built the size-%d complex tables", n)
+	}
+	if p.half.perm == nil {
+		t.Fatal("the half-size plan ran no complex transform")
+	}
+}
+
+// Goroutines racing to make the first complex transform of a fresh plan
+// build its tables once and all get the reference result.
+func TestRadix2FirstUseConcurrent(t *testing.T) {
+	const n = 1 << 10
+	in := oracleComplex(n, 5, false)
+	want := append([]complex128(nil), in...)
+	radix2Ref(want, false)
+	p := newPlan(n)
+	got := make([][]complex128, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = append([]complex128(nil), in...)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.Forward(got[g])
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		sameComplexBits(t, fmt.Sprintf("goroutine %d", g), want, got[g])
+	}
+}
+
 // windowRef reads lags -maxLag..+maxLag out of a circular sequence.
 func windowRef(r []float64, maxLag int) []float64 {
 	out := make([]float64, 2*maxLag+1)
@@ -313,11 +359,11 @@ func FuzzDecimate(f *testing.F) {
 		fac := int(factor%6) + 1
 		x := oracleSignal(raw, int(n)%4097, seed)
 		want := decimateRef(x, fac)
-		got, err := Decimate(x, fac)
+		got, err := DecimateInto(nil, x, fac)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, "Decimate", want, got)
+		sameBits(t, "DecimateInto", want, got)
 		// A reused, oversized destination must give the same samples.
 		dst := make([]float64, len(x)+7)
 		for i := range dst {

@@ -13,21 +13,24 @@ import (
 // real-transform unpack twiddles, and — for non-power-of-two sizes — a
 // cached Bluestein chirp with its pre-transformed convolution kernel.
 //
-// Plans are immutable after construction and safe for concurrent use by
-// any number of goroutines; mutable scratch lives in a sync.Pool. Get a
+// Plans are safe for concurrent use by any number of goroutines; the
+// radix-2 tables are built once, on the first complex transform of the
+// size (sizes used only through RFFT/IRFFT never need them), and
+// mutable scratch lives in a sync.Pool. Get a
 // plan from Plan(n), which caches one per size for the life of the
 // process (a handful of sizes dominate: frame lengths and the GCC
 // padding sizes).
 type FFTPlan struct {
 	n int
 
-	// Radix-2 tables (power-of-two n only). The twiddles of every
-	// butterfly stage sit end to end, n-1 entries per direction: the
-	// stage of half-size h reads tw[h-1 : 2h-1], whose entry j is
-	// exp(-2πi·j/(2h)) (conjugated for the inverse).
-	perm []int32      // bit-reversal permutation
-	twf  []complex128 // forward stage twiddles
-	twi  []complex128 // inverse stage twiddles (conjugates of twf)
+	// Radix-2 tables (power-of-two n only), built by radix2Tables. The
+	// twiddles of every butterfly stage sit end to end, n-1 entries per
+	// direction: the stage of half-size h reads tw[h-1 : 2h-1], whose
+	// entry j is exp(-2πi·j/(2h)) (conjugated for the inverse).
+	tables sync.Once
+	perm   []int32      // bit-reversal permutation
+	twf    []complex128 // forward stage twiddles
+	twi    []complex128 // inverse stage twiddles (conjugates of twf)
 
 	// Real-transform unpack twiddles exp(-2πik/n), k <= n/4 (even n).
 	rtw  []complex128
@@ -76,7 +79,34 @@ func newPlan(n int) *FFTPlan {
 		return p
 	}
 	scratchLen := n / 2
-	if IsPow2(n) {
+	if !IsPow2(n) {
+		p.bs = newBluesteinPlan(n)
+		if p.bs.m > scratchLen {
+			scratchLen = p.bs.m
+		}
+	}
+	if n%2 == 0 {
+		p.half = Plan(n / 2)
+		p.rtw = make([]complex128, n/4+1)
+		for k := range p.rtw {
+			ang := -2 * math.Pi * float64(k) / float64(n)
+			s, c := math.Sincos(ang)
+			p.rtw[k] = complex(c, s)
+		}
+	}
+	size := scratchLen
+	p.pool = &sync.Pool{New: func() any {
+		buf := make([]complex128, size)
+		return &buf
+	}}
+	return p
+}
+
+// radix2Tables builds the bit-reversal permutation and both stage
+// twiddle tables of a power-of-two plan, once.
+func (p *FFTPlan) radix2Tables() {
+	p.tables.Do(func() {
+		n := p.n
 		shift := 64 - uint(bits.Len(uint(n-1)))
 		p.perm = make([]int32, n)
 		for i := 0; i < n; i++ {
@@ -103,27 +133,7 @@ func newPlan(n int) *FFTPlan {
 		for i, w := range p.twf {
 			p.twi[i] = complex(real(w), -imag(w))
 		}
-	} else {
-		p.bs = newBluesteinPlan(n)
-		if p.bs.m > scratchLen {
-			scratchLen = p.bs.m
-		}
-	}
-	if n%2 == 0 {
-		p.half = Plan(n / 2)
-		p.rtw = make([]complex128, n/4+1)
-		for k := range p.rtw {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			s, c := math.Sincos(ang)
-			p.rtw[k] = complex(c, s)
-		}
-	}
-	size := scratchLen
-	p.pool = &sync.Pool{New: func() any {
-		buf := make([]complex128, size)
-		return &buf
-	}}
-	return p
+	})
 }
 
 func newBluesteinPlan(n int) *bluesteinPlan {
@@ -158,7 +168,7 @@ func (p *FFTPlan) Forward(x []complex128) {
 	if p.n <= 1 {
 		return
 	}
-	if p.perm != nil {
+	if p.bs == nil {
 		p.radix2(x, false)
 		return
 	}
@@ -174,7 +184,7 @@ func (p *FFTPlan) Inverse(x []complex128) {
 		return
 	}
 	scale := 1 / float64(n)
-	if p.perm != nil {
+	if p.bs == nil {
 		p.radix2(x, true)
 		for i := range x {
 			x[i] *= complex(scale, 0)
@@ -202,6 +212,7 @@ func (p *FFTPlan) checkLen(got int) {
 // plan's precomputed tables: the bit-reversal permutation, then every
 // decimation-in-time butterfly stage in order.
 func (p *FFTPlan) radix2(x []complex128, inverse bool) {
+	p.radix2Tables()
 	p.permute(x)
 	tw := p.twf
 	if inverse {
@@ -466,7 +477,8 @@ func (p *FFTPlan) IRFFTLags(dst []float64, spec []complex128, maxLag int, scratc
 	z := scratch[:h]
 	p.repack(z, spec)
 	keep := maxLag/2 + 1
-	if hp := p.half; hp.perm != nil && 4*keep <= h {
+	if hp := p.half; hp.bs == nil && 4*keep <= h {
+		hp.radix2Tables()
 		hp.permute(z)
 		full := 1 // the largest half-size below 2·keep
 		for full < keep {
@@ -522,13 +534,6 @@ func IRFFT(dst []float64, spec []complex128, n int) []float64 {
 		return dst[:0]
 	}
 	return Plan(n).IRFFT(dst, spec)
-}
-
-// HalfSpectrumInto is the dst-reusing variant of HalfSpectrum: it
-// writes the n/2+1 non-redundant bins of x's spectrum into dst (grown
-// if needed) and returns the sized slice.
-func HalfSpectrumInto(dst []complex128, x []float64) []complex128 {
-	return RFFT(dst, x)
 }
 
 // MagnitudeInto writes |spec[i]| into dst (grown if needed) and

@@ -145,18 +145,18 @@ func TestRFFTReusesDst(t *testing.T) {
 	}
 }
 
-// TestInPlaceVariantsMatchAllocating checks HalfSpectrumInto against
-// its allocating counterpart.
+// TestInPlaceVariantsMatchAllocating checks RFFT into a reused buffer
+// against the allocating HalfSpectrum.
 func TestInPlaceVariantsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewPCG(33, 34))
 	r := randReal(128, rng)
 	half := HalfSpectrum(r)
-	into := HalfSpectrumInto(make([]complex128, 0, 65), r)
+	into := RFFT(make([]complex128, 0, 65), r)
 	if len(into) != len(half) {
-		t.Fatalf("HalfSpectrumInto length %d, want %d", len(into), len(half))
+		t.Fatalf("RFFT length %d, want %d", len(into), len(half))
 	}
 	if err := maxErr(into, half); err > 0 {
-		t.Errorf("HalfSpectrumInto differs by %g", err)
+		t.Errorf("RFFT differs by %g", err)
 	}
 }
 

@@ -5,19 +5,12 @@ import (
 	"sync"
 )
 
-// Decimate low-pass filters x (windowed-sinc FIR at 0.45 of the target
-// Nyquist) and keeps every factor-th sample. It is the fast path for
-// integer-ratio downsampling such as 48 kHz -> 16 kHz (factor 3).
-func Decimate(x []float64, factor int) ([]float64, error) {
-	if factor < 1 {
-		return nil, fmt.Errorf("dsp: decimation factor %d must be >= 1", factor)
-	}
-	return DecimateInto(make([]float64, (len(x)+factor-1)/factor), x, factor)
-}
-
-// DecimateInto is Decimate writing into dst (grown if needed); it
-// returns dst[:ceil(len(x)/factor)] and, with a large enough dst and a
-// factor below 16, allocates nothing.
+// DecimateInto low-pass filters x (windowed-sinc FIR at 0.45 of the
+// target Nyquist) and keeps every factor-th sample, writing into dst
+// (grown if needed). It is the fast path for integer-ratio
+// downsampling such as 48 kHz -> 16 kHz (factor 3). It returns
+// dst[:ceil(len(x)/factor)] and, with a large enough dst and a factor
+// below 16, allocates nothing.
 //
 // Only the FIR outputs the decimation keeps are computed: output m is
 // the filter at j = m*factor + delay (clamped to the last sample, which
@@ -82,7 +75,7 @@ func decimationTaps(factor int) []float64 {
 }
 
 // Resample converts x from sample rate from to sample rate to. Integer
-// downsampling ratios use Decimate; all other ratios use band-limited
+// downsampling ratios use DecimateInto; all other ratios use band-limited
 // linear interpolation (adequate for the synthesis-side rate changes in
 // this repo, where the source material is already band-limited).
 func Resample(x []float64, from, to float64) ([]float64, error) {

@@ -11,7 +11,7 @@ func TestDecimatePreservesTone(t *testing.T) {
 		to   = 16000.0
 	)
 	x := sine(1000, from, 9600)
-	y, err := Decimate(x, 3)
+	y, err := DecimateInto(nil, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestDecimatePreservesTone(t *testing.T) {
 func TestDecimateRemovesAlias(t *testing.T) {
 	// A 20 kHz tone must NOT alias into the 16 kHz output band.
 	x := sine(20000, 48000, 9600)
-	y, err := Decimate(x, 3)
+	y, err := DecimateInto(nil, x, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestDecimateRemovesAlias(t *testing.T) {
 }
 
 func TestDecimateValidation(t *testing.T) {
-	if _, err := Decimate([]float64{1}, 0); err == nil {
+	if _, err := DecimateInto(nil, []float64{1}, 0); err == nil {
 		t.Error("expected error for factor 0")
 	}
-	y, err := Decimate([]float64{1, 2, 3}, 1)
+	y, err := DecimateInto(nil, []float64{1, 2, 3}, 1)
 	if err != nil || len(y) != 3 {
 		t.Error("factor 1 should copy")
 	}

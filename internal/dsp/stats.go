@@ -189,22 +189,17 @@ func ZScoreInto(dst, x []float64) []float64 {
 	return dst
 }
 
-// Peak is a local maximum found by TopPeaks.
+// Peak is a local maximum found by TopPeaksInto.
 type Peak struct {
 	Index int
 	Value float64
 }
 
-// TopPeaks returns up to k local maxima of x ordered by descending
-// value. A local maximum is a sample strictly greater than both
-// neighbors; plateau edges and the first/last samples are not
-// considered.
-func TopPeaks(x []float64, k int) []Peak {
-	return TopPeaksInto(nil, x, k)
-}
-
-// TopPeaksInto is TopPeaks writing into scratch (grown as needed and
-// returned truncated to the result). With a caller-reused scratch whose
+// TopPeaksInto returns up to k local maxima of x ordered by descending
+// value, written into scratch (grown as needed and returned truncated
+// to the result). A local maximum is a sample strictly greater than
+// both neighbors; plateau edges and the first/last samples are not
+// considered. With a caller-reused scratch whose
 // capacity covers the peak count it performs no allocation: the sort is
 // an in-place insertion sort rather than sort.Slice, whose closure and
 // interface boxing allocate.

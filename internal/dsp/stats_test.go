@@ -129,7 +129,7 @@ func TestZScoreProperty(t *testing.T) {
 
 func TestTopPeaks(t *testing.T) {
 	x := []float64{0, 3, 0, 5, 0, 1, 0}
-	peaks := TopPeaks(x, 2)
+	peaks := TopPeaksInto(nil, x, 2)
 	if len(peaks) != 2 {
 		t.Fatalf("got %d peaks, want 2", len(peaks))
 	}
@@ -143,14 +143,14 @@ func TestTopPeaks(t *testing.T) {
 
 func TestTopPeaksEdgesExcluded(t *testing.T) {
 	// Monotone data has no interior local maximum.
-	if peaks := TopPeaks([]float64{1, 2, 3, 4}, 3); len(peaks) != 0 {
+	if peaks := TopPeaksInto(nil, []float64{1, 2, 3, 4}, 3); len(peaks) != 0 {
 		t.Errorf("monotone data yielded %d peaks", len(peaks))
 	}
 }
 
 func TestTopPeaksFewerThanK(t *testing.T) {
 	x := []float64{0, 1, 0}
-	if peaks := TopPeaks(x, 5); len(peaks) != 1 {
+	if peaks := TopPeaksInto(nil, x, 5); len(peaks) != 1 {
 		t.Errorf("got %d peaks, want 1", len(peaks))
 	}
 }
