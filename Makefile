@@ -88,10 +88,12 @@ fuzz:
 
 # Benchmarks, machine-readable: serving-layer throughput (worker
 # sweep), the paper's §IV-B15 pipeline-stage timings, and the DSP
-# engine micro-benchmarks. Output is echoed to the terminal and teed
-# through cmd/benchjson, which APPENDS one JSON record per result to
-# $(BENCH_JSON) — successive runs accumulate, so the file holds the
-# perf trajectory (grep by "tag"). Override the tag per run:
+# engine micro-benchmarks. Every benchmark runs five times
+# (-count), so bench-compare can take a median per side. Output is
+# echoed to the terminal and teed through cmd/benchjson, which APPENDS
+# one JSON record per result to $(BENCH_JSON) — successive runs
+# accumulate, so the file holds the perf trajectory (grep by "tag").
+# Override the tag per run:
 #   make bench BENCH_TAG=pr8
 # The EngineThroughput pattern also matches EngineThroughputTraced, so
 # every bench run records the traced-vs-untraced serving delta (the
@@ -106,21 +108,22 @@ BENCH_JSON ?= BENCH_pr10.json
 BENCH_TAG  ?= pr10
 
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkRuntime|BenchmarkPipelineStages|BenchmarkStreamEndToEnd' -benchmem -benchtime 50x . \
+	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkRuntime|BenchmarkPipelineStages|BenchmarkStreamEndToEnd' -count 5 -benchmem -benchtime 50x . \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkIRFFTLags|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand' -benchmem ./internal/dsp ./internal/srp \
+	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkIRFFTLags|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand' -count 5 -benchmem ./internal/dsp ./internal/srp \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkForwardOverhead' -benchmem -benchtime 50x ./internal/cluster \
+	$(GO) test -run xxx -bench 'BenchmarkForwardOverhead' -count 5 -benchmem -benchtime 50x ./internal/cluster \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkDecideFused' -benchmem -benchtime 50x ./internal/serve \
+	$(GO) test -run xxx -bench 'BenchmarkDecideFused' -count 5 -benchmem -benchtime 50x ./internal/serve \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkBandpass|BenchmarkDecimate|BenchmarkLivenessScore|BenchmarkFingerprintCheck' -benchmem ./internal/core \
+	$(GO) test -run xxx -bench 'BenchmarkBandpass|BenchmarkDecimate|BenchmarkLivenessScore|BenchmarkFingerprintCheck' -count 5 -benchmem ./internal/core \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
 
 # Per-benchmark delta table between two recorded tags, e.g.
 #   make bench-compare BENCH_COMPARE=pr8-pre,pr8
-# Negative ns/op deltas are improvements; within one tag the last
-# appended record per benchmark wins.
+# Each side is the median of every record of that benchmark under the
+# tag, shown with its record count n; negative ns/op deltas are
+# improvements.
 BENCH_COMPARE ?= pr8-pre,pr8
 
 bench-compare:

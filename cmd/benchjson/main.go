@@ -15,8 +15,10 @@
 //
 // With -compare tagA,tagB it instead reads the -out file and prints a
 // per-benchmark delta table between the two tags (ns/op and allocs/op,
-// negative deltas are improvements), using the last record per
-// (pkg, name, tag) so re-runs supersede earlier appends:
+// negative deltas are improvements). Each side is the median of every
+// record for that (pkg, name, tag), printed with the record count, so
+// repeated runs (go test -count, or appended re-runs) sharpen the
+// comparison instead of the last one replacing the rest:
 //
 //	benchjson -compare pr8-pre,pr8 -out BENCH_pr8.json
 package main
@@ -26,7 +28,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -54,7 +58,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *compare != "" {
-		if err := runCompare(*out, *compare); err != nil {
+		if err := runCompare(os.Stdout, *out, *compare); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -140,9 +144,8 @@ func parseBenchLine(line string) (record, bool) {
 }
 
 // runCompare prints a per-benchmark delta table between two tags in a
-// JSON Lines record file. Within one (pkg, name, tag) the last record
-// wins, so an appended re-run supersedes earlier results.
-func runCompare(path, spec string) error {
+// JSON Lines record file, comparing the median of each side's records.
+func runCompare(w io.Writer, path, spec string) error {
 	tagA, tagB, ok := strings.Cut(spec, ",")
 	if !ok || tagA == "" || tagB == "" {
 		return fmt.Errorf("-compare wants tagA,tagB, got %q", spec)
@@ -154,7 +157,7 @@ func runCompare(path, spec string) error {
 	defer f.Close()
 
 	type key struct{ pkg, name string }
-	byTag := map[string]map[key]record{tagA: {}, tagB: {}}
+	byTag := map[string]map[key][]record{tagA: {}, tagB: {}}
 	var order []key
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
@@ -177,7 +180,7 @@ func runCompare(path, spec string) error {
 				order = append(order, k)
 			}
 		}
-		m[k] = rec
+		m[k] = append(m[k], rec)
 	}
 	if err := sc.Err(); err != nil {
 		return err
@@ -189,24 +192,62 @@ func runCompare(path, spec string) error {
 		return fmt.Errorf("no records tagged %q in %s", tagB, path)
 	}
 
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', 0)
-	fmt.Fprintf(w, "benchmark\t%s ns/op\t%s ns/op\tdelta\tallocs %s\tallocs %s\n", tagA, tagB, tagA, tagB)
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', 0)
+	fmt.Fprintf(tw, "benchmark\t%s ns/op\tn\t%s ns/op\tn\tdelta\tallocs %s\tallocs %s\n", tagA, tagB, tagA, tagB)
 	for _, k := range order {
-		a, okA := byTag[tagA][k]
-		b, okB := byTag[tagB][k]
+		a, b := summarize(byTag[tagA][k]), summarize(byTag[tagB][k])
 		name := strings.TrimPrefix(k.name, "Benchmark")
 		switch {
-		case okA && okB:
-			fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%+.1f%%\t%s\t%s\n",
-				name, a.NsPerOp, b.NsPerOp, 100*(b.NsPerOp-a.NsPerOp)/a.NsPerOp,
-				allocStr(a.AllocsPerOp), allocStr(b.AllocsPerOp))
-		case okA:
-			fmt.Fprintf(w, "%s\t%.0f\t-\t(only in %s)\t%s\t-\n", name, a.NsPerOp, tagA, allocStr(a.AllocsPerOp))
+		case a.n > 0 && b.n > 0:
+			fmt.Fprintf(tw, "%s\t%.0f\t%d\t%.0f\t%d\t%+.1f%%\t%s\t%s\n",
+				name, a.ns, a.n, b.ns, b.n, 100*(b.ns-a.ns)/a.ns, allocStr(a.allocs), allocStr(b.allocs))
+		case a.n > 0:
+			fmt.Fprintf(tw, "%s\t%.0f\t%d\t-\t0\t(only in %s)\t%s\t-\n", name, a.ns, a.n, tagA, allocStr(a.allocs))
 		default:
-			fmt.Fprintf(w, "%s\t-\t%.0f\t(only in %s)\t-\t%s\n", name, b.NsPerOp, tagB, allocStr(b.AllocsPerOp))
+			fmt.Fprintf(tw, "%s\t-\t0\t%.0f\t%d\t(only in %s)\t-\t%s\n", name, b.ns, b.n, tagB, allocStr(b.allocs))
 		}
 	}
-	return w.Flush()
+	return tw.Flush()
+}
+
+// summary is one side of a comparison: the median ns/op and allocs/op
+// over n records (allocs nil when no record carried -benchmem).
+type summary struct {
+	ns     float64
+	allocs *float64
+	n      int
+}
+
+func summarize(recs []record) summary {
+	s := summary{n: len(recs)}
+	if s.n == 0 {
+		return s
+	}
+	ns := make([]float64, 0, len(recs))
+	var allocs []float64
+	for _, r := range recs {
+		ns = append(ns, r.NsPerOp)
+		if r.AllocsPerOp != nil {
+			allocs = append(allocs, *r.AllocsPerOp)
+		}
+	}
+	s.ns = median(ns)
+	if len(allocs) > 0 {
+		m := median(allocs)
+		s.allocs = &m
+	}
+	return s
+}
+
+// median sorts v in place and returns its middle value (the mean of the
+// two middle values for an even count).
+func median(v []float64) float64 {
+	sort.Float64s(v)
+	mid := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[mid]
+	}
+	return (v[mid-1] + v[mid]) / 2
 }
 
 func otherTag(tag, a, b string) string {
