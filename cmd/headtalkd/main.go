@@ -128,7 +128,6 @@ import (
 	"headtalk/internal/core"
 	"headtalk/internal/dataset"
 	"headtalk/internal/features"
-	"headtalk/internal/fusion"
 	"headtalk/internal/metrics"
 	"headtalk/internal/mic"
 	"headtalk/internal/pool"
@@ -466,7 +465,7 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 	}
 
 	d := &daemon{
-		pool:        pool.New(pool.Config{}),
+		pool:        pool.New(),
 		defaultID:   specs[0].ID,
 		multiTenant: multiTenant,
 		specs:       make(map[string]tenantSpec, len(specs)),
@@ -1289,7 +1288,7 @@ func (d *daemon) handleFused(req request, t *pool.Tenant, lw *lineWriter) {
 	}
 	ctx, cancel := d.requestContext()
 	defer cancel()
-	room, reports, err := t.Engine().DecideFused(ctx, inputs, fusion.Config{})
+	room, reports, err := t.Engine().DecideFused(ctx, inputs)
 	if err != nil {
 		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err)})
 		return

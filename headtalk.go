@@ -136,8 +136,6 @@ type (
 	FusionArrayInput = serve.ArrayInput
 	// FusionArrayReport is one array's per-decision contribution.
 	FusionArrayReport = fusion.ArrayReport
-	// FusionConfig tunes the fusion vote thresholds.
-	FusionConfig = fusion.Config
 	// RoomDecision is the fused room-level outcome.
 	RoomDecision = fusion.RoomDecision
 	// ArrayHealth is a per-channel health assessment (mic.AssessHealth);
@@ -147,8 +145,8 @@ type (
 
 // Fuse combines per-array reports into one room-level decision,
 // failing closed when no trustworthy evidence survives.
-func Fuse(reports []FusionArrayReport, cfg FusionConfig) RoomDecision {
-	return fusion.Fuse(reports, cfg)
+func Fuse(reports []FusionArrayReport) RoomDecision {
+	return fusion.Fuse(reports)
 }
 
 // FusionHealthWeight converts an explicit mic.AssessHealth result into
@@ -176,8 +174,8 @@ var (
 	ErrTenantExists = pool.ErrTenantExists
 	// ErrPoolClosed is returned by pool operations after Drain/Close.
 	ErrPoolClosed = pool.ErrPoolClosed
-	// ErrNoRoute reports an anonymous request the pool could not place:
-	// hash fallback is off or no tenants are hosted.
+	// ErrNoRoute rejects a pool request that names no tenant (empty
+	// tenant ID).
 	ErrNoRoute = pool.ErrNoRoute
 	// ErrNoStream rejects streaming calls on an engine built without
 	// EngineConfig.Streaming.
@@ -221,11 +219,8 @@ func NewEngine(cfg EngineConfig) (*Engine, error) { return serve.NewEngine(cfg) 
 // store, behind a single routing API. One tenant's saturation or open
 // breaker never rejects another tenant's requests.
 type (
-	// Pool is the sharded multi-tenant serving pool.
+	// Pool is the multi-tenant serving pool.
 	Pool = pool.Pool
-	// PoolConfig sizes a Pool (shard count, anonymous-traffic hash
-	// fallback).
-	PoolConfig = pool.Config
 	// PoolTenant is one hosted (System, Engine) pair.
 	PoolTenant = pool.Tenant
 	// TenantConfig assembles one tenant for Pool.AddTenant.
@@ -239,7 +234,7 @@ type (
 
 // NewPool returns an empty multi-tenant serving pool; add tenants with
 // AddTenant and route with Decide/Submit.
-func NewPool(cfg PoolConfig) *Pool { return pool.New(cfg) }
+func NewPool() *Pool { return pool.New() }
 
 // Federated multi-node serving (see internal/cluster): tenants are
 // partitioned across nodes on a consistent-hash ring; each node serves

@@ -12,9 +12,7 @@ import (
 // NaN/Inf samples, clipped waveforms, truncated captures or the wrong
 // sample rate. HeadTalk is a privacy control, so a malformed recording
 // must be rejected *before* DSP — garbage features reaching the SVM
-// could flip a reject into an accept. Validate is that gate; Repair
-// recovers the one fault class (isolated non-finite samples) that can
-// be fixed without changing the decision surface.
+// could flip a reject into an accept. Validate is that gate.
 
 // BadInputReason classifies why a recording failed validation. The
 // values double as metrics label segments.
@@ -70,8 +68,8 @@ func AsBadInput(err error) (*ErrBadInput, bool) {
 }
 
 // ValidateOptions tunes Validate. The zero value applies the defaults
-// noted on each field; negative durations/fractions disable the
-// corresponding check.
+// noted on each field; negative durations disable the corresponding
+// check.
 type ValidateOptions struct {
 	// SampleRate is the expected rate; 0 accepts any positive rate.
 	SampleRate float64
@@ -84,16 +82,16 @@ type ValidateOptions struct {
 	// MaxDuration rejects runaway captures that would stall the DSP
 	// path (default 30 s). Negative disables.
 	MaxDuration time.Duration
-	// ClipLevel is the amplitude treated as the converter rail
-	// (default 0.999 of full scale).
-	ClipLevel float64
-	// MaxClippedFraction rejects recordings where more than this
-	// fraction of samples sit pinned at the recording's own rail
-	// (default 0.05). Clipping is detected as rail *concentration*,
-	// not mere amplitude, so loud-but-healthy signals pass. Negative
-	// disables.
-	MaxClippedFraction float64
 }
+
+// A channel whose peak reaches clipLevel of full scale (the converter
+// rail) is rejected when more than maxClippedFraction of its samples
+// sit pinned at its own peak. Clipping is detected as rail
+// concentration, not mere amplitude, so loud-but-healthy signals pass.
+const (
+	clipLevel          = 0.999
+	maxClippedFraction = 0.05
+)
 
 func (o ValidateOptions) withDefaults() ValidateOptions {
 	if o.MinDuration == 0 {
@@ -101,12 +99,6 @@ func (o ValidateOptions) withDefaults() ValidateOptions {
 	}
 	if o.MaxDuration == 0 {
 		o.MaxDuration = 30 * time.Second
-	}
-	if o.ClipLevel == 0 {
-		o.ClipLevel = 0.999
-	}
-	if o.MaxClippedFraction == 0 {
-		o.MaxClippedFraction = 0.05
 	}
 	return o
 }
@@ -166,7 +158,7 @@ func Validate(rec *Recording, opt ValidateOptions) error {
 	for _, ch := range rec.Channels {
 		maxAbs, nf := scanChannel(ch)
 		nonFinite += nf
-		if maxAbs < opt.ClipLevel || opt.MaxClippedFraction < 0 {
+		if maxAbs < clipLevel {
 			continue
 		}
 		rail := maxAbs * (1 - 1e-6)
@@ -178,7 +170,7 @@ func Validate(rec *Recording, opt ValidateOptions) error {
 		}
 		// A lone peak sample is not clipping; require a concentration
 		// of at least a few samples at the rail.
-		if atRail > 2 && float64(atRail)/float64(n) > opt.MaxClippedFraction {
+		if atRail > 2 && float64(atRail)/float64(n) > maxClippedFraction {
 			clipped += atRail
 		}
 	}
@@ -252,30 +244,4 @@ func scanChannel(ch []float64) (maxAbs float64, nonFinite int) {
 		m0 = m3
 	}
 	return m0, nonFinite
-}
-
-// Repair returns a copy of rec with every NaN/Inf sample replaced by
-// zero, plus the number of samples repaired. The input is never
-// mutated, so a recording shared between concurrent submissions stays
-// race-free. Repair fixes only non-finite samples; structural faults
-// (ragged channels, wrong rate, clipping) are not repairable and still
-// fail a subsequent Validate.
-func Repair(rec *Recording) (*Recording, int) {
-	if rec == nil {
-		return nil, 0
-	}
-	out := &Recording{SampleRate: rec.SampleRate, Channels: make([][]float64, len(rec.Channels))}
-	repaired := 0
-	for i, ch := range rec.Channels {
-		dst := make([]float64, len(ch))
-		for j, v := range ch {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				repaired++
-				continue // dst[j] stays 0
-			}
-			dst[j] = v
-		}
-		out.Channels[i] = dst
-	}
-	return out, repaired
 }

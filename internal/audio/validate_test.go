@@ -112,33 +112,6 @@ func TestValidateRateTolerance(t *testing.T) {
 	}
 }
 
-func TestRepairFixesNonFinite(t *testing.T) {
-	rec := noiseRecording(2, 4800, 10)
-	rec.Channels[0][5] = math.NaN()
-	rec.Channels[1][9] = math.Inf(-1)
-	orig0 := rec.Channels[0][5]
-
-	clean, n := Repair(rec)
-	if n != 2 {
-		t.Fatalf("repaired %d samples, want 2", n)
-	}
-	if clean.Channels[0][5] != 0 || clean.Channels[1][9] != 0 {
-		t.Fatal("non-finite samples not zeroed in the copy")
-	}
-	if !math.IsNaN(orig0) || !math.IsNaN(rec.Channels[0][5]) {
-		t.Fatal("Repair must not mutate its input")
-	}
-	if err := Validate(clean, ValidateOptions{SampleRate: 48000}); err != nil {
-		t.Fatalf("repaired recording should validate: %v", err)
-	}
-}
-
-func TestRepairNil(t *testing.T) {
-	if r, n := Repair(nil); r != nil || n != 0 {
-		t.Fatal("Repair(nil) should be a no-op")
-	}
-}
-
 func TestErrBadInputMessage(t *testing.T) {
 	err := &ErrBadInput{Reason: BadNonFinite, Detail: "3 NaN/Inf samples", Count: 3}
 	if err.Error() == "" {

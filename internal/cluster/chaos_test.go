@@ -45,7 +45,7 @@ func TestChaosFaultyPeersDoNotHurtLocalTenants(t *testing.T) {
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
 
-	p := pool.New(pool.Config{})
+	p := pool.New()
 	defer p.Close()
 	const forwardTimeout = 300 * time.Millisecond
 	cfg := Config{
@@ -194,7 +194,7 @@ func TestChaosProbeIsolatesBlackHole(t *testing.T) {
 	}
 	defer hole.Close()
 
-	p := pool.New(pool.Config{})
+	p := pool.New()
 	defer p.Close()
 	cfg := Config{
 		NodeID:        "self",

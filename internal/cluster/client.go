@@ -54,9 +54,9 @@ func newPeerClient(id, addr string, cfg *Config, reg *metrics.Registry) *peerCli
 		id:       id,
 		addr:     addr,
 		cfg:      cfg,
-		breaker:  serve.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil, reg.Gauge(prefix+"breaker.state")),
+		breaker:  serve.NewBreaker(breakerThreshold, cfg.BreakerCooldown, nil, reg.Gauge(prefix+"breaker.state")),
 		conns:    make(chan *peerConn, maxIdleConns),
-		inflight: make(chan struct{}, cfg.MaxInFlight),
+		inflight: make(chan struct{}, maxInFlight),
 		latency:  reg.Histogram(prefix+"forward.latency", nil),
 		retries:  reg.Counter(prefix + "retries.total"),
 	}
@@ -64,7 +64,7 @@ func newPeerClient(id, addr string, cfg *Config, reg *metrics.Registry) *peerCli
 
 // call performs one request/response round trip. With retry true (safe
 // for idempotent operations only) a transport failure is retried up to
-// RetryMax times with capped exponential backoff plus jitter; an
+// retryMax times with capped exponential backoff plus jitter; an
 // application-level error from the peer (ok=false) is returned as a
 // *RemoteError immediately and never retried. Every transport failure
 // feeds the per-peer breaker; an open breaker fails fast with
@@ -78,8 +78,8 @@ func (c *peerClient) call(ctx context.Context, req peerRequest, retry bool) (*pe
 	defer func() { <-c.inflight }()
 
 	attempts := 1
-	if retry && c.cfg.RetryMax > 0 {
-		attempts += c.cfg.RetryMax
+	if retry {
+		attempts += retryMax
 	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -183,7 +183,8 @@ func (c *peerClient) getConn(ctx context.Context) (*peerConn, error) {
 	}
 	dialCtx, cancel := context.WithTimeout(ctx, c.cfg.DialTimeout)
 	defer cancel()
-	conn, err := c.cfg.Dialer(dialCtx, c.addr)
+	var d net.Dialer
+	conn, err := d.DialContext(dialCtx, "tcp", c.addr)
 	if err != nil {
 		return nil, err
 	}

@@ -165,7 +165,7 @@ func newTestCluster(t testing.TB, ids []string, opts clusterOpts) *testCluster {
 				peers[other] = c.addrs[other]
 			}
 		}
-		p := pool.New(pool.Config{})
+		p := pool.New()
 		t.Cleanup(func() { _ = p.Close() })
 		cfg := Config{NodeID: id, Pool: p, Peers: peers}
 		fastTimings(&cfg)
@@ -568,7 +568,7 @@ func TestWireRestoreJoinLeave(t *testing.T) {
 
 // TestNewNodeValidation: bad configurations are rejected up front.
 func TestNewNodeValidation(t *testing.T) {
-	p := pool.New(pool.Config{})
+	p := pool.New()
 	defer p.Close()
 	if _, err := NewNode(Config{Pool: p}); err == nil {
 		t.Fatal("node without an ID accepted")

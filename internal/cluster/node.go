@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,6 +55,19 @@ func (h PeerHealth) String() string {
 // Down and removes it from the ring.
 const downAfter = 3
 
+// Forwarding limits: each node has hashReplicas virtual nodes on the
+// ring; a forward of an idempotent operation is retried up to retryMax
+// times after a transport failure; at most maxInFlight forwards run
+// per peer at once (excess forwards queue on the semaphore, bounded by
+// their own deadlines); and breakerThreshold consecutive transport
+// failures open a peer's circuit breaker.
+const (
+	hashReplicas     = 64
+	retryMax         = 2
+	maxInFlight      = 32
+	breakerThreshold = 4
+)
+
 // Config assembles a Node. Zero values select the documented defaults.
 type Config struct {
 	// NodeID names this node on the ring (required, unique per
@@ -71,9 +83,6 @@ type Config struct {
 	// count, forward latency, per-peer breaker/liveness/retry/latency).
 	// Nil creates a private registry.
 	Metrics *metrics.Registry
-	// HashReplicas is the virtual-node count per node on the ring
-	// (default 64, matching the pool's tenant ring).
-	HashReplicas int
 
 	// ForwardTimeout bounds one forwarded request end to end, retries
 	// and hedge included (default 2s). The caller's context may tighten
@@ -81,9 +90,6 @@ type Config struct {
 	ForwardTimeout time.Duration
 	// DialTimeout bounds one connection attempt (default 500ms).
 	DialTimeout time.Duration
-	// RetryMax is the transport-failure retry budget per forward
-	// (default 2; idempotent operations only).
-	RetryMax int
 	// RetryBase / RetryCap shape the capped exponential backoff between
 	// retries (defaults 25ms / 250ms, ±25% jitter).
 	RetryBase time.Duration
@@ -92,25 +98,16 @@ type Config struct {
 	// before firing one hedged attempt at the next ring successor
 	// (default 150ms; negative disables hedging).
 	HedgeDelay time.Duration
-	// MaxInFlight bounds concurrent forwards per peer (default 32);
-	// excess forwards queue on the semaphore, bounded by their own
-	// deadlines.
-	MaxInFlight int
 
 	// ProbeInterval / ProbeTimeout drive the health prober (defaults
 	// 500ms / 250ms). A zero ProbeInterval with no Start call leaves
 	// membership static.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// BreakerThreshold / BreakerCooldown configure each per-peer
-	// circuit breaker (defaults 4 consecutive transport failures, 2s
-	// cooldown; negative threshold disables).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
+	// BreakerCooldown is how long an open per-peer circuit breaker
+	// waits before probing again (default 2s).
+	BreakerCooldown time.Duration
 
-	// Dialer opens peer connections (tests inject failures or in-memory
-	// pipes); nil uses a net.Dialer.
-	Dialer func(ctx context.Context, addr string) (net.Conn, error)
 	// TenantBuilder turns a restored system into the pool.TenantConfig
 	// to activate (the daemon wires workers, queue and streaming here).
 	// Nil activates a minimal tenant (ID, System, Metrics).
@@ -121,20 +118,11 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.HashReplicas <= 0 {
-		cfg.HashReplicas = 64
-	}
 	if cfg.ForwardTimeout <= 0 {
 		cfg.ForwardTimeout = 2 * time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 500 * time.Millisecond
-	}
-	if cfg.RetryMax == 0 {
-		cfg.RetryMax = 2
-	}
-	if cfg.RetryMax < 0 {
-		cfg.RetryMax = 0
 	}
 	if cfg.RetryBase <= 0 {
 		cfg.RetryBase = 25 * time.Millisecond
@@ -145,26 +133,14 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 150 * time.Millisecond
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 32
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 250 * time.Millisecond
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 4
-	}
 	if cfg.BreakerCooldown <= 0 {
 		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.Dialer == nil {
-		var d net.Dialer
-		cfg.Dialer = func(ctx context.Context, addr string) (net.Conn, error) {
-			return d.DialContext(ctx, "tcp", addr)
-		}
 	}
 	return cfg
 }
@@ -303,7 +279,7 @@ func (n *Node) rebuildRingLocked() {
 	}
 	sort.Strings(ids)
 	old := n.ring
-	n.ring = pool.BuildRing(ids, n.cfg.HashReplicas)
+	n.ring = pool.BuildRing(ids, hashReplicas)
 	n.ringMembers.Set(int64(n.ring.Len()))
 	if old != nil {
 		if moved := pool.RemapCount(old, n.ring); moved > 0 {

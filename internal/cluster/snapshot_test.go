@@ -156,7 +156,7 @@ func captureFile(t testing.TB, tn *pool.Tenant, device, room string) []byte {
 // pool, the shape CaptureTenant reads.
 func hostTenant(t testing.TB, id string, sys *core.System, models *registry.Registry) *pool.Tenant {
 	t.Helper()
-	p := pool.New(pool.Config{})
+	p := pool.New()
 	t.Cleanup(func() { p.Close() })
 	tn, err := p.AddTenant(pool.TenantConfig{ID: id, System: sys, Models: models, Workers: 1, QueueSize: 1})
 	if err != nil {

@@ -1,7 +1,6 @@
 // Package cluster federates several headtalkd nodes into one
 // fault-tolerant serving fleet. Tenants are partitioned across nodes on
-// a consistent-hash ring (the same FNV-1a ring the pool uses for
-// anonymous routing, promoted to node-level ownership); a node serves
+// a consistent-hash ring (pool.Ring, FNV-1a); a node serves
 // its own tenants locally and forwards requests for everyone else's to
 // the owning peer over a pooled, bounded client with per-request
 // deadlines, capped exponential backoff, a single hedged retry for
@@ -80,7 +79,6 @@ type peerDecision struct {
 	FacingScore      float64 `json:"facing_score,omitempty"`
 	FacingRan        bool    `json:"facing_ran,omitempty"`
 	DegradedChannels int     `json:"degraded_channels,omitempty"`
-	RepairedSamples  int     `json:"repaired_samples,omitempty"`
 }
 
 func decisionToWire(d core.Decision) *peerDecision {
@@ -92,7 +90,6 @@ func decisionToWire(d core.Decision) *peerDecision {
 		FacingScore:      d.FacingScore,
 		FacingRan:        d.FacingRan,
 		DegradedChannels: d.DegradedChannels,
-		RepairedSamples:  d.RepairedSamples,
 	}
 }
 
@@ -108,7 +105,6 @@ func decisionFromWire(d *peerDecision) core.Decision {
 		FacingScore:      d.FacingScore,
 		FacingRan:        d.FacingRan,
 		DegradedChannels: d.DegradedChannels,
-		RepairedSamples:  d.RepairedSamples,
 	}
 }
 

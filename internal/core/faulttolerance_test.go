@@ -209,40 +209,3 @@ func TestDegradedFallbackModelKeepsDeciding(t *testing.T) {
 		t.Fatalf("non-facing decision on degraded array %+v, want ReasonNotFacing", d)
 	}
 }
-
-func TestRepairNonFiniteRecoversDecision(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	featCfg := features.DefaultConfig(13, 48000)
-	cfg := Config{
-		SessionTimeout:  10 * time.Second,
-		Clock:           clock.Now,
-		Features:        featCfg,
-		Models:          registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
-		RepairNonFinite: true,
-	}
-	sys, err := NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.SetMode(ModeHeadTalk)
-
-	rec := markedRecording(true, 45)
-	for _, i := range []int{10, 500, 9000} {
-		rec.Channels[0][i] = math.NaN()
-	}
-	rec.Channels[2][700] = math.Inf(1)
-	d, err := sys.ProcessWake(context.Background(), rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Accepted {
-		t.Fatalf("repaired facing decision %+v, want accept", d)
-	}
-	if d.RepairedSamples != 4 {
-		t.Fatalf("RepairedSamples = %d, want 4", d.RepairedSamples)
-	}
-	// The caller's recording must be untouched (repair-on-copy).
-	if !math.IsNaN(rec.Channels[0][10]) {
-		t.Fatal("repair mutated the caller's recording")
-	}
-}

@@ -161,9 +161,6 @@ type Decision struct {
 	// DegradedChannels counts microphone channels the health check
 	// scored as dead/stuck/low-SNR (HeadTalk mode only).
 	DegradedChannels int
-	// RepairedSamples counts non-finite samples zeroed by input repair
-	// before the decision ran (Config.RepairNonFinite).
-	RepairedSamples int
 }
 
 // Config assembles a System.
@@ -199,19 +196,10 @@ type Config struct {
 	// InputValidation tunes the pre-DSP input hardening stage (its
 	// SampleRate defaults to this config's SampleRate). Recordings that
 	// fail validation are rejected with ReasonBadInput in every mode.
-	// DisableInputValidation turns the stage off (the system then fails
-	// open on malformed input — test/bench use only).
-	InputValidation        audio.ValidateOptions
-	DisableInputValidation bool
-	// RepairNonFinite, when true, zeroes isolated NaN/Inf samples (on a
-	// copy) instead of rejecting the recording, provided they are the
-	// only validation failure.
-	RepairNonFinite bool
+	InputValidation audio.ValidateOptions
 	// ChannelHealth tunes the per-channel dead/stuck/low-SNR scoring
-	// that gates HeadTalk-mode decisions; DisableChannelHealth turns
-	// degraded-array handling off.
-	ChannelHealth        mic.HealthConfig
-	DisableChannelHealth bool
+	// that gates HeadTalk-mode decisions.
+	ChannelHealth mic.HealthConfig
 	// MinChannels is the smallest healthy-channel count the orientation
 	// gate will decide with (default 2); below it the decision fails
 	// closed with ReasonDegraded.
@@ -270,10 +258,9 @@ type instruments struct {
 	logDropped *metrics.Counter
 
 	// Fault-health instrumentation: input rejections by validation
-	// reason, repaired samples, and the degraded-channel count of the
-	// most recent health check.
+	// reason and the degraded-channel count of the most recent health
+	// check.
 	inputRejected     map[audio.BadInputReason]*metrics.Counter
-	inputRepaired     *metrics.Counter
 	channelsDegraded  *metrics.Gauge
 	degradedDecisions *metrics.Counter
 }
@@ -290,7 +277,6 @@ func newInstruments(r *metrics.Registry) *instruments {
 		orientGate:        r.Histogram("headtalk.gate.orientation.latency", nil),
 		logDropped:        r.Counter("headtalk.log.dropped"),
 		inputRejected:     make(map[audio.BadInputReason]*metrics.Counter),
-		inputRepaired:     r.Counter("headtalk.input.repaired.samples"),
 		channelsDegraded:  r.Gauge("headtalk.channels.degraded"),
 		degradedDecisions: r.Counter("headtalk.degraded.decisions"),
 	}
@@ -469,34 +455,19 @@ func (p *Preprocessor) selectInto(src *audio.Recording, idx []int) (*audio.Recor
 	return &p.selRec, nil
 }
 
-// validateInput runs the input-hardening stage: validate, optionally
-// repair isolated non-finite samples on a copy, and re-validate. It
-// returns the (possibly repaired) recording, the repaired-sample count,
-// and a typed *audio.ErrBadInput (wrapped) on rejection.
-func (s *System) validateInput(rec *audio.Recording) (*audio.Recording, int, error) {
+// validateInput runs the input-hardening stage. It returns a typed
+// *audio.ErrBadInput (wrapped) on rejection.
+func (s *System) validateInput(rec *audio.Recording) error {
 	err := audio.Validate(rec, s.cfg.InputValidation)
 	if err == nil {
-		return rec, 0, nil
+		return nil
 	}
-	bad, isBad := audio.AsBadInput(err)
-	if isBad && bad.Reason == audio.BadNonFinite && s.cfg.RepairNonFinite {
-		clean, n := audio.Repair(rec)
-		if rerr := audio.Validate(clean, s.cfg.InputValidation); rerr == nil {
-			if s.ins != nil {
-				s.ins.inputRepaired.Add(uint64(n))
-			}
-			return clean, n, nil
-		} else {
-			err = rerr
-			bad, isBad = audio.AsBadInput(rerr)
-		}
-	}
-	if s.ins != nil && isBad {
+	if bad, isBad := audio.AsBadInput(err); s.ins != nil && isBad {
 		if c, ok := s.ins.inputRejected[bad.Reason]; ok {
 			c.Inc()
 		}
 	}
-	return nil, 0, fmt.Errorf("core: input validation: %w", err)
+	return fmt.Errorf("core: input validation: %w", err)
 }
 
 // channelPlan is the outcome of the degraded-array policy for one
@@ -540,9 +511,6 @@ type planScratch struct {
 // same registry version). The returned plan's active and healthy
 // slices alias the scratch and are valid until its next use.
 func (s *System) planChannelsInto(ps *planScratch, rec *audio.Recording, set *registry.ModelSet) channelPlan {
-	if s.cfg.DisableChannelHealth {
-		return channelPlan{active: s.cfg.ChannelSubset, ok: true, model: set.Orientation}
-	}
 	mic.AssessHealthInto(&ps.health, rec, s.cfg.ChannelHealth)
 	h := &ps.health
 	plan := channelPlan{healthy: h.Healthy, degraded: h.Degraded()}
@@ -670,19 +638,14 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 	// Input hardening runs in every mode, before any DSP: a privacy
 	// control fails closed on malformed input rather than letting
 	// garbage reach the feature path (or, in Normal mode, the cloud).
-	repaired := 0
-	if !s.cfg.DisableInputValidation {
-		vStart := tr.Begin()
-		clean, n, err := s.validateInput(rec)
-		tr.End(trace.StageValidate, vStart)
-		if err != nil {
-			d := Decision{Reason: ReasonBadInput}
-			s.logEvent(mode, d)
-			tr.SetOutcome(mode.String(), false, d.Reason.Slug())
-			return d, err
-		}
-		rec = clean
-		repaired = n
+	vStart := tr.Begin()
+	err := s.validateInput(rec)
+	tr.End(trace.StageValidate, vStart)
+	if err != nil {
+		d := Decision{Reason: ReasonBadInput}
+		s.logEvent(mode, d)
+		tr.SetOutcome(mode.String(), false, d.Reason.Slug())
+		return d, err
 	}
 
 	var d Decision
@@ -692,7 +655,6 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 	case ModeNormal:
 		d = Decision{Accepted: true, Reason: ReasonNormalMode}
 	case ModeHeadTalk:
-		var err error
 		d, err = s.headTalkDecision(tr, p, rec)
 		if err != nil {
 			s.logEvent(mode, Decision{Reason: ReasonProcessingFail})
@@ -701,7 +663,6 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 			return Decision{Reason: ReasonProcessingFail}, err
 		}
 	}
-	d.RepairedSamples = repaired
 	s.logEvent(mode, d)
 	tr.SetGates(d.LiveScore, d.LiveRan, d.FacingScore, d.FacingRan)
 	tr.SetOutcome(mode.String(), d.Accepted, d.Reason.Slug())
@@ -730,7 +691,7 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	var d Decision
 	tr.SetPlan(plan.active, plan.degraded)
 	d.DegradedChannels = plan.degraded
-	if s.ins != nil && !s.cfg.DisableChannelHealth {
+	if s.ins != nil {
 		s.ins.channelsDegraded.Set(int64(plan.degraded))
 	}
 	if !plan.ok {

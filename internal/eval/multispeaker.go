@@ -304,7 +304,7 @@ func (r *Runner) fusionCounts() (singleA, singleC, fused, total int, err error) 
 		if err != nil {
 			return 0, 0, 0, 0, err
 		}
-		roomDec := fusion.Fuse([]fusion.ArrayReport{repA, repC}, fusion.Config{})
+		roomDec := fusion.Fuse([]fusion.ArrayReport{repA, repC})
 
 		total++
 		if okA == tr.wantAccept {

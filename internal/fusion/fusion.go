@@ -74,26 +74,15 @@ func (r *ArrayReport) usable() bool {
 	return true
 }
 
-// Config tunes the fusion vote.
-type Config struct {
-	// MinWeight drops arrays whose health weight falls below it
-	// (default 0.05).
-	MinWeight float64
-	// LiveThreshold is the minimum fused live score (default 0.5).
-	LiveThreshold float64
-	// FacingThreshold is the minimum fused orientation margin
-	// (default 0: any net facing evidence accepts).
-	FacingThreshold float64
-}
-
-func (c *Config) applyDefaults() {
-	if c.MinWeight == 0 {
-		c.MinWeight = 0.05
-	}
-	if c.LiveThreshold == 0 {
-		c.LiveThreshold = 0.5
-	}
-}
+// The fusion vote drops arrays whose health weight falls below
+// minWeight, and accepts only when the fused live score reaches
+// liveThreshold and the fused orientation margin exceeds
+// facingThreshold (any net facing evidence).
+const (
+	minWeight       = 0.05
+	liveThreshold   = 0.5
+	facingThreshold = 0
+)
 
 // RoomDecision is the fused room-level outcome.
 type RoomDecision struct {
@@ -121,8 +110,7 @@ type RoomDecision struct {
 // Fuse combines per-array reports into one room-level decision. It
 // fails closed: no usable arrays, or usable arrays without orientation
 // evidence, reject rather than accept on silence.
-func Fuse(reports []ArrayReport, cfg Config) RoomDecision {
-	cfg.applyDefaults()
+func Fuse(reports []ArrayReport) RoomDecision {
 	var out RoomDecision
 
 	var facingW, facingAcc float64
@@ -131,7 +119,7 @@ func Fuse(reports []ArrayReport, cfg Config) RoomDecision {
 	for i := range reports {
 		r := &reports[i]
 		w := r.weight()
-		if !r.usable() || w < cfg.MinWeight {
+		if !r.usable() || w < minWeight {
 			out.ArraysDropped++
 			continue
 		}
@@ -167,7 +155,7 @@ func Fuse(reports []ArrayReport, cfg Config) RoomDecision {
 	if liveW > 0 {
 		out.LiveRan = true
 		out.FusedLive = liveAcc / liveW
-		if out.FusedLive < cfg.LiveThreshold {
+		if out.FusedLive < liveThreshold {
 			out.Reason = core.ReasonNotLive
 			return out
 		}
@@ -180,7 +168,7 @@ func Fuse(reports []ArrayReport, cfg Config) RoomDecision {
 	}
 	out.FacingRan = true
 	out.FusedFacing = facingAcc / facingW
-	if out.FusedFacing <= cfg.FacingThreshold {
+	if out.FusedFacing <= facingThreshold {
 		out.Reason = core.ReasonNotFacing
 		return out
 	}

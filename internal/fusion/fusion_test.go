@@ -30,7 +30,7 @@ func TestFuseWeightedFacingVote(t *testing.T) {
 	d := Fuse([]ArrayReport{
 		facing("near", 2.0, 4, 0),
 		facing("far", -0.3, 4, 0),
-	}, Config{})
+	})
 	if !d.Accepted || d.Reason != core.ReasonAccepted {
 		t.Fatalf("fused: %+v", d)
 	}
@@ -45,7 +45,7 @@ func TestFuseWeightedFacingVote(t *testing.T) {
 	d = Fuse([]ArrayReport{
 		facing("near", -2.0, 4, 0),
 		facing("far", 0.3, 4, 0),
-	}, Config{})
+	})
 	if d.Accepted || d.Reason != core.ReasonNotFacing {
 		t.Fatalf("contrary fused: %+v", d)
 	}
@@ -57,7 +57,7 @@ func TestFuseDegradedDownWeighted(t *testing.T) {
 	d := Fuse([]ArrayReport{
 		facing("healthy", 1.0, 4, 0),
 		facing("broken", -2.0, 4, 3),
-	}, Config{})
+	})
 	if !d.Accepted {
 		t.Fatalf("degraded array overruled healthy one: %+v", d)
 	}
@@ -65,11 +65,11 @@ func TestFuseDegradedDownWeighted(t *testing.T) {
 		t.Errorf("fused margin %g, want %g", d.FusedFacing, want)
 	}
 
-	// Below MinWeight the array is dropped entirely.
+	// Below minWeight the array is dropped entirely.
 	d = Fuse([]ArrayReport{
 		facing("healthy", 1.0, 4, 0),
 		facing("dead", -5.0, 100, 100),
-	}, Config{})
+	})
 	if !d.Accepted || d.ArraysUsed != 1 || d.ArraysDropped != 1 {
 		t.Fatalf("dead array not dropped: %+v", d)
 	}
@@ -77,7 +77,7 @@ func TestFuseDegradedDownWeighted(t *testing.T) {
 
 func TestFuseFailsClosed(t *testing.T) {
 	// No reports at all.
-	if d := Fuse(nil, Config{}); d.Accepted || d.Reason != core.ReasonDegraded {
+	if d := Fuse(nil); d.Accepted || d.Reason != core.ReasonDegraded {
 		t.Fatalf("empty fuse: %+v", d)
 	}
 	// Every array errored or hard-failed.
@@ -85,14 +85,14 @@ func TestFuseFailsClosed(t *testing.T) {
 		{ArrayID: "a", Err: errors.New("boom")},
 		{ArrayID: "b", Decision: core.Decision{Reason: core.ReasonBadInput}},
 		{ArrayID: "c", Decision: core.Decision{Reason: core.ReasonPanic}},
-	}, Config{})
+	})
 	if d.Accepted || d.Reason != core.ReasonDegraded || d.ArraysDropped != 3 {
 		t.Fatalf("all-failed fuse: %+v", d)
 	}
 	// Arrays decided but none ran orientation: reject, don't accept.
 	d = Fuse([]ArrayReport{
 		{ArrayID: "a", Decision: core.Decision{Reason: core.ReasonNoOrientation}},
-	}, Config{})
+	})
 	if d.Accepted || d.Reason != core.ReasonNoOrientation {
 		t.Fatalf("no-orientation fuse: %+v", d)
 	}
@@ -103,7 +103,7 @@ func TestFuseLivenessGate(t *testing.T) {
 	a.Decision.LiveScore = 0.1
 	b := facing("b", 1.0, 4, 0)
 	b.Decision.LiveScore = 0.2
-	d := Fuse([]ArrayReport{a, b}, Config{})
+	d := Fuse([]ArrayReport{a, b})
 	if d.Accepted || d.Reason != core.ReasonNotLive {
 		t.Fatalf("mechanical audio accepted: %+v", d)
 	}
@@ -114,12 +114,12 @@ func TestFuseLivenessGate(t *testing.T) {
 
 func TestFusePolicyShortCircuits(t *testing.T) {
 	muted := ArrayReport{ArrayID: "m", Decision: core.Decision{Reason: core.ReasonMuted}}
-	d := Fuse([]ArrayReport{facing("a", 3.0, 4, 0), muted}, Config{})
+	d := Fuse([]ArrayReport{facing("a", 3.0, 4, 0), muted})
 	if d.Accepted || d.Reason != core.ReasonMuted {
 		t.Fatalf("muted room accepted: %+v", d)
 	}
 	session := ArrayReport{ArrayID: "s", Decision: core.Decision{Accepted: true, Reason: core.ReasonSessionActive}}
-	d = Fuse([]ArrayReport{session, facing("a", -3.0, 4, 0)}, Config{})
+	d = Fuse([]ArrayReport{session, facing("a", -3.0, 4, 0)})
 	if !d.Accepted || d.Reason != core.ReasonSessionActive {
 		t.Fatalf("open session ignored: %+v", d)
 	}

@@ -52,16 +52,18 @@ func (s ChannelState) String() string {
 	}
 }
 
+// A channel whose AC-coupled RMS is below deadRMS of full scale (far
+// below any real room's noise floor through a live microphone) counts
+// as dead; one whose peak-to-peak range is below stuckRange counts as
+// flatlined.
+const (
+	deadRMS    = 1e-5
+	stuckRange = 1e-6
+)
+
 // HealthConfig tunes AssessHealth. The zero value applies the defaults
 // noted on each field.
 type HealthConfig struct {
-	// DeadRMS is the AC-coupled RMS below which a channel counts as
-	// dead (default 1e-5 of full scale — far below any real room's
-	// noise floor through a live microphone).
-	DeadRMS float64
-	// StuckRange is the peak-to-peak range below which a channel counts
-	// as flatlined (default 1e-6).
-	StuckRange float64
 	// LowSNRRatio flags a channel whose AC RMS falls below this
 	// fraction of the median live channel's RMS (default 0.05, i.e.
 	// ~26 dB below the array median). Negative disables the check.
@@ -69,12 +71,6 @@ type HealthConfig struct {
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
-	if c.DeadRMS == 0 {
-		c.DeadRMS = 1e-5
-	}
-	if c.StuckRange == 0 {
-		c.StuckRange = 1e-6
-	}
 	if c.LowSNRRatio == 0 {
 		c.LowSNRRatio = 0.05
 	}
@@ -139,7 +135,7 @@ func AssessHealthInto(h *ArrayHealth, rec *audio.Recording, cfg HealthConfig) {
 	h.Channels = h.Channels[:len(rec.Channels)]
 	h.Healthy = h.Healthy[:0]
 	for i, ch := range rec.Channels {
-		h.Channels[i] = assessChannel(i, ch, cfg)
+		h.Channels[i] = assessChannel(i, ch)
 	}
 	// Low-SNR detection is relative: compare each surviving channel to
 	// the median RMS of all channels still alive after the dead/stuck
@@ -173,7 +169,7 @@ func AssessHealthInto(h *ArrayHealth, rec *audio.Recording, cfg HealthConfig) {
 
 // assessChannel computes one channel's mean, range and AC RMS in a
 // single pass and applies the dead/stuck thresholds.
-func assessChannel(idx int, ch []float64, cfg HealthConfig) ChannelHealth {
+func assessChannel(idx int, ch []float64) ChannelHealth {
 	out := ChannelHealth{Index: idx}
 	if len(ch) == 0 {
 		out.State = ChannelDead
@@ -286,11 +282,11 @@ func assessChannel(idx int, ch []float64, cfg HealthConfig) ChannelHealth {
 	out.RMS = math.Sqrt(acc / float64(finite))
 	out.Range = hi - lo
 	switch {
-	case out.Range < cfg.StuckRange && math.Abs(mean) <= cfg.DeadRMS:
+	case out.Range < stuckRange && math.Abs(mean) <= deadRMS:
 		out.State = ChannelDead // flat at zero: disconnected
-	case out.Range < cfg.StuckRange:
+	case out.Range < stuckRange:
 		out.State = ChannelStuck // flat at an offset: stuck code
-	case out.RMS < cfg.DeadRMS:
+	case out.RMS < deadRMS:
 		out.State = ChannelDead
 	default:
 		out.State = ChannelOK

@@ -28,7 +28,7 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release) // unstick A's worker before pool cleanup drains it
 
-	p := New(Config{})
+	p := New()
 	t.Cleanup(func() { _ = p.Close() })
 	if _, err := p.AddTenant(TenantConfig{
 		ID: "faulty", System: sysA, Workers: 1, QueueSize: 2,
@@ -124,7 +124,7 @@ func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(Config{})
+	p := New()
 	t.Cleanup(func() { _ = p.Close() })
 	if _, err := p.AddTenant(TenantConfig{
 		ID: "victim", System: sys, Workers: 2, QueueSize: 64,

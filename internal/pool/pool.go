@@ -1,5 +1,5 @@
-// Package pool is the multi-tenant serving layer: a sharded pool of
-// named tenants, each a (core.System, serve.Engine) pair with its own
+// Package pool is the multi-tenant serving layer: a pool of named
+// tenants, each a (core.System, serve.Engine) pair with its own
 // device profile, bounded queue, circuit breaker, metrics registry and
 // trace store, behind one Pool API. It is the piece that turns a
 // single-array daemon into a fleet front end — heterogeneous devices
@@ -10,9 +10,8 @@
 // and instrument belongs to exactly one tenant, so one tenant's open
 // breaker or saturated queue can never reject another tenant's
 // requests (internal/pool's fault-injection tests assert this under
-// -race). Routing is by explicit tenant ID; anonymous requests can
-// optionally fall back to a consistent-hash ring over the current
-// membership. Tenants may be added and removed at runtime —
+// -race). Routing is by explicit tenant ID; a request without one fails
+// with ErrNoRoute. Tenants may be added and removed at runtime —
 // RemoveTenant unroutes the tenant first, then drains its in-flight
 // work exactly once.
 package pool
@@ -22,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -44,88 +42,21 @@ var (
 	ErrTenantExists = errors.New("pool: tenant already exists")
 	// ErrPoolClosed: the pool has been drained or closed.
 	ErrPoolClosed = errors.New("pool: pool closed")
-	// ErrNoRoute: an anonymous request (empty tenant ID) could not be
-	// routed — hash fallback is disabled or the pool is empty.
+	// ErrNoRoute: a request named no tenant (empty tenant ID).
 	ErrNoRoute = errors.New("pool: no route for anonymous request")
 )
 
-const (
-	defaultShards       = 8
-	defaultHashReplicas = 64
-)
-
-// Config assembles a Pool.
-type Config struct {
-	// Shards is the tenant-map shard count (default 8). Lookups hash
-	// the tenant ID onto a shard so hot routing never funnels through
-	// one lock.
-	Shards int
-	// HashFallback routes requests with an empty tenant ID over a
-	// consistent-hash ring of the current tenants (keyed by request ID,
-	// or a round-robin sequence for keyless calls). Off by default:
-	// anonymous traffic then fails with ErrNoRoute.
-	HashFallback bool
-	// HashReplicas is the virtual-node count per tenant on the ring
-	// (default 64).
-	HashReplicas int
-	// Metrics, when non-nil, receives pool-level instrumentation: the
-	// ring-membership gauge (pool.ring.members) and the remap counter
-	// (pool.ring.remap.total, the probe keys whose owner changed across
-	// AddTenant/RemoveTenant rebuilds) so rebalancing is observable.
-	// Per-tenant serving metrics stay in each tenant's own registry.
-	Metrics *metrics.Registry
-}
-
-// shard is one slice of the tenant map with its own lock.
-type shard struct {
-	mu      sync.RWMutex
-	tenants map[string]*Tenant
-}
-
-// Pool owns N named tenants behind a sharded lookup. All methods are
+// Pool owns N named tenants behind one lookup map. All methods are
 // safe for concurrent use.
 type Pool struct {
-	cfg    Config
-	shards []*shard
-	closed atomic.Bool
-
-	// ringMu guards ring rebuilds; the ring itself is immutable, so
-	// routing loads it with a read lock and searches lock-free.
-	ringMu sync.RWMutex
-	ring   *Ring
-
-	// anon sequences routing keys for keyless anonymous Decide calls,
-	// spreading them over the ring.
-	anon atomic.Uint64
-
-	// ringMembers and ringRemap instrument membership changes (nil
-	// without Config.Metrics).
-	ringMembers *metrics.Gauge
-	ringRemap   *metrics.Counter
+	mu      sync.RWMutex
+	tenants map[string]*Tenant
+	closed  atomic.Bool
 }
 
 // New returns an empty pool.
-func New(cfg Config) *Pool {
-	if cfg.Shards <= 0 {
-		cfg.Shards = defaultShards
-	}
-	if cfg.HashReplicas <= 0 {
-		cfg.HashReplicas = defaultHashReplicas
-	}
-	p := &Pool{cfg: cfg, shards: make([]*shard, cfg.Shards), ring: BuildRing(nil, cfg.HashReplicas)}
-	for i := range p.shards {
-		p.shards[i] = &shard{tenants: make(map[string]*Tenant)}
-	}
-	if cfg.Metrics != nil {
-		p.ringMembers = cfg.Metrics.Gauge("pool.ring.members")
-		p.ringRemap = cfg.Metrics.Counter("pool.ring.remap.total")
-	}
-	return p
-}
-
-// shardFor hashes a tenant ID onto its shard.
-func (p *Pool) shardFor(id string) *shard {
-	return p.shards[hashKey(id)%uint32(len(p.shards))]
+func New() *Pool {
+	return &Pool{tenants: make(map[string]*Tenant)}
 }
 
 // AddTenant builds the tenant's serving stack, starts its engine and
@@ -139,23 +70,21 @@ func (p *Pool) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := p.shardFor(t.id)
-	sh.mu.Lock()
-	if _, dup := sh.tenants[t.id]; dup {
-		sh.mu.Unlock()
+	p.mu.Lock()
+	if _, dup := p.tenants[t.id]; dup {
+		p.mu.Unlock()
 		_ = t.engine.Close()
 		return nil, fmt.Errorf("%w: %q", ErrTenantExists, t.id)
 	}
 	if p.closed.Load() {
 		// Close raced us between the entry check and the insert; do not
 		// leak a running engine into a closed pool.
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		_ = t.engine.Close()
 		return nil, ErrPoolClosed
 	}
-	sh.tenants[t.id] = t
-	sh.mu.Unlock()
-	p.rebuildRing()
+	p.tenants[t.id] = t
+	p.mu.Unlock()
 	return t, nil
 }
 
@@ -165,60 +94,41 @@ func (p *Pool) AddTenant(cfg TenantConfig) (*Tenant, error) {
 // delivered exactly once. Concurrent removals of the same tenant
 // resolve to one winner; the others return ErrUnknownTenant.
 func (p *Pool) RemoveTenant(ctx context.Context, id string) error {
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	t, ok := sh.tenants[id]
-	if ok {
-		delete(sh.tenants, id)
-	}
-	sh.mu.Unlock()
+	t, ok := p.unroute(id)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
 	}
-	p.rebuildRing()
 	return t.engine.Drain(ctx)
 }
 
-// rebuildRing reassembles the consistent-hash ring from the current
-// membership. Serialized by ringMu so concurrent add/remove cannot
-// interleave a stale membership snapshot over a fresh one. With
-// Config.Metrics set it also updates the membership gauge and counts
-// remapped probe keys, making each rebalance observable.
-func (p *Pool) rebuildRing() {
-	p.ringMu.Lock()
-	defer p.ringMu.Unlock()
-	old := p.ring
-	p.ring = BuildRing(p.tenantIDs(), p.cfg.HashReplicas)
-	if p.ringMembers != nil {
-		p.ringMembers.Set(int64(p.ring.Len()))
+// unroute deletes the tenant from the lookup map and returns it.
+func (p *Pool) unroute(id string) (*Tenant, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t, ok := p.tenants[id]
+	if ok {
+		delete(p.tenants, id)
 	}
-	if p.ringRemap != nil {
-		if n := RemapCount(old, p.ring); n > 0 {
-			p.ringRemap.Add(uint64(n))
-		}
-	}
+	return t, ok
 }
 
 // tenantIDs snapshots the current membership, sorted.
 func (p *Pool) tenantIDs() []string {
-	var ids []string
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for id := range sh.tenants {
-			ids = append(ids, id)
-		}
-		sh.mu.RUnlock()
+	p.mu.RLock()
+	ids := make([]string, 0, len(p.tenants))
+	for id := range p.tenants {
+		ids = append(ids, id)
 	}
+	p.mu.RUnlock()
 	sort.Strings(ids)
 	return ids
 }
 
 // Tenant looks up a tenant by ID.
 func (p *Pool) Tenant(id string) (*Tenant, bool) {
-	sh := p.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	t, ok := sh.tenants[id]
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	t, ok := p.tenants[id]
 	return t, ok
 }
 
@@ -227,53 +137,24 @@ func (p *Pool) Tenants() []string { return p.tenantIDs() }
 
 // Len returns the current tenant count.
 func (p *Pool) Len() int {
-	n := 0
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		n += len(sh.tenants)
-		sh.mu.RUnlock()
-	}
-	return n
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.tenants)
 }
 
-// resolve routes a request to its tenant: by explicit ID, or — when
-// the ID is empty and hash fallback is on — over the consistent-hash
-// ring keyed by routeKey (a fresh sequence number when routeKey is
-// empty).
-func (p *Pool) resolve(tenantID, routeKey string) (*Tenant, error) {
+// resolve routes a request to its tenant by explicit ID.
+func (p *Pool) resolve(tenantID string) (*Tenant, error) {
 	if p.closed.Load() {
 		return nil, ErrPoolClosed
 	}
 	if tenantID == "" {
-		if !p.cfg.HashFallback {
-			return nil, ErrNoRoute
-		}
-		if routeKey == "" {
-			routeKey = "anon-" + strconv.FormatUint(p.anon.Add(1), 10)
-		}
-		p.ringMu.RLock()
-		tenantID = p.ring.Route(routeKey)
-		p.ringMu.RUnlock()
-		if tenantID == "" {
-			return nil, ErrNoRoute
-		}
+		return nil, ErrNoRoute
 	}
 	t, ok := p.Tenant(tenantID)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantID)
 	}
 	return t, nil
-}
-
-// Route reports which tenant an anonymous request with the given
-// routing key would land on (diagnostics; "" when unroutable).
-func (p *Pool) Route(routeKey string) string {
-	if !p.cfg.HashFallback {
-		return ""
-	}
-	p.ringMu.RLock()
-	defer p.ringMu.RUnlock()
-	return p.ring.Route(routeKey)
 }
 
 // ReplaceTenant atomically swaps in a freshly built tenant for
@@ -291,19 +172,17 @@ func (p *Pool) ReplaceTenant(ctx context.Context, cfg TenantConfig) (*Tenant, er
 	if err != nil {
 		return nil, err
 	}
-	sh := p.shardFor(t.id)
-	sh.mu.Lock()
+	p.mu.Lock()
 	if p.closed.Load() {
 		// Close raced us; do not leak a running engine into a closed
 		// pool.
-		sh.mu.Unlock()
+		p.mu.Unlock()
 		_ = t.engine.Close()
 		return nil, ErrPoolClosed
 	}
-	old := sh.tenants[t.id]
-	sh.tenants[t.id] = t
-	sh.mu.Unlock()
-	p.rebuildRing()
+	old := p.tenants[t.id]
+	p.tenants[t.id] = t
+	p.mu.Unlock()
 	if old != nil {
 		if err := old.engine.Drain(ctx); err != nil {
 			return t, fmt.Errorf("pool: draining replaced tenant %q: %w", t.id, err)
@@ -313,10 +192,9 @@ func (p *Pool) ReplaceTenant(ctx context.Context, cfg TenantConfig) (*Tenant, er
 }
 
 // Decide serves one decision through the named tenant's engine,
-// blocking for queue space and the decision, bounded by ctx. An empty
-// tenantID uses the hash fallback when enabled.
+// blocking for queue space and the decision, bounded by ctx.
 func (p *Pool) Decide(ctx context.Context, tenantID string, rec *audio.Recording) (core.Decision, error) {
-	t, err := p.resolve(tenantID, "")
+	t, err := p.resolve(tenantID)
 	if err != nil {
 		return core.Decision{}, err
 	}
@@ -326,22 +204,20 @@ func (p *Pool) Decide(ctx context.Context, tenantID string, rec *audio.Recording
 // DecideFused serves one multi-array room-level decision through the
 // named tenant's engine: every array's capture runs the pipeline, and
 // the per-array posteriors are fused (health-weighted) into a single
-// accept/reject. An empty tenantID uses the hash fallback when enabled.
-func (p *Pool) DecideFused(ctx context.Context, tenantID string, arrays []serve.ArrayInput, cfg fusion.Config) (fusion.RoomDecision, []fusion.ArrayReport, error) {
-	t, err := p.resolve(tenantID, "")
+// accept/reject.
+func (p *Pool) DecideFused(ctx context.Context, tenantID string, arrays []serve.ArrayInput) (fusion.RoomDecision, []fusion.ArrayReport, error) {
+	t, err := p.resolve(tenantID)
 	if err != nil {
 		return fusion.RoomDecision{}, nil, err
 	}
-	return t.engine.DecideFused(ctx, arrays, cfg)
+	return t.engine.DecideFused(ctx, arrays)
 }
 
 // PushFrames feeds one multichannel chunk into the named streaming
-// session of the named tenant's engine. An empty tenantID uses the
-// hash fallback keyed by sessionID, so an anonymous session sticks to
-// one tenant for its whole life. Tenants built without
+// session of the named tenant's engine. Tenants built without
 // TenantConfig.Streaming fail with serve.ErrNoStream.
 func (p *Pool) PushFrames(ctx context.Context, tenantID, sessionID string, frame [][]float64) (stream.PushResult, error) {
-	t, err := p.resolve(tenantID, sessionID)
+	t, err := p.resolve(tenantID)
 	if err != nil {
 		return stream.PushResult{}, err
 	}
@@ -349,11 +225,9 @@ func (p *Pool) PushFrames(ctx context.Context, tenantID, sessionID string, frame
 }
 
 // EndSession removes one streaming session from the named tenant's
-// engine, reporting whether it existed. Anonymous routing matches
-// PushFrames (keyed by sessionID), so an anonymous end reaches the
-// same tenant its pushes did.
+// engine, reporting whether it existed.
 func (p *Pool) EndSession(tenantID, sessionID string) (bool, error) {
-	t, err := p.resolve(tenantID, sessionID)
+	t, err := p.resolve(tenantID)
 	if err != nil {
 		return false, err
 	}
@@ -362,9 +236,8 @@ func (p *Pool) EndSession(tenantID, sessionID string) (bool, error) {
 
 // Submit enqueues a request on the named tenant's engine with Submit
 // semantics: never blocks, ErrQueueFull on that tenant's full queue.
-// An empty tenantID uses the hash fallback keyed by req.ID.
 func (p *Pool) Submit(ctx context.Context, tenantID string, req serve.Request) (<-chan serve.Result, error) {
-	t, err := p.resolve(tenantID, req.ID)
+	t, err := p.resolve(tenantID)
 	if err != nil {
 		return nil, err
 	}
@@ -389,15 +262,13 @@ type Health struct {
 func (p *Pool) HealthSnapshot() Health {
 	h := Health{Tenants: make(map[string]serve.Health), Closed: p.closed.Load()}
 	allHealthy := true
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for id, t := range sh.tenants {
-			th := t.Health()
-			h.Tenants[id] = th
-			allHealthy = allHealthy && th.Healthy
-		}
-		sh.mu.RUnlock()
+	p.mu.RLock()
+	for id, t := range p.tenants {
+		th := t.Health()
+		h.Tenants[id] = th
+		allHealthy = allHealthy && th.Healthy
 	}
+	p.mu.RUnlock()
 	h.TenantCount = len(h.Tenants)
 	h.Healthy = !h.Closed && h.TenantCount > 0 && allHealthy
 	return h
@@ -433,13 +304,7 @@ func (p *Pool) Drain(ctx context.Context) error {
 	p.closed.Store(true)
 	var firstErr error
 	for _, id := range p.tenantIDs() {
-		sh := p.shardFor(id)
-		sh.mu.Lock()
-		t, ok := sh.tenants[id]
-		if ok {
-			delete(sh.tenants, id)
-		}
-		sh.mu.Unlock()
+		t, ok := p.unroute(id)
 		if !ok {
 			continue
 		}
@@ -447,7 +312,6 @@ func (p *Pool) Drain(ctx context.Context) error {
 			firstErr = fmt.Errorf("pool: draining tenant %q: %w", id, err)
 		}
 	}
-	p.rebuildRing()
 	return firstErr
 }
 

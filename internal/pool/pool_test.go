@@ -38,9 +38,9 @@ func testTenantConfig(t *testing.T, id string) TenantConfig {
 	return TenantConfig{ID: id, System: sys, Workers: 2, QueueSize: 8}
 }
 
-func newTestPool(t *testing.T, cfg Config, ids ...string) *Pool {
+func newTestPool(t *testing.T, ids ...string) *Pool {
 	t.Helper()
-	p := New(cfg)
+	p := New()
 	t.Cleanup(func() { _ = p.Close() })
 	for _, id := range ids {
 		if _, err := p.AddTenant(testTenantConfig(t, id)); err != nil {
@@ -51,7 +51,7 @@ func newTestPool(t *testing.T, cfg Config, ids ...string) *Pool {
 }
 
 func TestPoolAddDecideRemove(t *testing.T) {
-	p := newTestPool(t, Config{}, "lab", "home")
+	p := newTestPool(t, "lab", "home")
 	if got := p.Tenants(); len(got) != 2 || got[0] != "home" || got[1] != "lab" {
 		t.Fatalf("tenants = %v", got)
 	}
@@ -85,7 +85,7 @@ func TestPoolAddDecideRemove(t *testing.T) {
 }
 
 func TestPoolDuplicateTenant(t *testing.T) {
-	p := newTestPool(t, Config{}, "lab")
+	p := newTestPool(t, "lab")
 	_, err := p.AddTenant(testTenantConfig(t, "lab"))
 	if !errors.Is(err, ErrTenantExists) {
 		t.Fatalf("duplicate add = %v, want ErrTenantExists", err)
@@ -96,7 +96,7 @@ func TestPoolDuplicateTenant(t *testing.T) {
 }
 
 func TestTenantConfigValidation(t *testing.T) {
-	p := newTestPool(t, Config{})
+	p := newTestPool(t)
 	if _, err := p.AddTenant(TenantConfig{}); err == nil {
 		t.Fatal("tenant without ID should fail")
 	}
@@ -105,72 +105,78 @@ func TestTenantConfigValidation(t *testing.T) {
 	}
 }
 
-func TestPoolAnonymousRoutingDisabledByDefault(t *testing.T) {
-	p := newTestPool(t, Config{}, "lab")
-	if _, err := p.Decide(context.Background(), "", testRecording(4)); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("anonymous decide without fallback = %v, want ErrNoRoute", err)
-	}
-	if got := p.Route("any"); got != "" {
-		t.Fatalf("Route with fallback off = %q, want empty", got)
+// TestPoolEmptyTenantIDIsNoRoute: every entry point refuses a request
+// that names no tenant, even with tenants in the pool.
+func TestPoolEmptyTenantIDIsNoRoute(t *testing.T) {
+	p := newTestPool(t, "lab")
+	ctx := context.Background()
+	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Decide", func() error {
+			_, err := p.Decide(ctx, "", testRecording(4))
+			return err
+		}},
+		{"DecideFused", func() error {
+			_, _, err := p.DecideFused(ctx, "", []serve.ArrayInput{{Recording: testRecording(5)}})
+			return err
+		}},
+		{"Submit", func() error {
+			_, err := p.Submit(ctx, "", serve.Request{ID: "r", Recording: testRecording(6)})
+			return err
+		}},
+		{"PushFrames", func() error {
+			_, err := p.PushFrames(ctx, "", "s", chunk)
+			return err
+		}},
+		{"EndSession", func() error {
+			_, err := p.EndSession("", "s")
+			return err
+		}},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrNoRoute) {
+			t.Errorf("%s with empty tenant ID = %v, want ErrNoRoute", tc.name, err)
+		}
 	}
 }
 
-func TestPoolAnonymousHashFallback(t *testing.T) {
-	p := newTestPool(t, Config{HashFallback: true}, "lab", "home", "office")
-
-	// The same routing key must always land on the same tenant.
-	for _, key := range []string{"alpha", "beta", "gamma", "delta"} {
-		first := p.Route(key)
-		if first == "" {
-			t.Fatalf("key %q unroutable", key)
-		}
-		for i := 0; i < 5; i++ {
-			if got := p.Route(key); got != first {
-				t.Fatalf("key %q routed to %q then %q", key, first, got)
-			}
-		}
-	}
-
-	// With enough keys every tenant owns part of the ring.
+// TestRingConsistentHashing: a key always lands on the same member,
+// every member owns part of the ring, and dropping a member remaps only
+// the keys it owned.
+func TestRingConsistentHashing(t *testing.T) {
+	r := BuildRing([]string{"lab", "home", "office"}, 0)
 	owners := map[string]int{}
-	for i := 0; i < 300; i++ {
-		owners[p.Route("key-"+strconv.Itoa(i))]++
-	}
-	for _, id := range []string{"lab", "home", "office"} {
-		if owners[id] == 0 {
-			t.Fatalf("tenant %s owns no keys: %v", id, owners)
-		}
-	}
-
-	// Removing one tenant only remaps its keys; keys owned by the
-	// survivors stay put (the consistent-hash property).
 	before := map[string]string{}
 	for i := 0; i < 300; i++ {
 		k := "key-" + strconv.Itoa(i)
-		before[k] = p.Route(k)
+		owner := r.Route(k)
+		if owner == "" || r.Route(k) != owner {
+			t.Fatalf("key %q routed to %q, then %q", k, owner, r.Route(k))
+		}
+		owners[owner]++
+		before[k] = owner
 	}
-	if err := p.RemoveTenant(context.Background(), "office"); err != nil {
-		t.Fatal(err)
+	for _, id := range []string{"lab", "home", "office"} {
+		if owners[id] == 0 {
+			t.Fatalf("member %s owns no keys: %v", id, owners)
+		}
 	}
+	r = BuildRing([]string{"lab", "home"}, 0)
 	for k, owner := range before {
-		got := p.Route(k)
+		got := r.Route(k)
 		if owner != "office" && got != owner {
 			t.Fatalf("key %q moved %q -> %q though its owner survived", k, owner, got)
 		}
-		if owner == "office" && got == "office" {
-			t.Fatalf("key %q still routed to removed tenant", k)
+		if got == "office" {
+			t.Fatalf("key %q still routed to removed member", k)
 		}
-	}
-
-	// Anonymous decisions flow end to end.
-	d, err := p.Decide(context.Background(), "", testRecording(5))
-	if err != nil || !d.Accepted {
-		t.Fatalf("anonymous decide = %+v, %v", d, err)
 	}
 }
 
 func TestPoolClosedSemantics(t *testing.T) {
-	p := newTestPool(t, Config{HashFallback: true}, "lab")
+	p := newTestPool(t, "lab")
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +196,11 @@ func TestPoolClosedSemantics(t *testing.T) {
 }
 
 func TestPoolHealthSnapshot(t *testing.T) {
-	p := newTestPool(t, Config{})
+	p := newTestPool(t)
 	if h := p.HealthSnapshot(); h.Healthy {
 		t.Fatalf("empty pool should not be healthy: %+v", h)
 	}
-	p = newTestPool(t, Config{}, "lab", "home")
+	p = newTestPool(t, "lab", "home")
 	h := p.HealthSnapshot()
 	if !h.Healthy || h.TenantCount != 2 {
 		t.Fatalf("health %+v", h)
@@ -222,7 +228,7 @@ func TestPoolHealthSnapshot(t *testing.T) {
 }
 
 func TestPoolSnapshotPrefixesTenants(t *testing.T) {
-	p := newTestPool(t, Config{}, "lab", "home")
+	p := newTestPool(t, "lab", "home")
 	for i := 0; i < 3; i++ {
 		if _, err := p.Decide(context.Background(), "lab", testRecording(uint64(10+i))); err != nil {
 			t.Fatal(err)
@@ -296,38 +302,8 @@ func TestRingRouteN(t *testing.T) {
 	}
 }
 
-func TestRingMembershipMetrics(t *testing.T) {
-	reg := metrics.NewRegistry()
-	p := New(Config{Metrics: reg})
-	t.Cleanup(func() { _ = p.Close() })
-	if _, err := p.AddTenant(testTenantConfig(t, "a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AddTenant(testTenantConfig(t, "b")); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	if got := s.Gauges["pool.ring.members"]; got != 2 {
-		t.Fatalf("pool.ring.members = %d, want 2", got)
-	}
-	afterAdds := s.Counters["pool.ring.remap.total"]
-	if afterAdds == 0 {
-		t.Fatal("pool.ring.remap.total stayed zero across two adds")
-	}
-	if err := p.RemoveTenant(context.Background(), "a"); err != nil {
-		t.Fatal(err)
-	}
-	s = reg.Snapshot()
-	if got := s.Gauges["pool.ring.members"]; got != 1 {
-		t.Fatalf("pool.ring.members after remove = %d, want 1", got)
-	}
-	if got := s.Counters["pool.ring.remap.total"]; got <= afterAdds {
-		t.Fatalf("remap counter did not advance on remove: %d <= %d", got, afterAdds)
-	}
-}
-
 func TestReplaceTenantSwapsAtomically(t *testing.T) {
-	p := newTestPool(t, Config{}, "x")
+	p := newTestPool(t, "x")
 	oldT, _ := p.Tenant("x")
 	newT, err := p.ReplaceTenant(context.Background(), testTenantConfig(t, "x"))
 	if err != nil {

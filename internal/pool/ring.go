@@ -6,10 +6,9 @@ import (
 	"strconv"
 )
 
-// Ring is a consistent-hash ring over member IDs. The pool uses it to
-// route anonymous traffic over its tenants; the cluster layer promotes
-// the same ring to node-level tenant ownership (each federation node
-// owns the tenants that hash to it). The same routing key always lands
+// Ring is a consistent-hash ring over member IDs. The cluster layer
+// uses it for node-level tenant ownership (each federation node owns
+// the tenants that hash to it). The same routing key always lands
 // on the same member, and adding or removing one member only remaps
 // the keys adjacent to its virtual nodes instead of reshuffling
 // everything. Rings are immutable once built — membership changes
@@ -25,8 +24,11 @@ type ringPoint struct {
 	id   string
 }
 
-// hashKey is FNV-1a, the same dependency-free hash the shard selector
-// uses.
+// defaultHashReplicas is the virtual-node count per member when
+// BuildRing is given none.
+const defaultHashReplicas = 64
+
+// hashKey is FNV-1a, a dependency-free hash.
 func hashKey(key string) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(key))

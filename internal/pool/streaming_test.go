@@ -40,7 +40,7 @@ func streamingTenantConfig(t *testing.T, id string) TenantConfig {
 // manager; sessions are scoped per tenant and surface in that tenant's
 // prefixed metrics only.
 func TestPoolStreamingPerTenant(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	defer p.Close()
 	for _, id := range []string{"t1", "t2"} {
 		if _, err := p.AddTenant(streamingTenantConfig(t, id)); err != nil {
@@ -81,17 +81,13 @@ func TestPoolStreamingPerTenant(t *testing.T) {
 }
 
 // TestPoolStreamingRouting: unknown tenants fail, tenants without
-// streaming fail with serve.ErrNoStream, and anonymous pushes respect
-// the hash-fallback setting.
+// streaming fail with serve.ErrNoStream.
 func TestPoolStreamingRouting(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	defer p.Close()
 	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
 	if _, err := p.PushFrames(context.Background(), "ghost", "s", chunk); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant = %v, want ErrUnknownTenant", err)
-	}
-	if _, err := p.PushFrames(context.Background(), "", "s", chunk); !errors.Is(err, ErrNoRoute) {
-		t.Fatalf("anonymous without fallback = %v, want ErrNoRoute", err)
 	}
 	sys, err := core.NewSystem(core.Config{})
 	if err != nil {
@@ -105,38 +101,5 @@ func TestPoolStreamingRouting(t *testing.T) {
 	}
 	if _, err := p.EndSession("plain", "s"); !errors.Is(err, serve.ErrNoStream) {
 		t.Fatalf("EndSession without streaming = %v, want serve.ErrNoStream", err)
-	}
-}
-
-// TestPoolStreamingAnonymousSticky: with hash fallback on, an
-// anonymous session keyed by its ID always lands on the same tenant.
-func TestPoolStreamingAnonymousSticky(t *testing.T) {
-	p := New(Config{HashFallback: true})
-	defer p.Close()
-	for _, id := range []string{"t1", "t2", "t3"} {
-		if _, err := p.AddTenant(streamingTenantConfig(t, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
-	for i := 0; i < 5; i++ {
-		if _, err := p.PushFrames(context.Background(), "", "livingroom", chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := 0
-	var owner *Tenant
-	for _, id := range p.Tenants() {
-		tn, _ := p.Tenant(id)
-		if n := tn.Streams().Len(); n > 0 {
-			total += n
-			owner = tn
-		}
-	}
-	if total != 1 || owner == nil {
-		t.Fatalf("anonymous session landed on %d sessions across tenants, want exactly 1", total)
-	}
-	if want := p.Route("livingroom"); owner.ID() != want {
-		t.Fatalf("session on tenant %q, ring routes %q", owner.ID(), want)
 	}
 }

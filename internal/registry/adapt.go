@@ -14,9 +14,8 @@ import (
 // its stored bytes, the batch is folded in with
 // orientation.IncrementalUpdate (self-training: only high-confidence
 // pseudo-labels are absorbed), and the result is stored as a new
-// CANDIDATE version — never auto-promoted. With AutoShadow it enters
-// shadow evaluation so its divergence from the active model is metered
-// before any human promotes it.
+// CANDIDATE version — never auto-promoted, and never shadow-scored
+// until an operator asks for it (Registry.Shadow).
 type AdaptConfig struct {
 	// Disable turns online adaptation off entirely.
 	Disable bool
@@ -26,8 +25,6 @@ type AdaptConfig struct {
 	// MinConfidence is passed to IncrementalUpdate: pseudo-labels
 	// below it are not absorbed (default 0.8).
 	MinConfidence float64
-	// AutoShadow places each built candidate under shadow evaluation.
-	AutoShadow bool
 }
 
 func (c AdaptConfig) withDefaults() AdaptConfig {
@@ -140,11 +137,6 @@ func (a *adapter) build() (uint64, error) {
 	if a.reg.ins != nil {
 		a.reg.ins.adaptBuilt.Inc()
 	}
-	if a.cfg.AutoShadow {
-		if err := a.reg.Shadow(num); err != nil {
-			return num, err
-		}
-	}
 	return num, nil
 }
 
@@ -170,8 +162,6 @@ func (a *adapter) recycle(batch [][]float64) {
 // population, or the hardware has moved out from under the model and a
 // re-enrollment or adaptation candidate deserves a look.
 type DriftConfig struct {
-	// Disable turns drift detection off.
-	Disable bool
 	// MinBaseline is how many scores establish the post-swap baseline
 	// (default 64).
 	MinBaseline int

@@ -83,9 +83,10 @@ func TestAdaptNowBuildsCandidate(t *testing.T) {
 
 func TestAdaptBatchTriggersInBackground(t *testing.T) {
 	reg := New(Config{
-		Adapt: AdaptConfig{BatchSize: 4, MinConfidence: 0.55, AutoShadow: true},
+		Adapt: AdaptConfig{BatchSize: 4, MinConfidence: 0.55},
 	})
-	if _, err := reg.Install(KindOrientation, trainedModel(t, 42, 2.0)); err != nil {
+	active, err := reg.Install(KindOrientation, trainedModel(t, 42, 2.0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	set := reg.ModelSet()
@@ -95,12 +96,22 @@ func TestAdaptBatchTriggersInBackground(t *testing.T) {
 	}
 	reg.WaitAdapt()
 
+	// The batch build stored one new candidate beside the untouched
+	// active version, and nothing entered shadow evaluation.
 	after := reg.ModelSet()
-	if after.Shadow == nil {
-		t.Fatal("AutoShadow candidate should be shadow-scoring after the batch build")
+	if after.Version(KindOrientation) != active || after.Shadow != nil {
+		t.Fatalf("batch build changed serving: active v%d, shadow %v", after.Version(KindOrientation), after.Shadow != nil)
 	}
-	if after.Version(KindOrientation) == after.ShadowVersion {
-		t.Fatal("shadow and active must be distinct versions")
+	candidates := 0
+	for _, st := range reg.Status() {
+		for _, v := range st.Versions {
+			if st.Kind == KindOrientation && v.Number != active && v.State == StateCandidate {
+				candidates++
+			}
+		}
+	}
+	if candidates != 1 {
+		t.Fatalf("batch build stored %d candidates, want 1", candidates)
 	}
 }
 

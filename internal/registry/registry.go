@@ -642,9 +642,7 @@ func (r *Registry) publishLocked() {
 		}
 	}
 	// Wire the registry's own observation hooks.
-	if !r.cfg.Drift.Disable {
-		set.OnScore = r.drift.observe
-	}
+	set.OnScore = r.drift.observe
 	if set.Shadow != nil {
 		set.OnShadow = r.observeShadow
 	}

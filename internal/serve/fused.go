@@ -28,7 +28,7 @@ type ArrayInput struct {
 // error and contributes no evidence) rather than failing the room; the
 // fused decision itself fails closed when no array produced usable
 // evidence. The per-array reports are returned for attribution.
-func (e *Engine) DecideFused(ctx context.Context, arrays []ArrayInput, cfg fusion.Config) (fusion.RoomDecision, []fusion.ArrayReport, error) {
+func (e *Engine) DecideFused(ctx context.Context, arrays []ArrayInput) (fusion.RoomDecision, []fusion.ArrayReport, error) {
 	if len(arrays) == 0 {
 		return fusion.RoomDecision{}, nil, fmt.Errorf("serve: fused decision needs at least one array")
 	}
@@ -57,7 +57,7 @@ func (e *Engine) DecideFused(ctx context.Context, arrays []ArrayInput, cfg fusio
 		}()
 	}
 	wg.Wait()
-	room := fusion.Fuse(reports, cfg)
+	room := fusion.Fuse(reports)
 	e.cfg.Metrics.Counter("serve.fused.total").Inc()
 	if room.Accepted {
 		e.cfg.Metrics.Counter("serve.fused.accepted").Inc()

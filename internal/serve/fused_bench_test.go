@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"headtalk/internal/core"
-	"headtalk/internal/fusion"
 	"headtalk/internal/metrics"
 )
 
@@ -46,7 +45,7 @@ func BenchmarkDecideFused(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eng.DecideFused(context.Background(), arrays, fusion.Config{}); err != nil {
+				if _, _, err := eng.DecideFused(context.Background(), arrays); err != nil {
 					b.Fatal(err)
 				}
 			}

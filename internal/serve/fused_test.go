@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"headtalk/internal/core"
-	"headtalk/internal/fusion"
 	"headtalk/internal/metrics"
 )
 
@@ -16,7 +15,7 @@ func TestDecideFusedRoundTrip(t *testing.T) {
 	room, reports, err := eng.DecideFused(context.Background(), []ArrayInput{
 		{ArrayID: "kitchen", Recording: testRecording(1)},
 		{ArrayID: "livingroom", Recording: testRecording(2)},
-	}, fusion.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestDecideFusedPartialFailure(t *testing.T) {
 	room, reports, err := eng.DecideFused(context.Background(), []ArrayInput{
 		{ArrayID: "ok", Recording: testRecording(3)},
 		{ArrayID: "broken"},
-	}, fusion.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +62,7 @@ func TestDecideFusedPartialFailure(t *testing.T) {
 		t.Error("missing-recording array should carry an error")
 	}
 
-	if _, _, err := eng.DecideFused(context.Background(), nil, fusion.Config{}); err == nil {
+	if _, _, err := eng.DecideFused(context.Background(), nil); err == nil {
 		t.Error("fused decision over zero arrays should fail")
 	}
 }

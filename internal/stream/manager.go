@@ -28,6 +28,21 @@ var (
 	ErrSessionEnded = errors.New("stream: session ended")
 )
 
+// Each session retains the last windowSeconds of audio, the window
+// candidate snapshots are cut from. A push whose mean-square energy is
+// below energyThreshold counts as silent, and continuous sub-floor
+// audio is still fully processed for silenceHangover before the session
+// goes dormant. The hangover must outlast intra-word gaps — stop-
+// consonant closures in the wake word are near-silent for up to
+// ~100 ms, and resetting the spotter inside one would split the
+// utterance — while staying short enough that real silence stops
+// burning FFTs quickly.
+const (
+	windowSeconds   = 1.5
+	energyThreshold = 1e-4
+	silenceHangover = 250 * time.Millisecond
+)
+
 // Config configures a session manager.
 type Config struct {
 	// SampleRate is the full-rate sample rate of pushed frames. It must
@@ -35,23 +50,9 @@ type Config struct {
 	SampleRate float64
 	// Channels is the microphone count of pushed frames. Default 4.
 	Channels int
-	// WindowSeconds is the per-session retention window candidate
-	// snapshots are cut from. Default 1.5.
-	WindowSeconds float64
-	// Spotter scores candidate windows; required.
+	// Spotter scores candidate windows against its own threshold;
+	// required.
 	Spotter *va.Spotter
-	// SpotThreshold overrides the spotter's own threshold when > 0.
-	SpotThreshold float64
-	// EnergyThreshold is the mean-square chunk energy below which a
-	// push counts as silent. Default 1e-4.
-	EnergyThreshold float64
-	// SilenceHangover is how long continuous sub-floor audio is still
-	// fully processed before the session goes dormant. It must outlast
-	// intra-word gaps — stop-consonant closures in the wake word are
-	// near-silent for up to ~100 ms, and resetting the spotter inside
-	// one would split the utterance — while staying short enough that
-	// real silence stops burning FFTs quickly. Default 250ms.
-	SilenceHangover time.Duration
 	// SessionTimeout evicts sessions idle this long. Default 30s.
 	SessionTimeout time.Duration
 	// MaxSessions bounds concurrent sessions. Default 64.
@@ -132,7 +133,6 @@ func newInstruments(reg *metrics.Registry) instruments {
 // stalled session cannot starve the rest.
 type Manager struct {
 	cfg             Config
-	spotThreshold   float64
 	windowSamples   int
 	hangoverSamples int
 	ins             instruments
@@ -172,18 +172,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Channels < 1 {
 		return nil, fmt.Errorf("stream: channel count %d < 1", cfg.Channels)
 	}
-	if cfg.WindowSeconds == 0 {
-		cfg.WindowSeconds = 1.5
-	}
-	if cfg.WindowSeconds <= 0 {
-		return nil, fmt.Errorf("stream: window %g s must be positive", cfg.WindowSeconds)
-	}
-	if cfg.EnergyThreshold == 0 {
-		cfg.EnergyThreshold = 1e-4
-	}
-	if cfg.SilenceHangover == 0 {
-		cfg.SilenceHangover = 250 * time.Millisecond
-	}
 	if cfg.SessionTimeout == 0 {
 		cfg.SessionTimeout = 30 * time.Second
 	}
@@ -195,22 +183,15 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:             cfg,
-		spotThreshold:   cfg.SpotThreshold,
-		windowSamples:   int(cfg.WindowSeconds * cfg.SampleRate),
-		hangoverSamples: int(cfg.SilenceHangover.Seconds() * cfg.SampleRate),
+		windowSamples:   int(windowSeconds * cfg.SampleRate),
+		hangoverSamples: int(silenceHangover.Seconds() * cfg.SampleRate),
 		ins:             newInstruments(cfg.Metrics),
 		sessions:        make(map[string]*session),
-	}
-	if m.spotThreshold == 0 {
-		m.spotThreshold = cfg.Spotter.Threshold
 	}
 	if cfg.Speakers != nil {
 		tc := *cfg.Speakers
 		tc.applyDefaults(cfg.SessionTimeout)
 		m.speakers = &Tracker{cfg: tc}
-	}
-	if m.windowSamples < 1 {
-		return nil, fmt.Errorf("stream: window %g s holds no samples at %g Hz", cfg.WindowSeconds, cfg.SampleRate)
 	}
 	every := cfg.JanitorEvery
 	if every == 0 {

@@ -252,8 +252,8 @@ func TestStreamNoiseExitsAtSpotterGate(t *testing.T) {
 	for _, r := range results {
 		if r.Status == StatusNoWake {
 			sawNoWake = true
-			if r.SpotScore >= m.spotThreshold {
-				t.Fatalf("no_wake push carries score %.3f ≥ threshold %.3f", r.SpotScore, m.spotThreshold)
+			if r.SpotScore >= m.cfg.Spotter.Threshold {
+				t.Fatalf("no_wake push carries score %.3f ≥ threshold %.3f", r.SpotScore, m.cfg.Spotter.Threshold)
 			}
 		}
 	}

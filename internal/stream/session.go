@@ -246,7 +246,7 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 	m.ins.pushSamples.Add(uint64(n))
 	s.ring.Push(frame)
 
-	if energy < m.cfg.EnergyThreshold {
+	if energy < energyThreshold {
 		s.silentSamples += n
 		if s.silentSamples > m.hangoverSamples {
 			// Deep silence: drop partial analysis state so a stale
@@ -272,7 +272,7 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 	if !s.pushReady {
 		return PushResult{Status: StatusBuffered}, nil
 	}
-	if s.pushBest < m.spotThreshold {
+	if s.pushBest < m.cfg.Spotter.Threshold {
 		m.ins.exitSpotter.Inc()
 		return PushResult{Status: StatusNoWake, SpotScore: s.pushBest}, nil
 	}
@@ -289,7 +289,7 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 	rec := s.ring.Snapshot(m.cfg.SampleRate)
 	var sig []int
 	if m.speakers != nil {
-		if v, err := Signature(rec, m.speakers.cfg.MaxLag); err == nil {
+		if v, err := Signature(rec, signatureMaxLag); err == nil {
 			sig = v
 		}
 	}

@@ -18,9 +18,6 @@ import (
 // same seat produce near-identical lag vectors, while a talker across
 // the room produces a distant one.
 type TrackerConfig struct {
-	// MaxLag is the GCC half-window in samples at the full stream rate.
-	// Default 16 (covers the largest supported array at 48 kHz).
-	MaxLag int
 	// Tolerance is the maximum mean per-pair lag distance (in samples)
 	// for a candidate to join an existing track. Default 2.
 	Tolerance float64
@@ -30,14 +27,18 @@ type TrackerConfig struct {
 	// TrackTimeout evicts tracks idle this long. Zero means four times
 	// the manager's SessionTimeout.
 	TrackTimeout time.Duration
-	// HistoryLen bounds each track's facing-margin history. Default 16.
-	HistoryLen int
 }
 
+// A candidate's signature correlates lags up to signatureMaxLag samples
+// at the full stream rate (covering the largest supported array at
+// 48 kHz), and each track keeps the facing margins of its last
+// historyLen decisions.
+const (
+	signatureMaxLag = 16
+	historyLen      = 16
+)
+
 func (c *TrackerConfig) applyDefaults(sessionTimeout time.Duration) {
-	if c.MaxLag == 0 {
-		c.MaxLag = 16
-	}
 	if c.Tolerance == 0 {
 		c.Tolerance = 2
 	}
@@ -46,9 +47,6 @@ func (c *TrackerConfig) applyDefaults(sessionTimeout time.Duration) {
 	}
 	if c.TrackTimeout == 0 {
 		c.TrackTimeout = 4 * sessionTimeout
-	}
-	if c.HistoryLen == 0 {
-		c.HistoryLen = 16
 	}
 }
 
@@ -234,8 +232,8 @@ func (tk *Tracker) Observe(sig []int, d *core.Decision, now time.Time) (SpeakerI
 		best.facing = d.FacingScore > 0
 		best.facingSet = true
 		best.history = append(best.history, d.FacingScore)
-		if len(best.history) > tk.cfg.HistoryLen {
-			best.history = best.history[len(best.history)-tk.cfg.HistoryLen:]
+		if len(best.history) > historyLen {
+			best.history = best.history[len(best.history)-historyLen:]
 		}
 	}
 	return best.info(), matched

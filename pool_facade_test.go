@@ -25,7 +25,7 @@ func facadeRecording(seed uint64) *Recording {
 }
 
 func TestPoolFacade(t *testing.T) {
-	p := NewPool(PoolConfig{})
+	p := NewPool()
 	t.Cleanup(func() { _ = p.Close() })
 	for _, id := range []string{"lab", "home"} {
 		sys, err := NewSystem(Config{})
