@@ -104,36 +104,36 @@ func newPlan(n int) *FFTPlan {
 
 // radix2Tables builds the bit-reversal permutation and both stage
 // twiddle tables of a power-of-two plan, once.
-func (p *FFTPlan) radix2Tables() {
-	p.tables.Do(func() {
-		n := p.n
-		shift := 64 - uint(bits.Len(uint(n-1)))
-		p.perm = make([]int32, n)
-		for i := 0; i < n; i++ {
-			p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+func (p *FFTPlan) radix2Tables() { p.tables.Do(p.buildRadix2Tables) }
+
+func (p *FFTPlan) buildRadix2Tables() {
+	n := p.n
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	p.perm = make([]int32, n)
+	for i := 0; i < n; i++ {
+		p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	}
+	// The last stage reads exp(-2πik/n), k < n/2, at stride 1;
+	// every earlier stage copies its entries from that table at
+	// stride n/(2h), so each butterfly multiplies by exactly the
+	// value the one shared table gave it.
+	p.twf = make([]complex128, n-1)
+	p.twi = make([]complex128, n-1)
+	base := p.twf[n/2-1:]
+	for k := range base {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		s, c := math.Sincos(ang)
+		base[k] = complex(c, s)
+	}
+	for h := 1; h < n/2; h <<= 1 {
+		stride := n / (2 * h)
+		for j := 0; j < h; j++ {
+			p.twf[h-1+j] = base[j*stride]
 		}
-		// The last stage reads exp(-2πik/n), k < n/2, at stride 1;
-		// every earlier stage copies its entries from that table at
-		// stride n/(2h), so each butterfly multiplies by exactly the
-		// value the one shared table gave it.
-		p.twf = make([]complex128, n-1)
-		p.twi = make([]complex128, n-1)
-		base := p.twf[n/2-1:]
-		for k := range base {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			s, c := math.Sincos(ang)
-			base[k] = complex(c, s)
-		}
-		for h := 1; h < n/2; h <<= 1 {
-			stride := n / (2 * h)
-			for j := 0; j < h; j++ {
-				p.twf[h-1+j] = base[j*stride]
-			}
-		}
-		for i, w := range p.twf {
-			p.twi[i] = complex(real(w), -imag(w))
-		}
-	})
+	}
+	for i, w := range p.twf {
+		p.twi[i] = complex(real(w), -imag(w))
+	}
 }
 
 func newBluesteinPlan(n int) *bluesteinPlan {
