@@ -104,6 +104,9 @@ fuzz:
 # decision over loopback TCP). The ladder (Bandpass, Decimate,
 # LivenessScore, FingerprintCheck) times the gates before orientation
 # one kernel at a time on a 1.1 s 4-channel 48 kHz capture.
+# GCCAllPairs runs the options of both served GCC callers (the
+# orientation features and the stream's speaker signature), and
+# IRFFTLags inverts a dense and a band-limited cross-spectrum.
 BENCH_JSON ?= BENCH_pr10.json
 BENCH_TAG  ?= pr10
 

@@ -310,9 +310,12 @@ func BenchmarkPreprocessBandpass(b *testing.B) {
 
 func BenchmarkGCCPHATPair(b *testing.B) {
 	rec := benchCapture(b)
+	pair := rec.Channels[:2]
+	opt := srp.PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
+	var ws srp.Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := srp.GCCPHATBand(rec.Channels[0], rec.Channels[1], 13, 48000, 100, 8000); err != nil {
+		if _, err := ws.AllPairs(pair, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -214,7 +214,7 @@ func TestNoiseGeneratorsBasic(t *testing.T) {
 func TestPinkNoiseSpectralSlope(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
 	pink := GenerateNoise(PinkNoise, 1<<16, 48000, rng)
-	psd, err := dsp.WelchPSD(pink, 4096)
+	psd, err := new(dsp.PSDWorkspace).WelchPSD(nil, pink, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,14 +298,19 @@ func BuildSystemWithModels(e *Envelope, metricsReg *metrics.Registry) (*core.Sys
 
 // checkGeometry refuses a feature configuration the restored
 // orientation models cannot score, which would otherwise fail every
-// decision after restore: a lag window that is not positive, or one
-// that extracts vectors of another length than a model was trained on.
-// The primary model scores the channel subset, or any count of at
-// least two channels when the envelope names none; each degraded-array
-// fallback scores its own channel count.
+// decision after restore: a lag window that is not positive, a GCC
+// band with no bin below Nyquist (every pair would correlate to zero),
+// or a lag window that extracts vectors of another length than a model
+// was trained on. The primary model scores the channel subset, or any
+// count of at least two channels when the envelope names none; each
+// degraded-array fallback scores its own channel count.
 func checkGeometry(cfg features.Config, subset []int, set *registry.ModelSet) error {
 	if cfg.MaxLag <= 0 {
 		return fmt.Errorf("%w: features MaxLag %d is not positive", ErrSnapshotCorrupt, cfg.MaxLag)
+	}
+	if cfg.SampleRate > 0 && cfg.GCCBandHi > cfg.GCCBandLo && cfg.GCCBandLo >= cfg.SampleRate/2 {
+		return fmt.Errorf("%w: features GCC band %g-%g Hz lies above Nyquist at %g Hz",
+			ErrSnapshotCorrupt, cfg.GCCBandLo, cfg.GCCBandHi, cfg.SampleRate)
 	}
 	if m := set.Orientation; m != nil && !scoresDim(cfg, m.FeatureDim(), len(subset)) {
 		return fmt.Errorf("%w: features (MaxLag %d) do not extract the orientation model's %d dimensions",

@@ -254,6 +254,10 @@ func TestRestoreRefusesUnscorableGeometry(t *testing.T) {
 		{"lag-minus-3", setLag(-3), false},
 		{"lag-0", setLag(0), false},
 		{"lag-2", setLag(2), false},
+		{"gcc-band-above-nyquist", func(p map[string]any) {
+			f := p["features"].(map[string]any)
+			f["GCCBandLo"], f["GCCBandHi"] = 30000, 40000
+		}, false},
 		// The primary model is 24-dimensional: four channels, not three.
 		{"subset-of-4", func(p map[string]any) { p["channel_subset"] = []int{0, 1, 2, 3} }, true},
 		{"subset-of-3", func(p map[string]any) { p["channel_subset"] = []int{0, 1, 2} }, false},

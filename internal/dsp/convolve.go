@@ -31,19 +31,12 @@ func convolveFFT(x, h []float64) []float64 {
 	n := len(x) + len(h) - 1
 	m := NextPow2(n)
 	p := Plan(m)
-	padded := make([]float64, m)
-	copy(padded, x)
-	xf := p.RFFT(nil, padded)
-	for i := range padded {
-		padded[i] = 0
-	}
-	copy(padded, h)
-	hf := p.RFFT(nil, padded)
+	xf := p.RFFT(nil, x)
+	hf := p.RFFT(nil, h)
 	for i := range xf {
 		xf[i] *= hf[i]
 	}
-	r := p.IRFFT(padded, xf)
-	return r[:n]
+	return p.IRFFT(nil, xf)[:n]
 }
 
 // SparseTap is a single impulse-response tap at an integer sample
@@ -73,23 +66,4 @@ func ConvolveSparse(dst, x []float64, taps []SparseTap) {
 			out[i] += t.Gain * x[i]
 		}
 	}
-}
-
-// CrossCorrelate returns the biased cross-correlation of a and b at lags
-// -maxLag..+maxLag (2*maxLag+1 values, lag 0 at index maxLag):
-// r[k] = sum_n a[n+k]*b[n]. Positive lag means a leads b.
-func CrossCorrelate(a, b []float64, maxLag int) []float64 {
-	out := make([]float64, 2*maxLag+1)
-	for k := -maxLag; k <= maxLag; k++ {
-		var acc float64
-		for n := 0; n < len(b); n++ {
-			i := n + k
-			if i < 0 || i >= len(a) {
-				continue
-			}
-			acc += a[i] * b[n]
-		}
-		out[k+maxLag] = acc
-	}
-	return out
 }

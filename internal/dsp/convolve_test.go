@@ -100,23 +100,3 @@ func TestConvolveSparseAccumulates(t *testing.T) {
 		t.Fatalf("expected accumulation into dst, got %g", dst[0])
 	}
 }
-
-func TestCrossCorrelateDelayDetection(t *testing.T) {
-	rng := rand.New(rand.NewPCG(3, 4))
-	n := 1000
-	const delay = 7
-	a := make([]float64, n)
-	b := make([]float64, n)
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	copy(a[delay:], src[:n-delay]) // a = src delayed by 7
-	copy(b, src)
-	r := CrossCorrelate(a, b, 10)
-	// r[k] = sum a[n+k] b[n]; a lags b by `delay`, so peak at k = -delay...
-	// a[n+k]=src[n+k-delay] matches b[n]=src[n] when k=+delay.
-	if peak := ArgMax(r) - 10; peak != delay {
-		t.Fatalf("correlation peak at lag %d, want %d", peak, delay)
-	}
-}

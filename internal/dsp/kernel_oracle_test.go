@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/cmplx"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -13,17 +14,23 @@ import (
 // kernels: each reference below is the straightforward loop the kernel
 // replaced, and the kernel must match it bit for bit.
 
-// radix2Ref is the one-stage-per-pass radix-2 transform: the
-// bit-reversal permutation, then each stage reading its twiddles at
-// stride n/size from a single table exp(∓2πik/n), k < n/2.
-func radix2Ref(x []complex128, inverse bool) {
-	n := len(x)
-	shift := 64 - uint(bits.Len(uint(n-1)))
+// bitReverseRef permutes x, of power-of-two length, into bit-reversed
+// order.
+func bitReverseRef(x []complex128) {
+	shift := 64 - uint(bits.Len(uint(len(x)-1)))
 	for i := range x {
 		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
+}
+
+// radix2Ref is the one-stage-per-pass radix-2 transform: the
+// bit-reversal permutation, then each stage reading its twiddles at
+// stride n/size from a single table exp(∓2πik/n), k < n/2.
+func radix2Ref(x []complex128, inverse bool) {
+	n := len(x)
+	bitReverseRef(x)
 	tw := make([]complex128, n/2)
 	for k := range tw {
 		ang := -2 * math.Pi * float64(k) / float64(n)
@@ -255,6 +262,152 @@ func TestRadix2FirstUseConcurrent(t *testing.T) {
 	}
 }
 
+// unpackTwiddlesRef returns exp(-2πik/n) for k <= n/4, computed as
+// newPlan computes the real-transform twiddles.
+func unpackTwiddlesRef(n int) []complex128 {
+	rtw := make([]complex128, n/4+1)
+	for k := range rtw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		s, c := math.Sincos(ang)
+		rtw[k] = complex(c, s)
+	}
+	return rtw
+}
+
+// rfftRef is the real transform of x zero-padded to the power of two
+// n, computed the plain way: pack sample pairs in natural order, run
+// radix2Ref (which permutes), unpack.
+func rfftRef(x []float64, n int) []complex128 {
+	padded := make([]float64, n)
+	copy(padded, x)
+	h := n / 2
+	z := make([]complex128, h)
+	for i := range z {
+		z[i] = complex(padded[2*i], padded[2*i+1])
+	}
+	radix2Ref(z, false)
+	rtw := unpackTwiddlesRef(n)
+	dst := make([]complex128, h+1)
+	copy(dst, z)
+	re0, im0 := real(z[0]), imag(z[0])
+	dst[h] = complex(re0-im0, 0)
+	dst[0] = complex(re0+im0, 0)
+	for k := 1; k <= h/2; k++ {
+		zk := dst[k]
+		zc := cmplx.Conj(dst[h-k])
+		e := (zk + zc) * complex(0.5, 0)
+		o := (zk - zc) * complex(0, -0.5)
+		t := rtw[k] * o
+		dst[k] = e + t
+		dst[h-k] = cmplx.Conj(e - t)
+	}
+	return dst
+}
+
+// repackRef folds the half-spectrum of a length-n real signal into the
+// n/2-point sequence of its inverse real transform, in natural order.
+func repackRef(spec []complex128, n int) []complex128 {
+	h := n / 2
+	rtw := unpackTwiddlesRef(n)
+	z := make([]complex128, h)
+	e0, eh := real(spec[0]), real(spec[h])
+	z[0] = complex((e0+eh)*0.5, (e0-eh)*0.5)
+	for k := 1; k <= h/2; k++ {
+		xk := spec[k]
+		xc := cmplx.Conj(spec[h-k])
+		e := (xk + xc) * complex(0.5, 0)
+		d := (xk - xc) * complex(0.5, 0)
+		o := d * cmplx.Conj(rtw[k])
+		io := o * complex(0, 1)
+		z[k] = e + io
+		if k != h-k {
+			z[h-k] = cmplx.Conj(e - io)
+		}
+	}
+	return z
+}
+
+// irfftRef inverts the half-spectrum of a power-of-two length n the
+// plain way: repack in natural order, run radix2Ref (which permutes),
+// scale, interleave.
+func irfftRef(spec []complex128, n int) []float64 {
+	h := n / 2
+	z := repackRef(spec, n)
+	if h > 1 {
+		radix2Ref(z, true)
+		scale := 1 / float64(h)
+		for i := range z {
+			z[i] *= complex(scale, 0)
+		}
+	}
+	out := make([]float64, n)
+	for k, v := range z {
+		out[2*k], out[2*k+1] = real(v), imag(v)
+	}
+	return out
+}
+
+// oracleReal returns n Gaussian samples from seed; sparse keeps only
+// every fifth and leaves the rest signed zeros.
+func oracleReal(n int, seed uint64, sparse bool) []float64 {
+	rng := rand.New(rand.NewPCG(seed, 13))
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if sparse && i%5 != 0 {
+			x[i] = math.Copysign(0, x[i])
+		}
+	}
+	return x
+}
+
+// RFFT, packing straight into bit-reversed order and reading a short
+// input's missing tail as zeros, matches the natural-order pack through
+// radix2Ref on every bit, at every power of two from 2 to 2^17. Short
+// inputs at other sizes, odd ones included, match the same transform of
+// the explicitly zero-padded input.
+func TestRFFTMatchesReference(t *testing.T) {
+	for n := 2; n <= 1<<17; n <<= 1 {
+		for _, sparse := range []bool{false, true} {
+			x := oracleReal(n, uint64(n), sparse)
+			for _, l := range []int{n, n - 1, n/2 + 1, n / 2, 1, 0} {
+				got := Plan(n).RFFT(nil, x[:l])
+				sameComplexBits(t, fmt.Sprintf("n=%d len=%d sparse=%v", n, l, sparse), rfftRef(x[:l], n), got)
+			}
+		}
+	}
+	for _, n := range []int{1, 3, 6, 337, 1000} {
+		x := oracleReal(n, uint64(n), false)
+		p := Plan(n)
+		for _, l := range []int{n - 1, n / 2, 0} {
+			padded := make([]float64, n)
+			copy(padded, x[:l])
+			sameComplexBits(t, fmt.Sprintf("n=%d len=%d", n, l), p.RFFT(nil, padded), p.RFFT(nil, x[:l]))
+		}
+	}
+}
+
+// bandSpectrum is a half-spectrum of bins values that is zero outside
+// [lo, hi], as a band-limited GCC cross-spectrum is: +0 there, except
+// for a -0 component on every 97th bin, which must not count as zero.
+func bandSpectrum(bins, lo, hi int, seed uint64) []complex128 {
+	spec := oracleComplex(bins, seed, false)
+	for i := range spec {
+		if i >= lo && i <= hi {
+			continue
+		}
+		re, im := 0.0, 0.0
+		if i%97 == 0 {
+			re = math.Copysign(0, -1)
+		}
+		if i%97 == 48 {
+			im = math.Copysign(0, -1)
+		}
+		spec[i] = complex(re, im)
+	}
+	return spec
+}
+
 // windowRef reads lags -maxLag..+maxLag out of a circular sequence.
 func windowRef(r []float64, maxLag int) []float64 {
 	out := make([]float64, 2*maxLag+1)
@@ -268,27 +421,50 @@ func windowRef(r []float64, maxLag int) []float64 {
 	return out
 }
 
-// IRFFTLags matches IRFFT followed by the lag window on every bit, on
-// windows narrow enough to prune the late stages and on windows wide
-// enough to fall back to the whole inverse.
+// repack, IRFFT, and IRFFTLags on windows narrow enough to prune the late
+// stages and on windows wide enough to fall back to the whole inverse,
+// match the natural-order repack (bit-reversed, for repack itself)
+// through radix2Ref on every bit. The
+// spectra are dense, signed-zero sparse, and zero outside the GCC
+// bands of the orientation features (100-8000 Hz) and the stream
+// signature (300-4000 Hz) at 48 kHz and m = 65 536, or zero
+// everywhere, as the cross-spectrum of an empty band is.
 func TestIRFFTLagsMatchesWindowedIRFFT(t *testing.T) {
+	type input struct {
+		name string
+		m    int
+		spec []complex128
+	}
+	var inputs []input
 	for _, m := range []int{4, 8, 2048, 65536} {
-		h := m / 2
+		for _, sparse := range []bool{false, true} {
+			inputs = append(inputs, input{fmt.Sprintf("sparse=%v", sparse), m, oracleComplex(m/2+1, uint64(m)+3, sparse)})
+		}
+	}
+	for _, band := range [][2]int{{137, 10923}, {410, 5461}} {
+		inputs = append(inputs, input{fmt.Sprintf("band=%v", band), 65536, bandSpectrum(32769, band[0], band[1], uint64(band[0]))})
+	}
+	// An empty band: every output is a signed zero.
+	inputs = append(inputs, input{"zero", 2048, make([]complex128, 1025)})
+	for _, in := range inputs {
+		m, h := in.m, in.m/2
 		p := Plan(m)
 		scratch := make([]complex128, h)
-		for _, sparse := range []bool{false, true} {
-			spec := oracleComplex(h+1, uint64(m)+3, sparse)
-			r := p.IRFFT(nil, spec)
-			for _, maxLag := range []int{0, 1, 2, 13, 21, 27, h / 2, h - 1} {
-				if maxLag >= m {
-					continue
-				}
-				for i := range scratch {
-					scratch[i] = complex(math.NaN(), math.NaN())
-				}
-				got := p.IRFFTLags(nil, spec, maxLag, scratch)
-				sameBits(t, fmt.Sprintf("m=%d maxLag=%d sparse=%v", m, maxLag, sparse), windowRef(r, maxLag), got)
+		want := repackRef(in.spec, m)
+		bitReverseRef(want)
+		p.repack(scratch, in.spec)
+		sameComplexBits(t, fmt.Sprintf("repack m=%d %s", m, in.name), want, scratch)
+		r := irfftRef(in.spec, m)
+		sameBits(t, fmt.Sprintf("IRFFT m=%d %s", m, in.name), r, p.IRFFT(nil, in.spec))
+		for _, maxLag := range []int{0, 1, 2, 13, 16, 21, 27, h / 2, h - 1} {
+			if maxLag >= m {
+				continue
 			}
+			for i := range scratch {
+				scratch[i] = complex(math.NaN(), math.NaN())
+			}
+			got := p.IRFFTLags(nil, in.spec, maxLag, scratch)
+			sameBits(t, fmt.Sprintf("m=%d maxLag=%d %s", m, maxLag, in.name), windowRef(r, maxLag), got)
 		}
 	}
 }
@@ -392,7 +568,7 @@ func TestPSDWorkspaceReuseMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameBits(t, "WelchPSD", welchPSDRef(x, c.frameLen), dst)
-		fresh, err := WelchPSD(x, c.frameLen)
+		fresh, err := welchPSD(x, c.frameLen)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,13 +179,27 @@ func (p *FFTPlan) Forward(x []complex128) {
 // normalization. len(x) must equal the plan size.
 func (p *FFTPlan) Inverse(x []complex128) {
 	p.checkLen(len(x))
+	if p.n <= 1 {
+		return
+	}
+	if p.bs == nil {
+		p.radix2Tables()
+		p.permute(x)
+	}
+	p.inverseOrdered(x)
+}
+
+// inverseOrdered is Inverse on x already in the order the plan's
+// transform reads its input: bit-reversed for radix-2 sizes, natural
+// for Bluestein sizes. Radix-2 callers have built the tables.
+func (p *FFTPlan) inverseOrdered(x []complex128) {
 	n := p.n
 	if n <= 1 {
 		return
 	}
 	scale := 1 / float64(n)
 	if p.bs == nil {
-		p.radix2(x, true)
+		stages(x, p.twi, n/2)
 		for i := range x {
 			x[i] *= complex(scale, 0)
 		}
@@ -317,32 +331,38 @@ func (p *FFTPlan) bluestein(x []complex128) {
 	p.putScratch(sp)
 }
 
-// RFFT computes the DFT of the real signal x (len n) and writes the
-// non-redundant half-spectrum — bins 0..n/2 inclusive — into dst,
-// growing it if needed, and returns dst[:n/2+1]. dst must not alias x.
+// RFFT computes the DFT of the real signal x, zero-padded to the plan
+// size n, and writes the non-redundant half-spectrum — bins 0..n/2
+// inclusive — into dst, growing it if needed, and returns
+// dst[:n/2+1]. len(x) may be anything up to n; the samples past its
+// end read as zeros. dst must not alias x.
 //
 // For even n the signal is packed into an n/2-point complex transform
 // (two real samples per complex slot) and unpacked with the plan's
 // cached twiddles — about half the work of transforming zero-imaginary
-// complex input. Odd (necessarily non-power-of-two) sizes fall back to
-// the complex Bluestein path on pooled scratch.
+// complex input. When that transform is radix-2 the pack writes its
+// slots straight in bit-reversed order, so no permutation pass runs.
+// Odd (necessarily non-power-of-two) sizes fall back to the complex
+// Bluestein path on pooled scratch.
 func (p *FFTPlan) RFFT(dst []complex128, x []float64) []complex128 {
-	p.checkLen(len(x))
 	n := p.n
+	if len(x) > n {
+		panic(fmt.Sprintf("dsp: FFTPlan size %d given %d real samples", n, len(x)))
+	}
 	bins := n/2 + 1
 	if cap(dst) < bins {
 		dst = make([]complex128, bins)
 	}
 	dst = dst[:bins]
 	if n == 1 {
-		dst[0] = complex(x[0], 0)
+		dst[0] = complex(sampleAt(x, 0), 0)
 		return dst
 	}
 	if n%2 != 0 {
 		sp := p.getScratch()
 		c := (*sp)[:n]
-		for i, v := range x {
-			c[i] = complex(v, 0)
+		for i := range c {
+			c[i] = complex(sampleAt(x, i), 0)
 		}
 		p.bluestein(c)
 		copy(dst, c[:bins])
@@ -351,10 +371,20 @@ func (p *FFTPlan) RFFT(dst []complex128, x []float64) []complex128 {
 	}
 	h := n / 2
 	z := dst[:h]
-	for i := 0; i < h; i++ {
-		z[i] = complex(x[2*i], x[2*i+1])
+	if hp := p.half; hp.bs == nil && h > 1 {
+		// The bit-reversal permutation is an involution, so slot i of
+		// the permuted sequence holds pair perm[i].
+		hp.radix2Tables()
+		for i, j := range hp.perm {
+			z[i] = pairAt(x, int(j))
+		}
+		stages(z, hp.twf, h/2)
+	} else {
+		for i := range z {
+			z[i] = pairAt(x, i)
+		}
+		hp.Forward(z)
 	}
-	p.half.Forward(z)
 	// Unpack: with E/O the even/odd-sample sub-spectra, Z[k] = E[k] +
 	// i·O[k], so X[k] = E[k] + w·O[k] and X[n/2-k] = conj(E[k] - w·O[k])
 	// with w = exp(-2πik/n). Done pairwise in place.
@@ -371,6 +401,24 @@ func (p *FFTPlan) RFFT(dst []complex128, x []float64) []complex128 {
 		dst[h-k] = cmplx.Conj(e - t)
 	}
 	return dst
+}
+
+// sampleAt returns x[i], or +0 past the end of x.
+func sampleAt(x []float64, i int) float64 {
+	if i < len(x) {
+		return x[i]
+	}
+	return 0
+}
+
+// pairAt returns the samples 2j and 2j+1 of x as one complex value,
+// reading +0 past the end of x.
+func pairAt(x []float64, j int) complex128 {
+	k := 2 * j
+	if k+1 < len(x) {
+		return complex(x[k], x[k+1])
+	}
+	return complex(sampleAt(x, k), 0)
 }
 
 // IRFFT inverts a half-spectrum (n/2+1 bins, as produced by RFFT) back
@@ -410,7 +458,7 @@ func (p *FFTPlan) IRFFT(dst []float64, spec []complex128) []float64 {
 	sp := p.getScratch()
 	z := (*sp)[:h]
 	p.repack(z, spec)
-	p.half.Inverse(z)
+	p.half.inverseOrdered(z)
 	for k := 0; k < h; k++ {
 		dst[2*k] = real(z[k])
 		dst[2*k+1] = imag(z[k])
@@ -420,28 +468,58 @@ func (p *FFTPlan) IRFFT(dst []float64, spec []complex128) []float64 {
 }
 
 // repack folds the half-spectrum spec of an even-length real signal
-// into the n/2-point complex sequence z whose inverse transform holds
+// into the n/2-point complex sequence Z whose inverse transform holds
 // the even output samples in its real parts and the odd ones in its
-// imaginary parts.
+// imaginary parts. It writes Z in the order the half plan's inverse
+// reads it: Z[k] goes to z[perm[k]] for a radix-2 half plan (whose
+// tables it builds), to z[k] otherwise.
+//
+// A pair k, n/2-k whose four spectrum components are all +0 — the
+// out-of-band bins of a band-limited cross-spectrum — is not computed:
+// the arithmetic below yields Z[k] = (+0, +0) and Z[n/2-k] = (+0, -0)
+// for it (the unpack twiddle's real part is positive and its imaginary
+// part negative for 0 < k <= n/4), and those constants are written
+// instead.
 func (p *FFTPlan) repack(z, spec []complex128) {
 	h := p.n / 2
+	var perm []int32
+	if hp := p.half; hp.bs == nil && h > 1 {
+		hp.radix2Tables()
+		perm = hp.perm[:h]
+	}
 	// Repack: E[k] = (X[k]+conj(X[n/2-k]))/2, w·O[k] =
 	// (X[k]-conj(X[n/2-k]))/2, Z[k] = E[k] + i·O[k].
 	e0, eh := real(spec[0]), real(spec[h])
 	z[0] = complex((e0+eh)*0.5, (e0-eh)*0.5)
 	for k := 1; k <= h/2; k++ {
-		xk := spec[k]
-		xc := cmplx.Conj(spec[h-k])
+		ik, ic := k, h-k
+		if perm != nil {
+			ik, ic = int(perm[k]), int(perm[h-k])
+		}
+		xk, xh := spec[k], spec[h-k]
+		if math.Float64bits(real(xk))|math.Float64bits(imag(xk))|
+			math.Float64bits(real(xh))|math.Float64bits(imag(xh)) == 0 {
+			z[ik] = 0
+			if k != h-k {
+				z[ic] = zeroNegImag
+			}
+			continue
+		}
+		xc := cmplx.Conj(xh)
 		e := (xk + xc) * complex(0.5, 0)
 		d := (xk - xc) * complex(0.5, 0)
 		o := d * cmplx.Conj(p.rtw[k])
 		io := o * complex(0, 1)
-		z[k] = e + io
+		z[ik] = e + io
 		if k != h-k {
-			z[h-k] = cmplx.Conj(e - io)
+			z[ic] = cmplx.Conj(e - io)
 		}
 	}
 }
+
+// zeroNegImag is (+0, -0), which repack writes for the upper member of
+// an all-zero pair.
+var zeroNegImag = complex(0, math.Copysign(0, -1))
 
 // IRFFTLags returns the lag window of the real sequence r =
 // IRFFT(spec): dst[maxLag+k] = r[k mod n] for k = -maxLag..+maxLag,
@@ -478,8 +556,6 @@ func (p *FFTPlan) IRFFTLags(dst []float64, spec []complex128, maxLag int, scratc
 	p.repack(z, spec)
 	keep := maxLag/2 + 1
 	if hp := p.half; hp.bs == nil && 4*keep <= h {
-		hp.radix2Tables()
-		hp.permute(z)
 		full := 1 // the largest half-size below 2·keep
 		for full < keep {
 			full *= 2
@@ -499,7 +575,7 @@ func (p *FFTPlan) IRFFTLags(dst []float64, spec []complex128, maxLag int, scratc
 			z[h-1-k] *= complex(scale, 0)
 		}
 	} else {
-		p.half.Inverse(z)
+		p.half.inverseOrdered(z)
 	}
 	for i := range dst {
 		idx := i - maxLag

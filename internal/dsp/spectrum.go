@@ -28,15 +28,6 @@ func hypot(a, b float64) float64 {
 	return sqrt(a*a + b*b)
 }
 
-// WelchPSD estimates the power spectral density of x by averaging
-// periodograms of Hann-windowed segments with 50% overlap. It returns
-// the one-sided PSD (frameLen/2+1 bins) and works for any signal at
-// least one frame long.
-func WelchPSD(x []float64, frameLen int) ([]float64, error) {
-	var w PSDWorkspace
-	return w.WelchPSD(nil, x, frameLen)
-}
-
 // PSDWorkspace holds what WelchPSD reuses from call to call: the Hann
 // window and its power for the last frame length, the windowed frame
 // and its spectrum. A warm workspace estimates a PSD into a large
@@ -49,8 +40,10 @@ type PSDWorkspace struct {
 	spec     []complex128
 }
 
-// WelchPSD is the package WelchPSD writing into dst (grown if needed).
-// It returns dst[:frameLen/2+1].
+// WelchPSD estimates the power spectral density of x by averaging
+// periodograms of Hann-windowed segments with 50% overlap. It writes
+// the one-sided PSD (frameLen/2+1 bins) into dst (grown if needed) and
+// returns dst[:frameLen/2+1]; x must be at least one frame long.
 func (w *PSDWorkspace) WelchPSD(dst, x []float64, frameLen int) ([]float64, error) {
 	if frameLen <= 0 {
 		return nil, fmt.Errorf("dsp: invalid frame length %d", frameLen)
@@ -96,27 +89,4 @@ func (w *PSDWorkspace) WelchPSD(dst, x []float64, frameLen int) ([]float64, erro
 		psd[i] /= float64(count)
 	}
 	return psd, nil
-}
-
-// SpectralRolloff returns the frequency below which frac (e.g. 0.85) of
-// the total spectral magnitude of x lies.
-func SpectralRolloff(x []float64, fs, frac float64) float64 {
-	spec := HalfSpectrum(x)
-	mags := Magnitude(spec)
-	var total float64
-	for _, m := range mags {
-		total += m
-	}
-	if total == 0 {
-		return 0
-	}
-	target := frac * total
-	var acc float64
-	for i, m := range mags {
-		acc += m
-		if acc >= target {
-			return BinFreq(i, len(x), fs)
-		}
-	}
-	return fs / 2
 }

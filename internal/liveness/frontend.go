@@ -129,10 +129,10 @@ func (w *Workspace) Frames(x []float64, fs float64) ([][]float64, error) {
 	nFrames := (len(wav)-frameLen)/frameHop + 1
 	frames := w.frames.Resize(nFrames, NumFilters)
 	if w.buf == nil {
-		// The zero tail beyond frameLen never changes.
-		w.buf = make([]float64, fftSize)
+		w.buf = make([]float64, frameLen)
 	}
 	buf := w.buf
+	// The fftSize-point transform reads the frame as zero-padded.
 	p := dsp.Plan(fftSize)
 	for fi, frame := range frames {
 		start := fi * frameHop

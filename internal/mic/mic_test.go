@@ -12,6 +12,44 @@ import (
 	"headtalk/internal/speech"
 )
 
+// crossCorrelate returns the biased cross-correlation of a and b at
+// lags -maxLag..+maxLag (2*maxLag+1 values, lag 0 at index maxLag):
+// r[k] = sum_n a[n+k]*b[n]. Positive lag means a leads b.
+func crossCorrelate(a, b []float64, maxLag int) []float64 {
+	out := make([]float64, 2*maxLag+1)
+	for k := -maxLag; k <= maxLag; k++ {
+		var acc float64
+		for n := 0; n < len(b); n++ {
+			i := n + k
+			if i < 0 || i >= len(a) {
+				continue
+			}
+			acc += a[i] * b[n]
+		}
+		out[k+maxLag] = acc
+	}
+	return out
+}
+
+func TestCrossCorrelateDelayDetection(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	n := 1000
+	const delay = 7
+	a := make([]float64, n)
+	b := make([]float64, n)
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	copy(a[delay:], src[:n-delay]) // a = src delayed by 7
+	copy(b, src)
+	r := crossCorrelate(a, b, 10)
+	// a[n+k]=src[n+k-delay] matches b[n]=src[n] when k=+delay.
+	if peak := dsp.ArgMax(r) - 10; peak != delay {
+		t.Fatalf("correlation peak at lag %d, want %d", peak, delay)
+	}
+}
+
 func TestDeviceGeometries(t *testing.T) {
 	cases := []struct {
 		array    *Array
@@ -205,7 +243,7 @@ func TestCaptureInterChannelDelay(t *testing.T) {
 	rec := scene.Capture(src, utt, 70, rng)
 	// D3 mic 0 is at +X, mic 2 at -X; distance 6.5 cm => delay
 	// ~9.2 samples at 48 kHz.
-	r := dsp.CrossCorrelate(rec.Channels[0], rec.Channels[2], 15)
+	r := crossCorrelate(rec.Channels[0], rec.Channels[2], 15)
 	peak := dsp.ArgMax(r) - 15
 	// Channel 0 leads, so channel0[n] ≈ channel2[n + delay]:
 	// r[k] = Σ ch0[n+k]·ch2[n] peaks at k = -delay.

@@ -53,14 +53,14 @@ func SplitBands(x []float64, fs float64, bands []Band) [][]float64 {
 	n := len(x)
 	m := dsp.NextPow2(n)
 	p := dsp.Plan(m)
-	padded := make([]float64, m)
-	copy(padded, x)
-	// Half-spectrum via the planned real transform; the masked upper
-	// half is implied by conjugate symmetry and reconstructed by IRFFT.
-	spec := p.RFFT(nil, padded)
+	// Half-spectrum via the planned real transform of x zero-padded to
+	// m; the masked upper half is implied by conjugate symmetry and
+	// reconstructed by IRFFT.
+	spec := p.RFFT(nil, x)
 	half := m/2 + 1
 	out := make([][]float64, len(bands))
 	masked := make([]complex128, half)
+	var full []float64
 	for bi, b := range bands {
 		for i := range masked {
 			masked[i] = 0
@@ -77,7 +77,7 @@ func SplitBands(x []float64, fs float64, bands []Band) [][]float64 {
 			}
 			masked[i] = spec[i] * complex(w, 0)
 		}
-		full := p.IRFFT(padded, masked)
+		full = p.IRFFT(full, masked)
 		sig := make([]float64, n)
 		copy(sig, full)
 		out[bi] = sig

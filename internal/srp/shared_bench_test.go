@@ -25,26 +25,36 @@ func benchChannels(nch, n int) [][]float64 {
 
 // BenchmarkGCCAllPairs is the acceptance benchmark: all 6 pairs of a
 // 4-channel capture through the shared-spectra path (4 forward real
-// FFTs + 6 inverse real FFTs, vs 12 full complex forward + 6 full
-// inverse pre-PR).
+// FFTs + 6 inverse real FFTs), with the options of the two served
+// callers: the orientation features (100–8000 Hz) and the stream's
+// speaker signature (300–4000 Hz, MaxLag 16).
 func BenchmarkGCCAllPairs(b *testing.B) {
 	chans := benchChannels(4, 32768)
-	opt := PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AllPairs(chans, opt); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		opt  PairOptions
+	}{
+		{"orientation", PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}},
+		{"signature", PairOptions{MaxLag: 16, PHAT: true, SampleRate: 48000, BandLo: 300, BandHi: 4000}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := AllPairs(chans, c.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkGCCPHATBand measures one pair through the planned
-// real-transform path.
+// BenchmarkGCCPHATBand measures one pair on a warm workspace.
 func BenchmarkGCCPHATBand(b *testing.B) {
 	chans := benchChannels(2, 32768)
+	opt := PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
+	var ws Workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GCCPHATBand(chans[0], chans[1], 13, 48000, 100, 8000); err != nil {
+		if _, err := ws.AllPairs(chans, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,7 @@ func delayedPair(n, delay int, seed uint64) (a, b []float64) {
 func TestGCCPHATDelayPeak(t *testing.T) {
 	for _, delay := range []int{0, 3, 9} {
 		a, b := delayedPair(4096, delay, uint64(delay+1))
-		r, err := GCCPHAT(a, b, 13)
+		r, err := gccPHAT(a, b, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestGCCPHATDelayPeak(t *testing.T) {
 
 func TestGCCPHATPeakNormalized(t *testing.T) {
 	a, b := delayedPair(4096, 5, 7)
-	r, err := GCCPHAT(a, b, 13)
+	r, err := gccPHAT(a, b, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestGCCPHATAmplitudeInvariance(t *testing.T) {
 	// PHAT whitens magnitude: scaling a channel must not change the
 	// curve materially.
 	a, b := delayedPair(4096, 4, 9)
-	r1, err := GCCPHAT(a, b, 10)
+	r1, err := gccPHAT(a, b, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestGCCPHATAmplitudeInvariance(t *testing.T) {
 	for i := range a {
 		scaled[i] = 100 * a[i]
 	}
-	r2, err := GCCPHAT(scaled, b, 10)
+	r2, err := gccPHAT(scaled, b, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +111,11 @@ func TestGCCPHATBandLimitSharpensNoisyPeak(t *testing.T) {
 		a[i] += na[i]
 		b[i] += nb[i]
 	}
-	full, err := GCCPHAT(a, b, 13)
+	full, err := gccPHAT(a, b, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	banded, err := GCCPHATBand(a, b, 13, fs, 100, 8000)
+	banded, err := gccPHATBand(a, b, 13, fs, 100, 8000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,20 +125,20 @@ func TestGCCPHATBandLimitSharpensNoisyPeak(t *testing.T) {
 }
 
 func TestGCCErrors(t *testing.T) {
-	if _, err := GCCPHAT([]float64{1, 2}, []float64{1}, 3); err == nil {
+	if _, err := gccPHAT([]float64{1, 2}, []float64{1}, 3); err == nil {
 		t.Error("expected length-mismatch error")
 	}
-	if _, err := GCCPHAT(nil, nil, 3); err == nil {
+	if _, err := gccPHAT(nil, nil, 3); err == nil {
 		t.Error("expected empty-channel error")
 	}
-	if _, err := GCCPHAT([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
+	if _, err := gccPHAT([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
 		t.Error("expected negative-lag error")
 	}
 }
 
 func TestCrossCorrPHATlessDelayPeak(t *testing.T) {
 	a, b := delayedPair(4096, 6, 13)
-	r, err := CrossCorrPHATless(a, b, 13)
+	r, err := crossCorrPHATless(a, b, 13)
 	if err != nil {
 		t.Fatal(err)
 	}

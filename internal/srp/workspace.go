@@ -8,18 +8,16 @@ import (
 )
 
 // Workspace owns every scratch buffer the pair-correlation path needs:
-// padded FFT input, per-channel spectra, cross-spectrum, the inverse
-// transform's complex scratch, lag windows and the PairGCC headers
-// themselves. A workspace reused across calls performs no steady-state
-// allocation, also across garbage collections (nothing comes from a
-// sync.Pool) — the shape the serving engine's per-worker arenas rely
-// on.
+// per-channel spectra, cross-spectrum, the inverse transform's complex
+// scratch, lag windows and the PairGCC headers themselves. A workspace
+// reused across calls performs no steady-state allocation, also across
+// garbage collections (nothing comes from a sync.Pool) — the shape the
+// serving engine's per-worker arenas rely on.
 //
 // Results returned by workspace methods alias workspace-owned memory
 // and are valid only until the next call on the same workspace. A
 // Workspace is not safe for concurrent use; give each worker its own.
 type Workspace struct {
-	padded []float64
 	flat   []complex128
 	specs  [][]complex128
 	rms    []float64
@@ -29,11 +27,6 @@ type Workspace struct {
 	out    []PairGCC
 	srp    []float64
 	allIdx []int
-	// paddedLive counts the leading elements of padded that may hold
-	// stale samples from the previous transform; everything past it is
-	// known zero, so re-zeroing before each copy touches only the dirty
-	// prefix instead of the whole FFT frame.
-	paddedLive int
 }
 
 func growF(s []float64, n int) []float64 {
@@ -131,12 +124,6 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 	}
 	ws.specs = ws.specs[:nch]
 	ws.rms = growF(ws.rms, nch)
-	if cap(ws.padded) < m {
-		ws.padded = make([]float64, m) // freshly zeroed
-		ws.paddedLive = 0
-	} else {
-		ws.padded = ws.padded[:m]
-	}
 	ws.cross = growC(ws.cross, bins)
 	ws.inv = growC(ws.inv, m/2)
 	ws.rback = growF(ws.rback, npairs*want)
@@ -145,42 +132,37 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 	}
 	ws.out = ws.out[:npairs]
 
-	// Phase one: every forward transform, back to back. For PHAT each
-	// spectrum is phase-normalized here, so the per-pair whitened
-	// cross-spectrum is a plain multiply: with ua = fa/|fa|,
+	// The bins the cross-spectrum reads. A band wholly above Nyquist
+	// keeps none, and every pair correlates to zero.
+	loBin, hiBin := bandBins(m, opt.SampleRate, opt.BandLo, opt.BandHi)
+	if !opt.PHAT {
+		loBin, hiBin = 0, m/2
+	}
+	loBin = min(loBin, hiBin+1)
+
+	// Phase one: every forward transform, back to back, each reading
+	// its channel as zero-padded to m. For PHAT each spectrum is
+	// phase-normalized here, inside the band only, so the per-pair
+	// whitened cross-spectrum is a plain multiply: with ua = fa/|fa|,
 	// ua·conj(ub) = fa·conj(fb)/|fa·conj(fb)|.
 	for si, c := range subset {
-		copied := copy(ws.padded, channels[c])
-		live := ws.paddedLive
-		if live > m {
-			live = m
-		}
-		for i := copied; i < live; i++ {
-			ws.padded[i] = 0
-		}
-		if ws.paddedLive <= m {
-			ws.paddedLive = copied
-		}
-		spec := p.RFFT(ws.flat[si*bins:si*bins:(si+1)*bins], ws.padded)
+		spec := p.RFFT(ws.flat[si*bins:si*bins:(si+1)*bins], channels[c])
 		if opt.PHAT {
-			whitenSpectrum(spec)
+			whitenSpectrum(spec[loBin : hiBin+1])
 		} else {
 			ws.rms[si] = dsp.RMS(channels[c])
 		}
 		ws.specs[si] = spec
 	}
 
-	// Phase two: the pair inverses over the still-hot plan.
-	loBin, hiBin := bandBins(m, opt.SampleRate, opt.BandLo, opt.BandHi)
-	if !opt.PHAT {
-		loBin, hiBin = 0, m/2
-	}
+	// Phase two: the pair inverses over the still-hot plan. Outside the
+	// band the cross-spectrum stays zero for every pair; inside it each
+	// pair writes every bin.
+	clear(ws.cross[:loBin])
+	clear(ws.cross[hiBin+1:])
 	k := 0
 	for a := 0; a < nch; a++ {
 		for b := a + 1; b < nch; b++ {
-			for i := range ws.cross {
-				ws.cross[i] = 0
-			}
 			var scale float64
 			if opt.PHAT {
 				var kept int
@@ -188,9 +170,11 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 				for i := loBin; i <= hiBin; i++ {
 					c := wa[i] * cmplx.Conj(wb[i])
 					if c != 0 {
-						ws.cross[i] = c
 						kept++
+					} else {
+						c = 0
 					}
+					ws.cross[i] = c
 				}
 				scale = 1.0
 				if kept > 0 {
