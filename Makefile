@@ -151,7 +151,7 @@ alloc-regression:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# The code-size measure ROADMAP item 5 tracks: non-test Go lines
+# The code-size measure ROADMAP item 6 tracks: non-test Go lines
 # outside the benchmark module.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l

@@ -21,11 +21,9 @@ import (
 	"headtalk/internal/eval"
 	"headtalk/internal/features"
 	"headtalk/internal/liveness"
-	"headtalk/internal/mic"
 	"headtalk/internal/ml"
 	"headtalk/internal/orientation"
 	"headtalk/internal/registry"
-	"headtalk/internal/room"
 	"headtalk/internal/speech"
 	"headtalk/internal/srp"
 	"headtalk/internal/stream"
@@ -356,25 +354,6 @@ func BenchmarkSVMTrain200(b *testing.B) {
 		if err := svm.Fit(x, y); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkSteeredPowerMap(b *testing.B) {
-	rec := benchCapture(b)
-	array := mic.DeviceD2()
-	positions := array.Place(room.LabRoom().Dims.Scale(0.5))
-	pairs, err := srp.AllPairs(rec.Channels, srp.PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000})
-	if err != nil {
-		b.Fatal(err)
-	}
-	selPos := positions[:4]
-	azimuths := make([]float64, 72)
-	for i := range azimuths {
-		azimuths[i] = float64(i*5) - 180
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		srp.SteeredPowerMap(selPos, pairs, 13, 48000, 340, azimuths)
 	}
 }
 

@@ -272,7 +272,12 @@ func TestEnrollmentRegistrySeedsActiveVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vers := reg.ActiveVersions()
+	vers := map[ModelKind]uint64{}
+	for _, st := range reg.Status() {
+		if st.Active != 0 {
+			vers[st.Kind] = st.Active
+		}
+	}
 	if vers[KindOrientation] == 0 || vers[KindArrayFingerprint] == 0 {
 		t.Fatalf("enrollment gates not active in the registry: %v", vers)
 	}

@@ -546,10 +546,6 @@ type (
 	Spotter = va.Spotter
 	// Response is the assistant's reaction to audio.
 	Response = va.Response
-	// Decider is the decision backend an Assistant routes wake words
-	// through — a System directly, or an Engine to share its worker
-	// pool (Assistant.UseDecider).
-	Decider = va.Decider
 )
 
 // NewSpotter builds a wake-word spotter from synthesized templates.

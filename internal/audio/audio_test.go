@@ -26,20 +26,6 @@ func TestBufferBasics(t *testing.T) {
 	}
 }
 
-func TestBufferMixInto(t *testing.T) {
-	b := NewBuffer(48000, 4)
-	b.MixInto([]float64{1, 1, 1}, 2, 2)
-	want := []float64{0, 0, 2, 2}
-	for i := range want {
-		if b.Samples[i] != want[i] {
-			t.Fatalf("MixInto mismatch at %d", i)
-		}
-	}
-	// Out-of-range portions are dropped silently.
-	b.MixInto([]float64{1}, -5, 1)
-	b.MixInto([]float64{1}, 100, 1)
-}
-
 func TestRecordingChannelOps(t *testing.T) {
 	r := NewRecording(48000, 3, 10)
 	if r.Len() != 10 {
@@ -147,15 +133,9 @@ func TestSPLConversions(t *testing.T) {
 	if got := SPLToRMS(94); math.Abs(got-1) > 1e-12 {
 		t.Errorf("SPLToRMS(94) = %g", got)
 	}
-	if got := RMSToSPL(1); math.Abs(got-94) > 1e-12 {
-		t.Errorf("RMSToSPL(1) = %g", got)
-	}
 	// 20 dB less is 10x smaller amplitude.
 	if got := SPLToRMS(74); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("SPLToRMS(74) = %g", got)
-	}
-	if !math.IsInf(RMSToSPL(0), -1) {
-		t.Error("RMSToSPL(0) should be -Inf")
 	}
 }
 
@@ -165,8 +145,8 @@ func TestSetSPL(t *testing.T) {
 		x[i] = math.Sin(float64(i) / 10)
 	}
 	SetSPL(x, 70)
-	if got := RMSToSPL(dsp.RMS(x)); math.Abs(got-70) > 0.01 {
-		t.Errorf("SetSPL produced %g dB", got)
+	if got := dsp.RMS(x); math.Abs(got/SPLToRMS(70)-1) > 1e-3 {
+		t.Errorf("SetSPL produced RMS %g, want %g", got, SPLToRMS(70))
 	}
 	silent := make([]float64, 10)
 	SetSPL(silent, 70) // must not panic or produce NaN
@@ -180,21 +160,6 @@ func TestSetSPL(t *testing.T) {
 func TestGainDB(t *testing.T) {
 	if got := DBToGain(20); math.Abs(got-10) > 1e-12 {
 		t.Errorf("DBToGain(20) = %g", got)
-	}
-	if got := GainToDB(10); math.Abs(got-20) > 1e-12 {
-		t.Errorf("GainToDB(10) = %g", got)
-	}
-	if !math.IsInf(GainToDB(0), -1) {
-		t.Error("GainToDB(0) should be -Inf")
-	}
-}
-
-func TestSNRdB(t *testing.T) {
-	if got := SNRdB(1, 0.1); math.Abs(got-20) > 1e-12 {
-		t.Errorf("SNRdB = %g", got)
-	}
-	if !math.IsInf(SNRdB(1, 0), 1) {
-		t.Error("zero noise should give +Inf SNR")
 	}
 }
 

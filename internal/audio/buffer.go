@@ -44,18 +44,6 @@ func (b *Buffer) Gain(g float64) *Buffer {
 	return b
 }
 
-// MixInto adds src (scaled by gain) into b starting at sample offset.
-// Portions of src that fall outside b are ignored.
-func (b *Buffer) MixInto(src []float64, offset int, gain float64) {
-	for i, v := range src {
-		j := offset + i
-		if j < 0 || j >= len(b.Samples) {
-			continue
-		}
-		b.Samples[j] += v * gain
-	}
-}
-
 // RMS returns the root-mean-square level of the buffer.
 func (b *Buffer) RMS() float64 {
 	if len(b.Samples) == 0 {

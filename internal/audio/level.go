@@ -14,26 +14,8 @@ func SPLToRMS(spl float64) float64 {
 	return math.Pow(10, (spl-fullScaleSPL)/20)
 }
 
-// RMSToSPL converts a digital RMS amplitude to dB SPL. Silence maps to
-// -inf.
-func RMSToSPL(rms float64) float64 {
-	if rms <= 0 {
-		return math.Inf(-1)
-	}
-	return fullScaleSPL + 20*math.Log10(rms)
-}
-
 // DBToGain converts a relative level in dB to a linear gain factor.
 func DBToGain(db float64) float64 { return math.Pow(10, db/20) }
-
-// GainToDB converts a linear gain factor to dB; non-positive gains map
-// to -inf.
-func GainToDB(g float64) float64 {
-	if g <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(g)
-}
 
 // SetSPL scales x in place so its RMS corresponds to the target dB SPL.
 // Silent signals are returned unchanged.
@@ -50,16 +32,4 @@ func SetSPL(x []float64, spl float64) {
 	for i := range x {
 		x[i] *= g
 	}
-}
-
-// SNRdB returns the signal-to-noise ratio in dB for the given signal
-// and noise RMS levels.
-func SNRdB(signalRMS, noiseRMS float64) float64 {
-	if noiseRMS <= 0 {
-		return math.Inf(1)
-	}
-	if signalRMS <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(signalRMS/noiseRMS)
 }

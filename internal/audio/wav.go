@@ -2,7 +2,6 @@ package audio
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -56,7 +55,7 @@ const (
 )
 
 // ErrMalformedWAV is the typed error ReadWAV returns for any stream it
-// rejects. Callers match it with errors.As (or AsMalformedWAV) and
+// rejects. Callers match it with errors.As and
 // branch on Reason.
 type ErrMalformedWAV struct {
 	Reason WAVReason
@@ -69,16 +68,6 @@ func (e *ErrMalformedWAV) Error() string {
 		return fmt.Sprintf("audio: malformed WAV (%s)", e.Reason)
 	}
 	return fmt.Sprintf("audio: malformed WAV (%s): %s", e.Reason, e.Detail)
-}
-
-// AsMalformedWAV unwraps err to an *ErrMalformedWAV if one is in its
-// chain.
-func AsMalformedWAV(err error) (*ErrMalformedWAV, bool) {
-	var e *ErrMalformedWAV
-	if errors.As(err, &e) {
-		return e, true
-	}
-	return nil, false
 }
 
 // WriteWAV encodes rec as 16-bit PCM WAV. Samples are clipped to

@@ -8,6 +8,7 @@ package audio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"runtime"
@@ -108,8 +109,8 @@ func TestReadWAVMalformedCorpus(t *testing.T) {
 			if err == nil {
 				t.Fatal("malformed stream decoded without error")
 			}
-			mw, ok := AsMalformedWAV(err)
-			if !ok {
+			var mw *ErrMalformedWAV
+			if !errors.As(err, &mw) {
 				t.Fatalf("error %v is not a typed *ErrMalformedWAV", err)
 			}
 			if mw.Reason != tc.reason {
@@ -158,9 +159,9 @@ func TestReadWAVHugeChunkDoesNotAllocate(t *testing.T) {
 	// The cap is configurable: the same claimed size passes a larger
 	// budget check (and then fails as truncated, since the bytes are
 	// absent).
-	if _, err := ReadWAVLimit(bytes.NewReader(stream), 2<<30); err == nil {
-		t.Fatal("truncated stream decoded")
-	} else if mw, _ := AsMalformedWAV(err); mw == nil || mw.Reason != WAVTruncated {
+	_, err := ReadWAVLimit(bytes.NewReader(stream), 2<<30)
+	var mw *ErrMalformedWAV
+	if !errors.As(err, &mw) || mw.Reason != WAVTruncated {
 		t.Fatalf("raised-budget error = %v, want truncated", err)
 	}
 }
@@ -261,7 +262,8 @@ func FuzzReadWAVLimit(f *testing.F) {
 		// allocations while the fuzzer runs.
 		rec, err := ReadWAVLimit(bytes.NewReader(b), 1<<16)
 		if err != nil {
-			if _, ok := AsMalformedWAV(err); !ok {
+			var mw *ErrMalformedWAV
+			if !errors.As(err, &mw) {
 				t.Fatalf("untyped error %T: %v", err, err)
 			}
 			if rec != nil {

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"headtalk/internal/core"
+	"headtalk/internal/metrics"
 	"headtalk/internal/pool"
 	"headtalk/internal/speech"
 	"headtalk/internal/stream"
@@ -212,7 +214,11 @@ func TestBinaryFrameBadInputDropsConn(t *testing.T) {
 func TestJSONLinesCarryNoSamples(t *testing.T) {
 	c := newTestCluster(t, []string{"solo"}, clusterOpts{})
 	tenant := c.tenantOwnedBy("solo", "solo")
-	sys := plainSystem(t)
+	sysMetrics := metrics.NewRegistry()
+	sys, err := core.NewSystem(core.Config{Metrics: sysMetrics})
+	if err != nil {
+		t.Fatal(err)
+	}
 	spotter, err := va.NewSpotter(speech.WordComputer, 3, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +265,8 @@ func TestJSONLinesCarryNoSamples(t *testing.T) {
 			t.Fatalf("JSON %s line answered %+v, want a bad_input refusal", raw["op"], resp)
 		}
 	}
-	if h := sys.History(); len(h) != 0 {
-		t.Fatalf("JSON sample lines reached the tenant: %d decisions", len(h))
+	if n := sysMetrics.Counter("headtalk.decisions.total").Value(); n != 0 {
+		t.Fatalf("JSON sample lines reached the tenant: %d decisions", n)
 	}
 	if ten, _ := c.pools["solo"].Tenant(tenant); ten.Streams().Len() != 0 {
 		t.Fatalf("JSON frames line opened %d stream sessions", ten.Streams().Len())

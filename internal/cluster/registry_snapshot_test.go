@@ -138,11 +138,16 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 
 	// Version numbers survive import, and the served blobs are
 	// byte-for-byte the source registry's.
-	srcVers, gotVers := srcReg.ActiveVersions(), restored.ActiveVersions()
-	for _, k := range []registry.Kind{registry.KindOrientation, registry.KindArrayFingerprint} {
-		if srcVers[k] != gotVers[k] {
-			t.Fatalf("kind %s version %d after restore, want %d", k, gotVers[k], srcVers[k])
+	srcStatus, gotStatus := srcReg.Status(), restored.Status()
+	if len(gotStatus) != len(srcStatus) {
+		t.Fatalf("%d kinds after restore, want %d", len(gotStatus), len(srcStatus))
+	}
+	for i, st := range srcStatus {
+		if got := gotStatus[i]; got.Kind != st.Kind || got.Active != st.Active {
+			t.Fatalf("kind %s version %d after restore, want kind %s version %d", got.Kind, got.Active, st.Kind, st.Active)
 		}
+	}
+	for _, k := range []registry.Kind{registry.KindOrientation, registry.KindArrayFingerprint} {
 		srcBytes, _ := srcReg.ActiveBytes(k)
 		gotBytes, _ := restored.ActiveBytes(k)
 		if !bytes.Equal(bytes.TrimSpace(srcBytes), bytes.TrimSpace(gotBytes)) {

@@ -10,14 +10,11 @@ import (
 	"headtalk/internal/registry"
 )
 
-// decisionsEqual compares everything about two decisions except the
-// measured latencies (which are wall-clock and cannot match): every
-// other field, scores bit for bit.
+// decisionsEqual compares every field of two decisions, scores bit
+// for bit.
 func decisionsEqual(t *testing.T, label string, want, got Decision) {
 	t.Helper()
 	w, g := want, got
-	w.LivenessLatency, w.OrientationLatency = 0, 0
-	g.LivenessLatency, g.OrientationLatency = 0, 0
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if w != g || !sameBits(w.LiveScore, g.LiveScore) || !sameBits(w.FacingScore, g.FacingScore) ||
 		!sameBits(w.FingerprintScore, g.FingerprintScore) || !sameBits(w.ShadowScore, g.ShadowScore) {

@@ -1,9 +1,8 @@
 package core
 
 // Tests for the serving-layer support added to the core system: the
-// bounded decision-log ring, the cached band-pass design with
-// per-goroutine Preprocessors, metrics wiring, and concurrent
-// hammering (run with -race).
+// cached band-pass design with per-goroutine Preprocessors, metrics
+// wiring, and concurrent hammering (run with -race).
 
 import (
 	"context"
@@ -17,42 +16,6 @@ import (
 	"headtalk/internal/metrics"
 	"headtalk/internal/registry"
 )
-
-func TestBoundedHistoryRing(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	sys, err := NewSystem(Config{Clock: clock.Now, LogCapacity: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Normal mode: every wake is accepted and logged.
-	for i := 0; i < 10; i++ {
-		clock.Advance(time.Second)
-		if _, err := sys.ProcessWake(context.Background(), markedRecording(true, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hist := sys.History()
-	if len(hist) != 4 {
-		t.Fatalf("history length = %d, want capacity 4", len(hist))
-	}
-	if got := sys.DroppedEvents(); got != 6 {
-		t.Fatalf("dropped = %d, want 6", got)
-	}
-	// Oldest-first ordering: the surviving events are the last four.
-	for i := 1; i < len(hist); i++ {
-		if !hist[i].Time.After(hist[i-1].Time) {
-			t.Fatalf("history not chronological: %v then %v", hist[i-1].Time, hist[i].Time)
-		}
-	}
-	want := time.Unix(1000, 0).Add(7 * time.Second)
-	if !hist[0].Time.Equal(want) {
-		t.Fatalf("oldest surviving event at %v, want %v", hist[0].Time, want)
-	}
-	sys.ClearHistory()
-	if len(sys.History()) != 0 || sys.DroppedEvents() != 0 {
-		t.Fatal("ClearHistory should reset both the ring and the dropped count")
-	}
-}
 
 func TestPreprocessorMatchesFreshDesign(t *testing.T) {
 	sys, err := NewSystem(Config{})
@@ -119,18 +82,19 @@ func TestMetricsWiring(t *testing.T) {
 	}
 }
 
-// TestConcurrentHammer mixes ProcessWake, SetMode, SessionActive,
-// and History from many goroutines against one System; with
-// -race this is the system's concurrency proof. Decision counts are
-// checked against the log + dropped counter so no event vanishes.
+// TestConcurrentHammer mixes ProcessWake, SetMode, SessionActive and
+// Mode from many goroutines against one System; with -race this is the
+// system's concurrency proof. The decision counter is checked against
+// the decisions made so no decision goes uncounted.
 func TestConcurrentHammer(t *testing.T) {
 	clock := &fakeClock{now: time.Unix(1000, 0)}
 	featCfg := features.DefaultConfig(13, 48000)
+	reg := metrics.NewRegistry()
 	sys, err := NewSystem(Config{
-		Clock:       clock.Now,
-		LogCapacity: 8,
-		Features:    featCfg,
-		Models:      registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
+		Clock:    clock.Now,
+		Features: featCfg,
+		Models:   registry.NewStatic(registry.ModelSet{Orientation: trainedOrientation(t, featCfg)}),
+		Metrics:  reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +115,7 @@ func TestConcurrentHammer(t *testing.T) {
 					sys.SetMode(ModeHeadTalk)
 				case 1:
 					sys.SessionActive()
-					sys.History()
-					sys.DroppedEvents()
+					sys.Mode()
 				default:
 					r := recs[(w+i)%len(recs)]
 					if _, err := sys.ProcessWake(context.Background(), markedRecording(r.facing, uint64(w*100+i))); err != nil {
@@ -164,7 +127,7 @@ func TestConcurrentHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	logged := uint64(len(sys.History())) + sys.DroppedEvents()
+	counted := reg.Counter("headtalk.decisions.total").Value()
 	var wantDecisions uint64
 	for w := 0; w < workers; w++ {
 		for i := 0; i < perWorker; i++ {
@@ -173,7 +136,7 @@ func TestConcurrentHammer(t *testing.T) {
 			}
 		}
 	}
-	if logged != wantDecisions {
-		t.Fatalf("log+dropped = %d, want %d decisions", logged, wantDecisions)
+	if counted != wantDecisions {
+		t.Fatalf("counted %d decisions, want %d", counted, wantDecisions)
 	}
 }

@@ -154,10 +154,6 @@ type Decision struct {
 	// affects Accepted.
 	ShadowScore float64
 	ShadowRan   bool
-	// Latencies of the two gates (paper §IV-B15 reports 42 ms and
-	// 136 ms on a PC).
-	LivenessLatency    time.Duration
-	OrientationLatency time.Duration
 	// DegradedChannels counts microphone channels the health check
 	// scored as dead/stuck/low-SNR (HeadTalk mode only).
 	DegradedChannels int
@@ -204,10 +200,6 @@ type Config struct {
 	// gate will decide with (default 2); below it the decision fails
 	// closed with ReasonDegraded.
 	MinChannels int
-	// LogCapacity bounds the decision log. A long-running daemon
-	// otherwise grows the log without limit; once full, the oldest
-	// events are dropped and counted. Default 1024.
-	LogCapacity int
 	// Metrics, when non-nil, receives per-decision instrumentation:
 	// accept/reject counters by Reason, per-gate latency histograms
 	// and preprocessing latency. The registry may be shared with a
@@ -226,14 +218,6 @@ type System struct {
 	cfg         Config
 	sessionOpen bool
 	sessionEnd  time.Time
-
-	// Decision log as a fixed-capacity ring: log has capacity
-	// cfg.LogCapacity, logStart indexes the oldest event, logLen counts
-	// stored events, dropped counts evicted ones.
-	log      []Event
-	logStart int
-	logLen   int
-	dropped  uint64
 
 	// bp holds the Butterworth band-pass designed once at NewSystem;
 	// its coefficients are immutable and cloned into per-goroutine
@@ -255,7 +239,6 @@ type instruments struct {
 	liveGate   *metrics.Histogram
 	fpGate     *metrics.Histogram
 	orientGate *metrics.Histogram
-	logDropped *metrics.Counter
 
 	// Fault-health instrumentation: input rejections by validation
 	// reason and the degraded-channel count of the most recent health
@@ -275,7 +258,6 @@ func newInstruments(r *metrics.Registry) *instruments {
 		liveGate:          r.Histogram("headtalk.gate.liveness.latency", nil),
 		fpGate:            r.Histogram("headtalk.gate.fingerprint.latency", nil),
 		orientGate:        r.Histogram("headtalk.gate.orientation.latency", nil),
-		logDropped:        r.Counter("headtalk.log.dropped"),
 		inputRejected:     make(map[audio.BadInputReason]*metrics.Counter),
 		channelsDegraded:  r.Gauge("headtalk.channels.degraded"),
 		degradedDecisions: r.Counter("headtalk.degraded.decisions"),
@@ -293,14 +275,6 @@ func newInstruments(r *metrics.Registry) *instruments {
 		ins.inputRejected[reason] = r.Counter("headtalk.input.rejected." + string(reason))
 	}
 	return ins
-}
-
-// Event is one entry in the system's decision log (the paper's
-// command-history privacy control).
-type Event struct {
-	Time     time.Time
-	Mode     Mode
-	Decision Decision
 }
 
 // NewSystem validates the configuration and returns a system in
@@ -323,12 +297,6 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.LivenessThreshold == 0 {
 		cfg.LivenessThreshold = 0.5
-	}
-	if cfg.LogCapacity == 0 {
-		cfg.LogCapacity = 1024
-	}
-	if cfg.LogCapacity < 1 {
-		cfg.LogCapacity = 1
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
@@ -401,10 +369,6 @@ func (s *System) NewPreprocessor() *Preprocessor {
 // must be treated as read-only.
 func (s *System) Config() Config { return s.cfg }
 
-// Models returns the system's model provider (a *registry.Registry
-// when one was attached, or a registry.Static).
-func (s *System) Models() registry.Provider { return s.cfg.Models }
-
 // ModelSet resolves the current model set — the same one-atomic-load
 // view the decision path uses. The returned set and its models are
 // read-only.
@@ -462,12 +426,20 @@ func (s *System) validateInput(rec *audio.Recording) error {
 	if err == nil {
 		return nil
 	}
-	if bad, isBad := audio.AsBadInput(err); s.ins != nil && isBad {
+	s.countInputRejected(err)
+	return fmt.Errorf("core: input validation: %w", err)
+}
+
+// countInputRejected counts a typed bad-input error under its reason
+// and reports whether err is one.
+func (s *System) countInputRejected(err error) bool {
+	bad, isBad := audio.AsBadInput(err)
+	if isBad && s.ins != nil {
 		if c, ok := s.ins.inputRejected[bad.Reason]; ok {
 			c.Inc()
 		}
 	}
-	return fmt.Errorf("core: input validation: %w", err)
+	return isBad
 }
 
 // channelPlan is the outcome of the degraded-array policy for one
@@ -610,7 +582,7 @@ func (s *System) EndSession() {
 }
 
 // ProcessWake runs the full HeadTalk decision pipeline (paper Fig. 2)
-// on a detected wake-word recording and logs the outcome. The
+// on a detected wake-word recording and counts the outcome. The
 // recording should contain just the wake-word utterance from the
 // device's microphone array.
 //
@@ -643,7 +615,7 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 	tr.End(trace.StageValidate, vStart)
 	if err != nil {
 		d := Decision{Reason: ReasonBadInput}
-		s.logEvent(mode, d)
+		s.countDecision(d)
 		tr.SetOutcome(mode.String(), false, d.Reason.Slug())
 		return d, err
 	}
@@ -657,13 +629,20 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 	case ModeHeadTalk:
 		d, err = s.headTalkDecision(tr, p, rec)
 		if err != nil {
-			s.logEvent(mode, Decision{Reason: ReasonProcessingFail})
+			// A gate that cannot score valid-looking input (a capture
+			// too short for it) rejects it as bad input; anything else
+			// is a processing failure.
+			reason := ReasonProcessingFail
+			if s.countInputRejected(err) {
+				reason = ReasonBadInput
+			}
+			s.countDecision(Decision{Reason: reason})
 			tr.SetGates(d.LiveScore, d.LiveRan, d.FacingScore, d.FacingRan)
-			tr.SetOutcome(mode.String(), false, ReasonProcessingFail.Slug())
-			return Decision{Reason: ReasonProcessingFail}, err
+			tr.SetOutcome(mode.String(), false, reason.Slug())
+			return Decision{Reason: reason}, err
 		}
 	}
-	s.logEvent(mode, d)
+	s.countDecision(d)
 	tr.SetGates(d.LiveScore, d.LiveRan, d.FacingScore, d.FacingRan)
 	tr.SetOutcome(mode.String(), d.Accepted, d.Reason.Slug())
 	return d, nil
@@ -744,10 +723,10 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 		mono := monoSrc.MonoInto(p.mono)
 		p.mono = mono
 		score, lerr := set.Liveness.ScoreWith(&p.live, mono, rec.SampleRate)
-		d.LivenessLatency = time.Since(start)
-		tr.Observe(trace.StageLiveness, d.LivenessLatency)
+		elapsed := time.Since(start)
+		tr.Observe(trace.StageLiveness, elapsed)
 		if s.ins != nil {
-			s.ins.liveGate.ObserveDuration(d.LivenessLatency)
+			s.ins.liveGate.ObserveDuration(elapsed)
 		}
 		if lerr != nil {
 			return d, fmt.Errorf("core: liveness gate: %w", lerr)
@@ -828,10 +807,10 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	pred, score, scratch := plan.model.PredictScore(feats, p.mlScratch)
 	p.mlScratch = scratch
 	d.FacingScore = score
-	d.OrientationLatency = time.Since(start)
-	tr.Observe(trace.StageOrientation, d.OrientationLatency)
+	elapsed := time.Since(start)
+	tr.Observe(trace.StageOrientation, elapsed)
 	if s.ins != nil {
-		s.ins.orientGate.ObserveDuration(d.OrientationLatency)
+		s.ins.orientGate.ObserveDuration(elapsed)
 	}
 	d.FacingRan = true
 	if set.OnScore != nil {
@@ -883,66 +862,19 @@ func (s *System) extendSession() {
 	}
 }
 
-func (s *System) logEvent(mode Mode, d Decision) {
-	if s.ins != nil {
-		s.ins.decisions.Inc()
-		if d.Accepted {
-			s.ins.accepted.Inc()
-		} else {
-			s.ins.rejected.Inc()
-		}
-		if c, ok := s.ins.byReason[d.Reason]; ok {
-			c.Inc()
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log == nil {
-		s.log = make([]Event, s.cfg.LogCapacity)
-	}
-	ev := Event{Time: s.cfg.Clock(), Mode: mode, Decision: d}
-	if s.logLen < len(s.log) {
-		s.log[(s.logStart+s.logLen)%len(s.log)] = ev
-		s.logLen++
+// countDecision feeds the decision counters: the total, accepted or
+// rejected, and the decision's reason.
+func (s *System) countDecision(d Decision) {
+	if s.ins == nil {
 		return
 	}
-	// Ring full: overwrite the oldest event and count the eviction.
-	s.log[s.logStart] = ev
-	s.logStart = (s.logStart + 1) % len(s.log)
-	s.dropped++
-	if s.ins != nil {
-		s.ins.logDropped.Inc()
+	s.ins.decisions.Inc()
+	if d.Accepted {
+		s.ins.accepted.Inc()
+	} else {
+		s.ins.rejected.Inc()
 	}
-}
-
-// History returns a copy of the decision log, oldest first. At most
-// Config.LogCapacity events are retained; DroppedEvents counts the
-// rest.
-func (s *System) History() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Event, s.logLen)
-	for i := 0; i < s.logLen; i++ {
-		out[i] = s.log[(s.logStart+i)%len(s.log)]
+	if c, ok := s.ins.byReason[d.Reason]; ok {
+		c.Inc()
 	}
-	return out
-}
-
-// DroppedEvents reports how many log events have been evicted from
-// the bounded history since the last ClearHistory.
-func (s *System) DroppedEvents() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// ClearHistory deletes the decision log (the paper's delete-history
-// privacy control) and resets the dropped-event count.
-func (s *System) ClearHistory() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.log = nil
-	s.logStart = 0
-	s.logLen = 0
-	s.dropped = 0
 }

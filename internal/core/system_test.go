@@ -232,23 +232,6 @@ func TestNoOrientationModelRejects(t *testing.T) {
 	}
 }
 
-func TestHistoryLog(t *testing.T) {
-	clock := &fakeClock{now: time.Unix(1000, 0)}
-	sys := testSystem(t, clock)
-	for i := 0; i < 3; i++ {
-		if _, err := sys.ProcessWake(context.Background(), markedRecording(true, uint64(60+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(sys.History()); got != 3 {
-		t.Errorf("history length %d", got)
-	}
-	sys.ClearHistory()
-	if len(sys.History()) != 0 {
-		t.Error("ClearHistory did not clear")
-	}
-}
-
 func TestPreprocessBandpass(t *testing.T) {
 	sys, err := NewSystem(Config{})
 	if err != nil {
@@ -284,7 +267,7 @@ func TestConcurrentAccess(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			sys.SetMode(ModeHeadTalk)
 			sys.SessionActive()
-			sys.History()
+			sys.Mode()
 		}
 	}()
 	for i := 0; i < 5; i++ {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"headtalk/internal/features"
+	"headtalk/internal/metrics"
 	"headtalk/internal/registry"
 	"headtalk/internal/trace"
 )
@@ -57,10 +58,6 @@ func TestTraceSpansCoverPipeline(t *testing.T) {
 	if sum != tr.Total || tr.Total <= 0 {
 		t.Fatalf("spans sum %v != total %v", sum, tr.Total)
 	}
-	// Orientation span mirrors the decision's gate latency.
-	if got, _ := tr.Span(trace.StageOrientation); got != d.OrientationLatency {
-		t.Fatalf("orientation span %v != decision latency %v", got, d.OrientationLatency)
-	}
 	if !tr.Accepted || tr.Reason != "accepted" || tr.Mode != "headtalk" {
 		t.Fatalf("trace outcome %+v", tr)
 	}
@@ -92,10 +89,11 @@ func TestTraceBadInputOutcome(t *testing.T) {
 }
 
 // TestUntracedProcessWakeUnchanged pins that the tracing hooks are
-// inert without a recorder: decisions and history behave exactly as
-// before.
+// inert without a recorder: decisions and their counters behave
+// exactly as before.
 func TestUntracedProcessWakeUnchanged(t *testing.T) {
-	sys, err := NewSystem(Config{})
+	reg := metrics.NewRegistry()
+	sys, err := NewSystem(Config{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestUntracedProcessWakeUnchanged(t *testing.T) {
 	if err != nil || !d.Accepted || d.Reason != ReasonNormalMode {
 		t.Fatalf("untraced decision %+v, %v", d, err)
 	}
-	if len(sys.History()) != 1 {
-		t.Fatal("decision not logged")
+	if n := reg.Counter("headtalk.decisions.total").Value(); n != 1 {
+		t.Fatalf("%d decisions counted, want 1", n)
 	}
 }

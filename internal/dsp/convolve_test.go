@@ -6,9 +6,19 @@ import (
 	"testing"
 )
 
+// denseTaps turns an impulse response into one tap per sample.
+func denseTaps(h []float64) []SparseTap {
+	taps := make([]SparseTap, len(h))
+	for i, g := range h {
+		taps[i] = SparseTap{Delay: i, Gain: g}
+	}
+	return taps
+}
+
 func TestConvolveIdentity(t *testing.T) {
 	x := []float64{1, 2, 3}
-	got := Convolve(x, []float64{1})
+	got := make([]float64, len(x))
+	ConvolveSparse(got, x, []SparseTap{{Delay: 0, Gain: 1}})
 	for i, v := range x {
 		if got[i] != v {
 			t.Fatalf("identity convolution mismatch at %d", i)
@@ -17,11 +27,9 @@ func TestConvolveIdentity(t *testing.T) {
 }
 
 func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 2, 3}, []float64{0, 1})
+	got := make([]float64, 4)
+	ConvolveSparse(got, []float64{1, 2, 3}, denseTaps([]float64{0, 1}))
 	want := []float64{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-12 {
 			t.Fatalf("mismatch at %d: %g vs %g", i, got[i], want[i])
@@ -29,6 +37,8 @@ func TestConvolveKnown(t *testing.T) {
 	}
 }
 
+// TestConvolveDirectMatchesFFT checks a dense-tap ConvolveSparse, the
+// full linear convolution, against the product of real spectra.
 func TestConvolveDirectMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	x := make([]float64, 300)
@@ -39,11 +49,15 @@ func TestConvolveDirectMatchesFFT(t *testing.T) {
 	for i := range h {
 		h[i] = rng.NormFloat64()
 	}
-	direct := convolveDirect(x, h)
-	fft := convolveFFT(x, h)
-	if len(direct) != len(fft) {
-		t.Fatalf("length mismatch %d vs %d", len(direct), len(fft))
+	direct := make([]float64, len(x)+len(h)-1)
+	ConvolveSparse(direct, x, denseTaps(h))
+	p := Plan(NextPow2(len(direct)))
+	xf := p.RFFT(nil, x)
+	hf := p.RFFT(nil, h)
+	for i := range xf {
+		xf[i] *= hf[i]
 	}
+	fft := p.IRFFT(nil, xf)
 	for i := range direct {
 		if math.Abs(direct[i]-fft[i]) > 1e-8 {
 			t.Fatalf("mismatch at %d: %g vs %g", i, direct[i], fft[i])
@@ -52,11 +66,11 @@ func TestConvolveDirectMatchesFFT(t *testing.T) {
 }
 
 func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("empty x should give nil")
-	}
-	if Convolve([]float64{1}, nil) != nil {
-		t.Error("empty h should give nil")
+	dst := []float64{1, 2}
+	ConvolveSparse(dst, nil, []SparseTap{{Delay: 0, Gain: 1}})
+	ConvolveSparse(dst, []float64{1}, nil)
+	if dst[0] != 1 || dst[1] != 2 {
+		t.Errorf("empty input or response changed dst: %v", dst)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestConvolutionTheorem(t *testing.T) {
-	// FFT(x ⊛ h) = FFT(x) · FFT(h) for circular convolution; verify
+	// forwardCopy(x ⊛ h) = forwardCopy(x) · forwardCopy(h) for circular convolution; verify
 	// via the linear-convolution helper against the spectral product.
 	rng := rand.New(rand.NewPCG(41, 42))
 	n := 64
@@ -18,7 +18,8 @@ func TestConvolutionTheorem(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		h[i] = rng.NormFloat64()
 	}
-	lin := Convolve(x, h) // length 2n-1
+	lin := make([]float64, 2*n-1)
+	ConvolveSparse(lin, x, denseTaps(h))
 	m := NextPow2(2 * n)
 	fx := make([]complex128, m)
 	fh := make([]complex128, m)
@@ -26,12 +27,12 @@ func TestConvolutionTheorem(t *testing.T) {
 		fx[i] = complex(x[i], 0)
 		fh[i] = complex(h[i], 0)
 	}
-	fx = FFT(fx)
-	fh = FFT(fh)
+	fx = forwardCopy(fx)
+	fh = forwardCopy(fh)
 	for i := range fx {
 		fx[i] *= fh[i]
 	}
-	back := IFFT(fx)
+	back := inverseCopy(fx)
 	for i := range lin {
 		if cmplx.Abs(back[i]-complex(lin[i], 0)) > 1e-8 {
 			t.Fatalf("convolution theorem violated at %d", i)

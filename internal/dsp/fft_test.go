@@ -29,6 +29,20 @@ func randComplex(n int, rng *rand.Rand) []complex128 {
 	return out
 }
 
+// forwardCopy and inverseCopy transform a copy of x through the cached
+// plan for its length.
+func forwardCopy(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	Plan(len(x)).Forward(out)
+	return out
+}
+
+func inverseCopy(x []complex128) []complex128 {
+	out := append([]complex128(nil), x...)
+	Plan(len(x)).Inverse(out)
+	return out
+}
+
 func maxErr(a, b []complex128) float64 {
 	var m float64
 	for i := range a {
@@ -44,7 +58,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	// Power-of-two sizes exercise radix-2; others exercise Bluestein.
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 3, 5, 7, 12, 30, 100} {
 		x := randComplex(n, rng)
-		got := FFT(x)
+		got := forwardCopy(x)
 		want := naiveDFT(x)
 		if err := maxErr(got, want); err > 1e-8*float64(n) {
 			t.Errorf("n=%d: max error %g vs naive DFT", n, err)
@@ -56,21 +70,34 @@ func TestIFFTInvertsFFT(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for _, n := range []int{2, 8, 17, 31, 128, 1000} {
 		x := randComplex(n, rng)
-		back := IFFT(FFT(x))
+		back := inverseCopy(forwardCopy(x))
 		if err := maxErr(x, back); err > 1e-9*float64(n) {
 			t.Errorf("n=%d: round-trip error %g", n, err)
 		}
 	}
 }
 
+// TestFFTDoesNotModifyInput: the real transforms read their input
+// without writing it, whatever the length's path (radix-2, Bluestein,
+// short input read as zero-padded).
 func TestFFTDoesNotModifyInput(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	x := randComplex(64, rng)
-	orig := append([]complex128{}, x...)
-	FFT(x)
-	for i := range x {
-		if x[i] != orig[i] {
-			t.Fatalf("FFT modified its input at %d", i)
+	for _, n := range []int{64, 100} {
+		x := randReal(n-10, rng)
+		orig := append([]float64(nil), x...)
+		spec := Plan(n).RFFT(nil, x)
+		for i := range x {
+			if x[i] != orig[i] {
+				t.Fatalf("n=%d: RFFT modified its input at %d", n, i)
+			}
+		}
+		specOrig := append([]complex128(nil), spec...)
+		Plan(n).IRFFT(nil, spec)
+		Plan(n).IRFFTLags(nil, spec, 3, make([]complex128, n/2))
+		for i := range spec {
+			if spec[i] != specOrig[i] {
+				t.Fatalf("n=%d: inverse modified its spectrum at %d", n, i)
+			}
 		}
 	}
 }
@@ -83,7 +110,7 @@ func TestFFTLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = x[i] + 2*y[i]
 	}
-	fx, fy, fsum := FFT(x), FFT(y), FFT(sum)
+	fx, fy, fsum := forwardCopy(x), forwardCopy(y), forwardCopy(sum)
 	for i := range fsum {
 		want := fx[i] + 2*fy[i]
 		if cmplx.Abs(fsum[i]-want) > 1e-9 {
@@ -96,7 +123,7 @@ func TestParseval(t *testing.T) {
 	rng := rand.New(rand.NewPCG(9, 10))
 	for _, n := range []int{16, 64, 100} {
 		x := randComplex(n, rng)
-		spec := FFT(x)
+		spec := forwardCopy(x)
 		var timeEnergy, freqEnergy float64
 		for i := range x {
 			timeEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -117,12 +144,12 @@ func TestFFTRealSinusoidPeak(t *testing.T) {
 	freq := 1500.0
 	// Pick an exact bin frequency to avoid leakage.
 	bin := FreqBin(freq, n, fs)
-	exact := BinFreq(bin, n, fs)
+	exact := float64(bin) * fs / n
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * exact * float64(i) / fs)
 	}
-	mags := Magnitude(HalfSpectrum(x))
+	mags := MagnitudeInto(nil, HalfSpectrum(x))
 	peak := ArgMax(mags)
 	if peak != bin {
 		t.Fatalf("sinusoid at bin %d peaked at bin %d", bin, peak)
@@ -175,7 +202,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		for i := range x {
 			x[i] = complex(clampQuick(re[i]), clampQuick(im[i]))
 		}
-		back := IFFT(FFT(x))
+		back := inverseCopy(forwardCopy(x))
 		return maxErr(x, back) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -473,13 +473,6 @@ func (p *FFTPlan) IRFFT(dst []float64, spec []complex128) []float64 {
 // imaginary parts. It writes Z in the order the half plan's inverse
 // reads it: Z[k] goes to z[perm[k]] for a radix-2 half plan (whose
 // tables it builds), to z[k] otherwise.
-//
-// A pair k, n/2-k whose four spectrum components are all +0 — the
-// out-of-band bins of a band-limited cross-spectrum — is not computed:
-// the arithmetic below yields Z[k] = (+0, +0) and Z[n/2-k] = (+0, -0)
-// for it (the unpack twiddle's real part is positive and its imaginary
-// part negative for 0 < k <= n/4), and those constants are written
-// instead.
 func (p *FFTPlan) repack(z, spec []complex128) {
 	h := p.n / 2
 	var perm []int32
@@ -496,16 +489,8 @@ func (p *FFTPlan) repack(z, spec []complex128) {
 		if perm != nil {
 			ik, ic = int(perm[k]), int(perm[h-k])
 		}
-		xk, xh := spec[k], spec[h-k]
-		if math.Float64bits(real(xk))|math.Float64bits(imag(xk))|
-			math.Float64bits(real(xh))|math.Float64bits(imag(xh)) == 0 {
-			z[ik] = 0
-			if k != h-k {
-				z[ic] = zeroNegImag
-			}
-			continue
-		}
-		xc := cmplx.Conj(xh)
+		xk := spec[k]
+		xc := cmplx.Conj(spec[h-k])
 		e := (xk + xc) * complex(0.5, 0)
 		d := (xk - xc) * complex(0.5, 0)
 		o := d * cmplx.Conj(p.rtw[k])
@@ -516,10 +501,6 @@ func (p *FFTPlan) repack(z, spec []complex128) {
 		}
 	}
 }
-
-// zeroNegImag is (+0, -0), which repack writes for the upper member of
-// an all-zero pair.
-var zeroNegImag = complex(0, math.Copysign(0, -1))
 
 // IRFFTLags returns the lag window of the real sequence r =
 // IRFFT(spec): dst[maxLag+k] = r[k mod n] for k = -maxLag..+maxLag,
@@ -613,7 +594,7 @@ func IRFFT(dst []float64, spec []complex128, n int) []float64 {
 }
 
 // MagnitudeInto writes |spec[i]| into dst (grown if needed) and
-// returns dst[:len(spec)] — the allocation-free variant of Magnitude.
+// returns dst[:len(spec)].
 func MagnitudeInto(dst []float64, spec []complex128) []float64 {
 	if cap(dst) < len(spec) {
 		dst = make([]float64, len(spec))

@@ -57,7 +57,7 @@ func TestWelchPSDPeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	peakBin := ArgMax(psd)
-	peakFreq := BinFreq(peakBin, 512, fs)
+	peakFreq := float64(peakBin) * fs / 512
 	if math.Abs(peakFreq-1000) > fs/512 {
 		t.Errorf("PSD peak at %g Hz, want ~1000", peakFreq)
 	}

@@ -99,7 +99,9 @@ func (r *Runner) Fig6Curves() (*Table, error) {
 			Dir:     room.HumanDirectivity{},
 		}
 		rec := scene.Capture(src, utt, 70, rng)
-		pairs, err := srp.AllPairs(rec.Channels, srp.PairOptions{
+		// A workspace per angle: each angle's curves keep its pairs.
+		var ws srp.Workspace
+		pairs, err := ws.AllPairs(rec.Channels, srp.PairOptions{
 			MaxLag: maxLag, PHAT: true, SampleRate: fs, BandLo: 100, BandHi: 8000,
 		})
 		if err != nil {

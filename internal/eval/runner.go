@@ -50,9 +50,6 @@ func NewRunner(opts Options) *Runner {
 	}
 }
 
-// Scale returns the runner's corpus scale.
-func (r *Runner) Scale() dataset.Scale { return r.opts.Scale }
-
 // progressf prints progress when enabled.
 func (r *Runner) progressf(format string, args ...any) {
 	if r.opts.Progress != nil {

@@ -1,8 +1,10 @@
 package liveness
 
 import (
+	"errors"
 	"fmt"
 
+	"headtalk/internal/audio"
 	"headtalk/internal/ml"
 )
 
@@ -78,13 +80,18 @@ func (d *Detector) Score(waveform []float64, fs float64) (float64, error) {
 	return d.ScoreWith(w, waveform, fs)
 }
 
-// ScoreWith is Score on the caller's workspace.
+// ScoreWith is Score on the caller's workspace. A waveform too short
+// to score is an *audio.ErrBadInput with reason too_short.
 func (d *Detector) ScoreWith(w *Workspace, waveform []float64, fs float64) (float64, error) {
 	frames, err := w.Frames(waveform, fs)
 	if err != nil {
 		return 0, err
 	}
-	return d.net.PredictProbaWith(&w.net, frames)
+	p, err := d.net.PredictProbaWith(&w.net, frames)
+	if errors.Is(err, ml.ErrSequenceTooShort) {
+		return 0, &audio.ErrBadInput{Reason: audio.BadTooShort, Detail: "liveness: " + err.Error()}
+	}
+	return p, err
 }
 
 // Evaluate scores a labeled set and returns the EER with its threshold

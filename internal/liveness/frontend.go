@@ -15,6 +15,7 @@ import (
 	"math"
 	"sync"
 
+	"headtalk/internal/audio"
 	"headtalk/internal/dsp"
 )
 
@@ -122,7 +123,10 @@ func (w *Workspace) Frames(x []float64, fs float64) ([][]float64, error) {
 	w.z = dsp.ZScoreInto(w.z, wav)
 	wav = w.z
 	if len(wav) < frameLen {
-		return nil, fmt.Errorf("liveness: waveform too short (%d samples at 16 kHz, need %d)", len(wav), frameLen)
+		return nil, &audio.ErrBadInput{
+			Reason: audio.BadTooShort,
+			Detail: fmt.Sprintf("liveness: waveform too short (%d samples at 16 kHz, need %d)", len(wav), frameLen),
+		}
 	}
 
 	fb, win := frontendTables()

@@ -198,7 +198,7 @@ func TestCaptureSPLCalibration(t *testing.T) {
 		Dir:     room.OmniDirectivity{},
 	}
 	rec := scene.Capture(src, utt, 70, rng)
-	got := audio.RMSToSPL(dsp.RMS(rec.Channels[0][:utt.Length]))
+	got := 70 + 20*math.Log10(dsp.RMS(rec.Channels[0][:utt.Length])/audio.SPLToRMS(70))
 	if math.Abs(got-70) > 2 {
 		t.Errorf("captured level %g dB SPL, want ~70", got)
 	}
@@ -270,7 +270,7 @@ func TestCaptureSelfNoiseSNR(t *testing.T) {
 	for i := range noise {
 		noise[i] = clean.Channels[0][i] - quiet.Channels[0][i]
 	}
-	snr := audio.SNRdB(dsp.RMS(quiet.Channels[0]), dsp.RMS(noise))
+	snr := 20 * math.Log10(dsp.RMS(quiet.Channels[0])/dsp.RMS(noise))
 	if math.Abs(snr-DeviceD3().SelfNoiseSNRdB) > 2 {
 		t.Errorf("self-noise SNR %g dB, want ~%g", snr, DeviceD3().SelfNoiseSNRdB)
 	}
@@ -285,7 +285,7 @@ func TestCaptureAmbientNoiseLevel(t *testing.T) {
 	// ambient level alone.
 	src := room.Source{Pos: scene.ArrayPos.Add(geom.Vec3{X: 3}), Azimuth: 0}
 	rec := scene.Capture(src, utt, 1, rand.New(rand.NewPCG(12, 12)))
-	got := audio.RMSToSPL(dsp.RMS(rec.Channels[0]))
+	got := 45 + 20*math.Log10(dsp.RMS(rec.Channels[0])/audio.SPLToRMS(45))
 	if math.Abs(got-45) > 2.5 {
 		t.Errorf("ambient level %g dB SPL, want ~45", got)
 	}

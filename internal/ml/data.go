@@ -2,8 +2,8 @@
 // on, from scratch on the standard library: an SMO-trained SVM with RBF
 // kernel (the paper's orientation classifier), CART decision trees,
 // bagged random forests, k-nearest neighbors, a small convolutional
-// network (the wav2vec2 stand-in for liveness detection), SMOTE and
-// ADASYN oversampling, cross-validation and the usual evaluation
+// network (the wav2vec2 stand-in for liveness detection), ADASYN
+// oversampling, cross-validation and the usual evaluation
 // metrics including equal error rate.
 package ml
 

@@ -103,8 +103,8 @@ func TestSVMLinearlySeparable(t *testing.T) {
 	if acc := accuracyOf(t, svm, tx, ty); acc < 0.97 {
 		t.Errorf("linear SVM accuracy %g on separable blobs", acc)
 	}
-	if svm.NumSupportVectors() == 0 || svm.NumSupportVectors() >= len(x) {
-		t.Errorf("support vector count %d implausible", svm.NumSupportVectors())
+	if n := len(svm.x); n == 0 || n >= len(x) {
+		t.Errorf("support vector count %d implausible", n)
 	}
 }
 
@@ -195,8 +195,8 @@ func TestDecisionTreeMaxSplits(t *testing.T) {
 	if err := stump.Fit(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if d := stump.Depth(); d > 1 {
-		t.Errorf("1-split tree depth %d", d)
+	if r := stump.root; !r.isLeaf() && !(r.left.isLeaf() && r.right.isLeaf()) {
+		t.Error("1-split tree is deeper than one split")
 	}
 	// XOR cannot be solved by one split.
 	if acc := accuracyOf(t, stump, x, y); acc > 0.8 {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -360,6 +361,10 @@ type ConvNetWorkspace struct {
 	preM, actM, poolM []Matrix
 }
 
+// ErrSequenceTooShort is wrapped by a convnet forward pass whose input
+// sequence runs out of frames before a convolution's kernel fits.
+var ErrSequenceTooShort = errors.New("ml: convnet: sequence too short")
+
 // forward runs the full network over x into fw, retaining the
 // intermediates. Training and inference share it.
 func (c *ConvNet) forward(fw *ConvNetWorkspace, x [][]float64) error {
@@ -375,7 +380,7 @@ func (c *ConvNet) forward(fw *ConvNetWorkspace, x [][]float64) error {
 	seq := x
 	for li, l := range c.convs {
 		if len(seq) < l.k {
-			return fmt.Errorf("ml: convnet: sequence too short (%d frames < kernel %d)", len(seq), l.k)
+			return fmt.Errorf("%w (%d frames < kernel %d)", ErrSequenceTooShort, len(seq), l.k)
 		}
 		fw.convIn = append(fw.convIn, seq)
 		pre := l.forwardInto(&fw.preM[li], seq)

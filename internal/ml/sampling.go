@@ -7,42 +7,15 @@ import (
 )
 
 // Oversampling balances a binary dataset by synthesizing minority-class
-// samples. The paper uses SMOTE and ADASYN for the imbalanced
-// cross-user dataset (§IV-B14) and selects ADASYN.
+// samples. The paper compares SMOTE and ADASYN for the imbalanced
+// cross-user dataset (§IV-B14) and selects ADASYN, the one kept here.
 
-// SMOTE (Chawla et al. [19]) synthesizes minority samples by linear
+// ADASYN (He et al. [37]) synthesizes minority samples by linear
 // interpolation toward random members of each sample's k nearest
-// minority neighbors, until both classes have equal counts. It returns
-// the augmented dataset (originals first).
-func SMOTE(x [][]float64, y []int, k int, rng *rand.Rand) ([][]float64, []int, error) {
-	minority, majority, err := splitClasses(x, y)
-	if err != nil {
-		return nil, nil, err
-	}
-	need := len(majority) - len(minority)
-	if need <= 0 {
-		return x, y, nil
-	}
-	if k < 1 {
-		k = 5
-	}
-	minLabel := minorityLabel(y)
-	neighbors := knnIndices(minority, k)
-	outX := append([][]float64{}, x...)
-	outY := append([]int{}, y...)
-	for s := 0; s < need; s++ {
-		i := rng.IntN(len(minority))
-		nn := neighbors[i]
-		j := nn[rng.IntN(len(nn))]
-		outX = append(outX, interpolate(minority[i], minority[j], rng.Float64()))
-		outY = append(outY, minLabel)
-	}
-	return outX, outY, nil
-}
-
-// ADASYN (He et al. [37]) is like SMOTE but allocates more synthetic
-// samples to minority points whose neighborhoods are dominated by the
-// majority class (the "hard" boundary region).
+// minority neighbors, until both classes have equal counts, and
+// allocates more of them to minority points whose neighborhoods are
+// dominated by the majority class (the "hard" boundary region). It
+// returns the augmented dataset (originals first).
 func ADASYN(x [][]float64, y []int, k int, rng *rand.Rand) ([][]float64, []int, error) {
 	minority, majority, err := splitClasses(x, y)
 	if err != nil {

@@ -23,30 +23,8 @@ func imbalanced(nMinority, nMajority int, seed uint64) ([][]float64, []int) {
 	return x, y
 }
 
-func TestSMOTEBalances(t *testing.T) {
-	x, y := imbalanced(10, 40, 1)
-	rng := rand.New(rand.NewPCG(2, 2))
-	bx, by, err := SMOTE(x, y, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := CountClasses(by)
-	if counts[0] != counts[1] {
-		t.Errorf("SMOTE did not balance: %v", counts)
-	}
-	if len(bx) != len(by) {
-		t.Error("x/y length mismatch after SMOTE")
-	}
-	// Originals preserved at the front.
-	for i := range x {
-		if &bx[i][0] != &x[i][0] {
-			t.Fatal("SMOTE moved original samples")
-		}
-	}
-}
-
-func TestSMOTESyntheticWithinConvexHull(t *testing.T) {
-	// SMOTE interpolates between minority points, so synthetic
+func TestADASYNSyntheticWithinConvexHull(t *testing.T) {
+	// ADASYN interpolates between minority points, so synthetic
 	// minority samples must lie inside the minority bounding box.
 	x, y := imbalanced(15, 50, 3)
 	var lo, hi [2]float64
@@ -66,7 +44,7 @@ func TestSMOTESyntheticWithinConvexHull(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewPCG(4, 4))
-	bx, by, err := SMOTE(x, y, 5, rng)
+	bx, by, err := ADASYN(x, y, 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +71,14 @@ func TestADASYNBalances(t *testing.T) {
 	if counts[0] != counts[1] {
 		t.Errorf("ADASYN did not balance: %v", counts)
 	}
-	if len(bx) != 96 {
-		t.Errorf("total %d, want 96", len(bx))
+	if len(bx) != 96 || len(by) != 96 {
+		t.Errorf("total %d samples, %d labels, want 96", len(bx), len(by))
+	}
+	// Originals preserved at the front.
+	for i := range x {
+		if &bx[i][0] != &x[i][0] {
+			t.Fatal("ADASYN moved original samples")
+		}
 	}
 }
 
@@ -139,14 +123,7 @@ func TestADASYNFocusesHardRegion(t *testing.T) {
 func TestOversamplingNoOpWhenBalanced(t *testing.T) {
 	x, y := imbalanced(20, 20, 8)
 	rng := rand.New(rand.NewPCG(9, 9))
-	bx, _, err := SMOTE(x, y, 5, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bx) != len(x) {
-		t.Error("balanced data should pass through SMOTE unchanged")
-	}
-	bx, _, err = ADASYN(x, y, 5, rng)
+	bx, _, err := ADASYN(x, y, 5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +134,11 @@ func TestOversamplingNoOpWhenBalanced(t *testing.T) {
 
 func TestOversamplingErrors(t *testing.T) {
 	rng := rand.New(rand.NewPCG(10, 10))
-	if _, _, err := SMOTE(nil, nil, 5, rng); err == nil {
+	if _, _, err := ADASYN(nil, nil, 5, rng); err == nil {
 		t.Error("expected error on empty data")
 	}
 	x := [][]float64{{1}, {2}, {3}}
-	if _, _, err := SMOTE(x, []int{0, 0, 0}, 5, rng); err == nil {
+	if _, _, err := ADASYN(x, []int{0, 0, 0}, 5, rng); err == nil {
 		t.Error("expected error on single-class data")
 	}
 	if _, _, err := ADASYN(x, []int{0, 1, 2}, 5, rng); err == nil {

@@ -228,9 +228,6 @@ func (s *SVM) decision(x []float64) float64 {
 	return acc + s.b
 }
 
-// NumSupportVectors returns the size of the learned support set.
-func (s *SVM) NumSupportVectors() int { return len(s.x) }
-
 // Predict implements Classifier.
 func (s *SVM) Predict(x []float64) int {
 	if s.decision(x) >= 0 {

@@ -2,7 +2,6 @@ package ml
 
 import (
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sort"
 )
@@ -230,14 +229,4 @@ func (t *DecisionTree) Score(x []float64) float64 {
 		}
 	}
 	return node.prob
-}
-
-// Depth returns the tree's depth (0 for a stump/leaf-only tree).
-func (t *DecisionTree) Depth() int { return depthOf(t.root) }
-
-func depthOf(n *treeNode) int {
-	if n == nil || n.isLeaf() {
-		return 0
-	}
-	return 1 + int(math.Max(float64(depthOf(n.left)), float64(depthOf(n.right))))
 }

@@ -267,20 +267,6 @@ func (m *Model) IncrementalUpdate(candidates [][]float64, minConfidence float64)
 	return added, nil
 }
 
-// AbsorbLabeled appends ground-truth-labeled samples (e.g. a fresh
-// enrollment session) and rebuilds.
-func (m *Model) AbsorbLabeled(x [][]float64, y []int) error {
-	if len(x) != len(y) {
-		return fmt.Errorf("orientation: %d samples vs %d labels", len(x), len(y))
-	}
-	m.trainX = append(m.trainX, x...)
-	m.trainY = append(m.trainY, y...)
-	return m.refit()
-}
-
-// TrainingSize returns the current training-set size.
-func (m *Model) TrainingSize() int { return len(m.trainX) }
-
 func (m *Model) refit() error {
 	if m.svm != nil {
 		c := m.cfg.C

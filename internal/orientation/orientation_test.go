@@ -105,8 +105,8 @@ func TestTrainEvaluate(t *testing.T) {
 	if metrics.Accuracy() < 0.9 {
 		t.Errorf("accuracy %g on separable blobs", metrics.Accuracy())
 	}
-	if m.TrainingSize() != 80 {
-		t.Errorf("training size %d", m.TrainingSize())
+	if len(m.trainX) != 80 {
+		t.Errorf("training size %d", len(m.trainX))
 	}
 }
 
@@ -166,7 +166,7 @@ func TestIncrementalUpdateAbsorbsConfident(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.TrainingSize()
+	before := len(m.trainX)
 	// Deep in-class candidates are high-confidence.
 	candidates := [][]float64{{1.8, 1.8, 0}, {-1.8, -1.8, 0}}
 	added, err := m.IncrementalUpdate(candidates, 0.8)
@@ -176,8 +176,8 @@ func TestIncrementalUpdateAbsorbsConfident(t *testing.T) {
 	if added != 2 {
 		t.Errorf("absorbed %d, want 2", added)
 	}
-	if m.TrainingSize() != before+2 {
-		t.Errorf("training size %d", m.TrainingSize())
+	if len(m.trainX) != before+2 {
+		t.Errorf("training size %d", len(m.trainX))
 	}
 	// Boundary candidates should be filtered.
 	added, err = m.IncrementalUpdate([][]float64{{0, 0, 0}}, 0.95)
@@ -186,24 +186,6 @@ func TestIncrementalUpdateAbsorbsConfident(t *testing.T) {
 	}
 	if added != 0 {
 		t.Errorf("boundary candidate absorbed (added=%d)", added)
-	}
-}
-
-func TestAbsorbLabeled(t *testing.T) {
-	x, y := blobs(40, 6)
-	m, err := Train(x, y, ModelConfig{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nx, ny := blobs(10, 7)
-	if err := m.AbsorbLabeled(nx, ny); err != nil {
-		t.Fatal(err)
-	}
-	if m.TrainingSize() != 50 {
-		t.Errorf("training size %d, want 50", m.TrainingSize())
-	}
-	if err := m.AbsorbLabeled(nx, ny[:1]); err == nil {
-		t.Error("expected length-mismatch error")
 	}
 }
 

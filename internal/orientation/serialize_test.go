@@ -35,7 +35,7 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal("confidence mismatch after reload")
 		}
 	}
-	if loaded.TrainingSize() != m.TrainingSize() {
+	if len(loaded.trainX) != len(m.trainX) {
 		t.Error("retained training set lost in reload")
 	}
 	// The reloaded model must still support incremental retraining.

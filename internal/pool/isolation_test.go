@@ -115,11 +115,10 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 	}
 }
 
-// TestRemoveTenantDrainsExactlyOnce races concurrent removers against
-// in-flight submissions: exactly one remover wins, accepted requests
-// are delivered exactly once each, and post-removal traffic gets a
-// typed error.
-func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
+// TestDrainDeliversExactlyOnce races concurrent drains against
+// in-flight submissions: accepted requests are delivered exactly once
+// each, and post-drain traffic gets a typed error.
+func TestDrainDeliversExactlyOnce(t *testing.T) {
 	sys, err := core.NewSystem(core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
 	t.Cleanup(func() { _ = p.Close() })
 	if _, err := p.AddTenant(TenantConfig{
 		ID: "victim", System: sys, Workers: 2, QueueSize: 64,
-		// Keep work in flight long enough for removal to race it.
+		// Keep work in flight long enough for the drain to race it.
 		FaultHook: func(rec *audio.Recording) *audio.Recording {
 			time.Sleep(time.Millisecond)
 			return rec
@@ -158,7 +157,7 @@ func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
 			switch {
 			case err == nil:
 				accepted.Add(1)
-			case errors.Is(err, ErrUnknownTenant), errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrQueueFull):
+			case errors.Is(err, ErrUnknownTenant), errors.Is(err, ErrPoolClosed), errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrQueueFull):
 				// Rejected before acceptance: typed, and no callback owed.
 			default:
 				t.Errorf("submit %d: unexpected error %v", i, err)
@@ -166,30 +165,20 @@ func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
 		}(i)
 	}
 
-	// Concurrent removers: exactly one must win.
-	const nRemovers = 4
-	var wins atomic.Int64
-	for r := 0; r < nRemovers; r++ {
+	// Concurrent drains: each tenant is unrouted and drained once.
+	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := p.RemoveTenant(context.Background(), "victim")
-			switch {
-			case err == nil:
-				wins.Add(1)
-			case errors.Is(err, ErrUnknownTenant):
-			default:
-				t.Errorf("remove: unexpected error %v", err)
+			if err := p.Drain(context.Background()); err != nil {
+				t.Errorf("drain: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
 
-	if wins.Load() != 1 {
-		t.Fatalf("removal wins = %d, want exactly 1", wins.Load())
-	}
-	// The winner's Drain returned, so every accepted request has been
-	// delivered — exactly once each.
+	// The draining call's engine Drain returned, so every accepted
+	// request has been delivered — exactly once each.
 	if delivered.Load() != accepted.Load() {
 		t.Fatalf("delivered %d of %d accepted", delivered.Load(), accepted.Load())
 	}
@@ -198,8 +187,8 @@ func TestRemoveTenantDrainsExactlyOnce(t *testing.T) {
 			t.Fatalf("request %d delivered %d times", i, c)
 		}
 	}
-	if _, err := p.Submit(context.Background(), "victim", serve.Request{ID: "late", Recording: testRecording(99)}); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("post-removal submit = %v, want ErrUnknownTenant", err)
+	if _, err := p.Submit(context.Background(), "victim", serve.Request{ID: "late", Recording: testRecording(99)}); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("post-drain submit = %v, want ErrPoolClosed", err)
 	}
 	if p.Len() != 0 {
 		t.Fatalf("pool still holds %d tenants", p.Len())

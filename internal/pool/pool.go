@@ -11,9 +11,9 @@
 // breaker or saturated queue can never reject another tenant's
 // requests (internal/pool's fault-injection tests assert this under
 // -race). Routing is by explicit tenant ID; a request without one fails
-// with ErrNoRoute. Tenants may be added and removed at runtime —
-// RemoveTenant unroutes the tenant first, then drains its in-flight
-// work exactly once.
+// with ErrNoRoute. Tenants may be added and replaced at runtime —
+// ReplaceTenant routes the new tenant first, then drains the old one's
+// in-flight work exactly once.
 package pool
 
 import (
@@ -86,19 +86,6 @@ func (p *Pool) AddTenant(cfg TenantConfig) (*Tenant, error) {
 	p.tenants[t.id] = t
 	p.mu.Unlock()
 	return t, nil
-}
-
-// RemoveTenant unroutes the tenant — new requests fail with
-// ErrUnknownTenant immediately — then drains its queued and in-flight
-// work, bounded by ctx. Already-accepted submissions are still
-// delivered exactly once. Concurrent removals of the same tenant
-// resolve to one winner; the others return ErrUnknownTenant.
-func (p *Pool) RemoveTenant(ctx context.Context, id string) error {
-	t, ok := p.unroute(id)
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownTenant, id)
-	}
-	return t.engine.Drain(ctx)
 }
 
 // unroute deletes the tenant from the lookup map and returns it.

@@ -70,17 +70,14 @@ func TestPoolAddDecideRemove(t *testing.T) {
 	if _, err := p.Decide(context.Background(), "ghost", testRecording(2)); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("unknown tenant decide = %v, want ErrUnknownTenant", err)
 	}
-	if err := p.RemoveTenant(context.Background(), "lab"); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(context.Background(), "lab", testRecording(3)); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("removed tenant decide = %v, want ErrUnknownTenant", err)
+	if _, err := p.Decide(context.Background(), "lab", testRecording(3)); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("closed pool decide = %v, want ErrPoolClosed", err)
 	}
-	if err := p.RemoveTenant(context.Background(), "lab"); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("double remove = %v, want ErrUnknownTenant", err)
-	}
-	if p.Len() != 1 {
-		t.Fatalf("len after remove = %d", p.Len())
+	if p.Len() != 0 {
+		t.Fatalf("len after close = %d", p.Len())
 	}
 }
 

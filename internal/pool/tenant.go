@@ -22,7 +22,7 @@ type TenantConfig struct {
 	ID string
 	// System is the tenant's trained HeadTalk controller (required).
 	// Tenants deliberately do not share a System: each device profile
-	// has its own enrollment, feature geometry and decision log.
+	// has its own enrollment, feature geometry and session state.
 	System *core.System
 	// Workers and QueueSize size the tenant's private serving engine
 	// (defaults as serve.Config: NumCPU workers, queue 64). The queue
@@ -135,11 +135,11 @@ func (t *Tenant) ID() string { return t.id }
 func (t *Tenant) Models() *registry.Registry { return t.models }
 
 // System returns the tenant's HeadTalk controller (to switch modes,
-// read its decision log, ...).
+// read its session state, ...).
 func (t *Tenant) System() *core.System { return t.sys }
 
 // Engine returns the tenant's serving engine (ops controls like
-// TripBreaker/ResetBreaker live there).
+// TripBreaker lives there).
 func (t *Tenant) Engine() *serve.Engine { return t.engine }
 
 // Metrics returns the tenant's private registry.

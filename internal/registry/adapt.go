@@ -91,15 +91,6 @@ func (a *adapter) observe(feats []float64, score float64) {
 	}
 }
 
-// buildNow forces a synchronous candidate build from whatever is
-// pending (operator- and test-facing; the batch threshold is ignored).
-func (a *adapter) buildNow() (uint64, error) {
-	return a.build()
-}
-
-// wait blocks until the in-flight background build (if any) finishes.
-func (a *adapter) wait() { a.wg.Wait() }
-
 // build drains the pending batch and folds it into a clone of the
 // active orientation model. The active version's stored bytes are the
 // clone source, so the serving instance is never touched — the update

@@ -562,28 +562,6 @@ func (r *Registry) Status() []KindStatus {
 	return out
 }
 
-// ActiveVersions maps each kind to its active version number.
-func (r *Registry) ActiveVersions() map[Kind]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[Kind]uint64)
-	for k, ks := range r.kinds {
-		if ks.active != 0 {
-			out[k] = ks.active
-		}
-	}
-	return out
-}
-
-// AdaptNow synchronously folds any accumulated accepted decisions into
-// a candidate orientation version (see AdaptConfig); it exists so
-// tests and operators can force the normally batch-triggered build.
-func (r *Registry) AdaptNow() (uint64, error) { return r.adapt.buildNow() }
-
-// WaitAdapt blocks until any in-flight background adaptation build
-// finishes — for deterministic tests.
-func (r *Registry) WaitAdapt() { r.adapt.wait() }
-
 // DriftState reports the drift detector's current baseline/rolling
 // means and trip count.
 func (r *Registry) DriftState() DriftState { return r.drift.state() }

@@ -137,7 +137,7 @@ func (b *Breaker) Record(success, probe bool) {
 	}
 }
 
-// forceOpen trips the breaker as if the threshold had just been
+// ForceOpen trips the breaker as if the threshold had just been
 // crossed (the cooldown starts now). Used by the operational
 // TripBreaker control; no-op when disabled.
 func (b *Breaker) ForceOpen() {
@@ -148,18 +148,6 @@ func (b *Breaker) ForceOpen() {
 	defer b.mu.Unlock()
 	b.openedAt = b.clock()
 	b.setStateLocked(BreakerOpen)
-}
-
-// forceClose closes the breaker and clears the failure streak. Used by
-// the operational ResetBreaker control; no-op when disabled.
-func (b *Breaker) ForceClose() {
-	if b.Disabled() {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.consecutive = 0
-	b.setStateLocked(BreakerClosed)
 }
 
 // snapshot returns the current state and consecutive-failure count.

@@ -548,26 +548,14 @@ func (e *Engine) Decide(ctx context.Context, rec *audio.Recording) (core.Decisio
 	}
 }
 
-// ProcessWake adapts the engine to the same shape as
-// core.System.ProcessWake (and va.Decider), serving the decision
-// through the worker pool.
-func (e *Engine) ProcessWake(ctx context.Context, rec *audio.Recording) (core.Decision, error) {
-	return e.Decide(ctx, rec)
-}
-
 // TripBreaker forces the circuit breaker open, as if the failure
 // threshold had just been crossed: every subsequent decision fails
 // closed with ErrBreakerOpen until the cooldown admits a half-open
-// probe (or ResetBreaker is called). It is an operational control — a
+// probe. It is an operational control — a
 // pool or daemon uses it to put one tenant into reject-fast
 // maintenance without touching the others. No-op when the breaker is
 // disabled.
 func (e *Engine) TripBreaker() { e.breaker.ForceOpen() }
-
-// ResetBreaker closes the circuit breaker and clears its failure
-// streak, immediately restoring normal serving. No-op when the breaker
-// is disabled.
-func (e *Engine) ResetBreaker() { e.breaker.ForceClose() }
 
 // Drain stops accepting new submissions and waits for every queued
 // and in-flight request to finish, bounded by ctx. Already-accepted

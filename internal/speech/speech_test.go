@@ -11,7 +11,7 @@ import (
 // spectralRolloff returns the frequency below which frac (e.g. 0.85)
 // of the total spectral magnitude of x lies.
 func spectralRolloff(x []float64, fs, frac float64) float64 {
-	mags := dsp.Magnitude(dsp.HalfSpectrum(x))
+	mags := dsp.MagnitudeInto(nil, dsp.HalfSpectrum(x))
 	var total float64
 	for _, m := range mags {
 		total += m
@@ -24,7 +24,7 @@ func spectralRolloff(x []float64, fs, frac float64) float64 {
 	for i, m := range mags {
 		acc += m
 		if acc >= target {
-			return dsp.BinFreq(i, len(x), fs)
+			return float64(i) * fs / float64(len(x))
 		}
 	}
 	return fs / 2

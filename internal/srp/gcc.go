@@ -66,34 +66,6 @@ type PairOptions struct {
 	BandLo, BandHi float64
 }
 
-// AllPairs computes GCCs for every unordered channel pair of a
-// multi-channel capture (C(n,2) pairs, e.g. 6 for a 4-mic array).
-//
-// Each channel is transformed — and, for PHAT, phase-normalized — once
-// and the result shared across every pair it joins, so a C-channel
-// capture costs C forward FFTs plus one inverse per pair instead of the
-// 2·C(C,2) forward transforms of the per-pair path. It runs on a fresh
-// Workspace, so the returned pairs are the caller's own; serving paths
-// keep a Workspace and call its AllPairs instead.
-func AllPairs(channels [][]float64, opt PairOptions) ([]PairGCC, error) {
-	var ws Workspace
-	return ws.AllPairs(channels, opt)
-}
-
-// SelectedPairs recomputes the GCC pair set over a subset of surviving
-// channels — the degraded-array path: when per-channel health marks
-// elements dead or stuck, only pairs between trusted channels are
-// worth correlating (one bad channel poisons every pair it joins).
-// PairGCC.I/J keep the ORIGINAL channel indices so TDoAs stay
-// attributable to physical microphones. The subset must list at least
-// two distinct in-range indices; anything else is a typed error so
-// the caller can fail closed rather than steer on a garbage pair set.
-// Like AllPairs it runs on a fresh Workspace.
-func SelectedPairs(channels [][]float64, subset []int, opt PairOptions) ([]PairGCC, error) {
-	var ws Workspace
-	return ws.SelectedPairs(channels, subset, opt)
-}
-
 // whitenSpectrum normalizes every bin to unit magnitude in place,
 // zeroing bins below the phatEps floor.
 func whitenSpectrum(spec []complex128) {

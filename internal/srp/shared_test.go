@@ -27,7 +27,7 @@ func TestAllPairsMatchesPairwiseGCC(t *testing.T) {
 	for _, n := range []int{1024, 1000} { // power-of-two and ragged input lengths
 		channels := randChannels(4, n, 51)
 		opt := PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
-		pairs, err := AllPairs(channels, opt)
+		pairs, err := new(Workspace).AllPairs(channels, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestAllPairsMatchesPairwiseGCC(t *testing.T) {
 func TestAllPairsPHATlessMatchesPairwise(t *testing.T) {
 	channels := randChannels(3, 2048, 53)
 	opt := PairOptions{MaxLag: 9}
-	pairs, err := AllPairs(channels, opt)
+	pairs, err := new(Workspace).AllPairs(channels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,18 +73,18 @@ func TestAllPairsPHATlessMatchesPairwise(t *testing.T) {
 
 // TestAllPairsErrorCases preserves the pre-rewrite error contract.
 func TestAllPairsErrorCases(t *testing.T) {
-	if _, err := AllPairs([][]float64{{1, 2}, {1}}, PairOptions{MaxLag: 3}); err == nil {
+	if _, err := new(Workspace).AllPairs([][]float64{{1, 2}, {1}}, PairOptions{MaxLag: 3}); err == nil {
 		t.Error("expected length-mismatch error")
 	}
-	if _, err := AllPairs([][]float64{{}, {}}, PairOptions{MaxLag: 3}); err == nil {
+	if _, err := new(Workspace).AllPairs([][]float64{{}, {}}, PairOptions{MaxLag: 3}); err == nil {
 		t.Error("expected empty-channel error")
 	}
-	if _, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: -1}); err == nil {
+	if _, err := new(Workspace).AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: -1}); err == nil {
 		t.Error("expected negative-lag error")
 	}
 	// A 2-sample channel pads to a 4-point correlation: lags ±5 do not
 	// exist in it.
-	if _, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 5, PHAT: true}); !errors.Is(err, ErrLagWindow) {
+	if _, err := new(Workspace).AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 5, PHAT: true}); !errors.Is(err, ErrLagWindow) {
 		t.Errorf("MaxLag past the correlation: err=%v, want ErrLagWindow", err)
 	}
 	if _, err := gccPHATBand([]float64{1, 2}, []float64{3, 4}, 4, 0, 0, 0); !errors.Is(err, ErrLagWindow) {
@@ -95,7 +95,7 @@ func TestAllPairsErrorCases(t *testing.T) {
 	}
 	// The widest window that fits, m-1, still works, and matches the
 	// pairwise path.
-	pairs, err := AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 3, PHAT: true})
+	pairs, err := new(Workspace).AllPairs([][]float64{{1, 2}, {3, 4}}, PairOptions{MaxLag: 3, PHAT: true})
 	if err != nil {
 		t.Fatalf("MaxLag 3 on a 4-point correlation: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestAllPairsErrorCases(t *testing.T) {
 	}
 	// A band wholly above Nyquist keeps no bin: every pair correlates
 	// to zero, with no error and no panic.
-	pairs, err = AllPairs(randChannels(3, 1000, 59), PairOptions{MaxLag: 3, PHAT: true, SampleRate: 48000, BandLo: 30000, BandHi: 40000})
+	pairs, err = new(Workspace).AllPairs(randChannels(3, 1000, 59), PairOptions{MaxLag: 3, PHAT: true, SampleRate: 48000, BandLo: 30000, BandHi: 40000})
 	if err != nil || len(pairs) != 3 {
 		t.Fatalf("band above Nyquist: %d pairs, err=%v, want 3 and nil", len(pairs), err)
 	}
@@ -122,22 +122,22 @@ func TestAllPairsErrorCases(t *testing.T) {
 		}
 	}
 	// Fewer than two channels: no pairs, no error (unchanged behavior).
-	if pairs, err := AllPairs([][]float64{{1, 2}}, PairOptions{MaxLag: 3}); err != nil || len(pairs) != 0 {
+	if pairs, err := new(Workspace).AllPairs([][]float64{{1, 2}}, PairOptions{MaxLag: 3}); err != nil || len(pairs) != 0 {
 		t.Errorf("single channel: pairs=%v err=%v, want empty and nil", pairs, err)
 	}
 }
 
-// TestAllocsAllPairs gates the shared-spectra pair sweep: per-channel
-// spectra plus per-pair lag windows, far below the old 2-FFTs-per-pair
-// regime.
+// TestAllocsAllPairs gates the shared-spectra pair sweep on a fresh
+// workspace: per-channel spectra plus per-pair lag windows, far below
+// the old 2-FFTs-per-pair regime.
 func TestAllocsAllPairs(t *testing.T) {
 	channels := randChannels(4, 32768, 57)
 	opt := PairOptions{MaxLag: 13, PHAT: true, SampleRate: 48000, BandLo: 100, BandHi: 8000}
-	if _, err := AllPairs(channels, opt); err != nil {
+	if _, err := new(Workspace).AllPairs(channels, opt); err != nil {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := AllPairs(channels, opt); err != nil {
+		if _, err := new(Workspace).AllPairs(channels, opt); err != nil {
 			t.Fatal(err)
 		}
 	})

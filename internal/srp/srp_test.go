@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"headtalk/internal/dsp"
-	"headtalk/internal/geom"
 )
 
 // delayedPair returns two noise channels where a leads b by delay
@@ -159,7 +158,7 @@ func TestAllPairsCount(t *testing.T) {
 			channels[i][j] = rng.NormFloat64()
 		}
 	}
-	pairs, err := AllPairs(channels, PairOptions{MaxLag: 5, PHAT: true})
+	pairs, err := new(Workspace).AllPairs(channels, PairOptions{MaxLag: 5, PHAT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,8 @@ func TestAllPairsCount(t *testing.T) {
 }
 
 // TestSelectedPairsDegradedSubset covers the degraded-array path: the
-// pair set recomputed over surviving channels, original indices kept.
+// pair set recomputed over the surviving channels matches the same
+// pairs of the full set bit for bit.
 func TestSelectedPairsDegradedSubset(t *testing.T) {
 	channels := make([][]float64, 4)
 	rng := rand.New(rand.NewPCG(17, 18))
@@ -196,51 +196,27 @@ func TestSelectedPairsDegradedSubset(t *testing.T) {
 		}
 	}
 	opt := PairOptions{MaxLag: 5, PHAT: true}
-	// Channel 1 died: correlate only the survivors.
-	pairs, err := SelectedPairs(channels, []int{0, 2, 3}, opt)
+	// Channel 1 died: correlate only the survivors 0, 2 and 3.
+	pairs, err := new(Workspace).AllPairs([][]float64{channels[0], channels[2], channels[3]}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pairs) != 3 {
 		t.Fatalf("%d pairs for 3 survivors, want 3", len(pairs))
 	}
-	want := [][2]int{{0, 2}, {0, 3}, {2, 3}}
-	for k, p := range pairs {
-		if p.I != want[k][0] || p.J != want[k][1] {
-			t.Fatalf("pair %d = (%d,%d), want (%d,%d) — original indices must survive", k, p.I, p.J, want[k][0], want[k][1])
-		}
-		if len(p.R) != 11 {
-			t.Errorf("pair window %d, want 11", len(p.R))
-		}
-	}
-	// The subset pair must match the same pair from the full set.
-	all, err := AllPairs(channels, opt)
+	all, err := new(Workspace).AllPairs(channels, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range all {
-		if a.I == 0 && a.J == 2 {
-			for i, v := range pairs[0].R {
-				if math.Abs(v-a.R[i]) > 1e-12 {
-					t.Fatal("SelectedPairs(0,2) differs from AllPairs(0,2)")
-				}
-			}
+	// Full-set pairs (0,2), (0,3), (2,3) in AllPairs order.
+	for k, full := range []PairGCC{all[1], all[2], all[5]} {
+		if len(pairs[k].R) != 11 {
+			t.Errorf("pair window %d, want 11", len(pairs[k].R))
 		}
-	}
-}
-
-func TestSelectedPairsRejectsBadSubsets(t *testing.T) {
-	channels := [][]float64{make([]float64, 256), make([]float64, 256)}
-	opt := PairOptions{MaxLag: 3}
-	cases := map[string][]int{
-		"too few":      {0},
-		"out of range": {0, 5},
-		"negative":     {-1, 0},
-		"duplicate":    {0, 0},
-	}
-	for name, subset := range cases {
-		if _, err := SelectedPairs(channels, subset, opt); err == nil {
-			t.Errorf("%s subset %v: expected error", name, subset)
+		for i, v := range pairs[k].R {
+			if math.Float64bits(v) != math.Float64bits(full.R[i]) {
+				t.Fatalf("survivor pair %d differs from full-set pair (%d,%d)", k, full.I, full.J)
+			}
 		}
 	}
 }
@@ -259,76 +235,5 @@ func TestSRPSumsPairs(t *testing.T) {
 	}
 	if SRP(nil) != nil {
 		t.Error("SRP of no pairs should be nil")
-	}
-}
-
-func TestSteeredPowerMapDoA(t *testing.T) {
-	// Simulate a plane wave from a known azimuth over a 4-mic circular
-	// array and verify SRP steering recovers the direction.
-	const (
-		fs = 48000.0
-		c  = 340.0
-	)
-	radius := 0.0325
-	positions := []geom.Vec3{
-		{X: radius}, {Y: radius}, {X: -radius}, {Y: -radius},
-	}
-	trueAz := 30.0
-	u := geom.HeadingVec(trueAz) // propagation: wave arrives FROM this azimuth
-	rng := rand.New(rand.NewPCG(17, 18))
-	n := 8192
-	src := make([]float64, n+64)
-	for i := range src {
-		src[i] = rng.NormFloat64()
-	}
-	lp, err := dsp.NewButterworthLowPass(4, 6000, fs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src = lp.Apply(src)
-	channels := make([][]float64, len(positions))
-	for mi, p := range positions {
-		// A mic further along u hears the wave earlier.
-		adv := p.Dot(u) / c * fs
-		channels[mi] = fractionalDelay(src, 32-adv)[:n]
-	}
-	maxLag := 10
-	pairs, err := AllPairs(channels, PairOptions{MaxLag: maxLag, PHAT: true, SampleRate: fs, BandLo: 100, BandHi: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, pm := EstimateDoA(positions, pairs, maxLag, fs, c)
-	if len(pm) != 360 {
-		t.Fatalf("power map length %d", len(pm))
-	}
-	if diff := math.Abs(geom.NormalizeDeg(est - trueAz)); diff > 10 {
-		t.Errorf("estimated DoA %g°, want %g±10°", est, trueAz)
-	}
-}
-
-// fractionalDelay delays x by d samples with linear interpolation.
-func fractionalDelay(x []float64, d float64) []float64 {
-	out := make([]float64, len(x))
-	for i := range out {
-		pos := float64(i) - d
-		lo := int(math.Floor(pos))
-		frac := pos - float64(lo)
-		if lo >= 0 && lo+1 < len(x) {
-			out[i] = x[lo]*(1-frac) + x[lo+1]*frac
-		}
-	}
-	return out
-}
-
-func TestInterpLagClamps(t *testing.T) {
-	r := []float64{1, 2, 3}
-	if got := interpLag(r, 1, -5); got != 1 {
-		t.Errorf("below window: %g", got)
-	}
-	if got := interpLag(r, 1, 5); got != 3 {
-		t.Errorf("above window: %g", got)
-	}
-	if got := interpLag(r, 1, -0.5); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("interpolated: %g, want 1.5", got)
 	}
 }

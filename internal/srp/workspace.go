@@ -18,15 +18,14 @@ import (
 // and are valid only until the next call on the same workspace. A
 // Workspace is not safe for concurrent use; give each worker its own.
 type Workspace struct {
-	flat   []complex128
-	specs  [][]complex128
-	rms    []float64
-	cross  []complex128
-	inv    []complex128
-	rback  []float64
-	out    []PairGCC
-	srp    []float64
-	allIdx []int
+	flat  []complex128
+	specs [][]complex128
+	rms   []float64
+	cross []complex128
+	inv   []complex128
+	rback []float64
+	out   []PairGCC
+	srp   []float64
 }
 
 func growF(s []float64, n int) []float64 {
@@ -43,73 +42,35 @@ func growC(s []complex128, n int) []complex128 {
 	return s[:n]
 }
 
-// AllPairs is srp.AllPairs running entirely on workspace scratch.
+// AllPairs computes GCCs for every unordered channel pair of a
+// multi-channel capture (C(n,2) pairs, e.g. 6 for a 4-mic array).
+//
+// Each channel is transformed — and, for PHAT, phase-normalized — once
+// and the result shared across every pair it joins, so a C-channel
+// capture costs C forward FFTs plus one inverse per pair instead of the
+// 2·C(C,2) forward transforms of the per-pair path: phase one
+// transforms (and for PHAT whitens) every channel over one plan; phase
+// two runs the pair cross-spectra and inverses. Fewer than two channels
+// is an empty pair set, not an error.
 func (ws *Workspace) AllPairs(channels [][]float64, opt PairOptions) ([]PairGCC, error) {
-	return ws.pairs(channels, nil, opt)
-}
-
-// SelectedPairs is srp.SelectedPairs running entirely on workspace
-// scratch. The duplicate check is a quadratic scan instead of a map —
-// subsets are microphone counts, so the scan is both faster and
-// allocation-free.
-func (ws *Workspace) SelectedPairs(channels [][]float64, subset []int, opt PairOptions) ([]PairGCC, error) {
-	if err := checkSubset(channels, subset); err != nil {
-		return nil, err
-	}
-	return ws.pairs(channels, subset, opt)
-}
-
-// checkSubset validates a SelectedPairs subset without allocating.
-func checkSubset(channels [][]float64, subset []int) error {
-	if len(subset) < 2 {
-		return fmt.Errorf("srp: need at least 2 surviving channels, have %d", len(subset))
-	}
-	for i, c := range subset {
-		if c < 0 || c >= len(channels) {
-			return fmt.Errorf("srp: subset channel %d out of range [0,%d)", c, len(channels))
-		}
-		for _, prev := range subset[:i] {
-			if prev == c {
-				return fmt.Errorf("srp: duplicate subset channel %d", c)
-			}
-		}
-	}
-	return nil
-}
-
-// pairs computes the GCC of every pair of the chosen channels (subset
-// nil means all of them) in two phases: phase one transforms (and for
-// PHAT whitens) every channel over one plan; phase two runs the pair
-// cross-spectra and inverses. Fewer than two channels is an empty pair
-// set, not an error.
-func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) ([]PairGCC, error) {
 	if opt.MaxLag < 0 {
 		return nil, fmt.Errorf("srp: negative maxLag %d", opt.MaxLag)
 	}
-	if subset == nil {
-		if cap(ws.allIdx) < len(channels) {
-			ws.allIdx = make([]int, len(channels))
-			for i := range ws.allIdx {
-				ws.allIdx[i] = i
-			}
-		}
-		subset = ws.allIdx[:len(channels)]
-	}
-	if len(subset) < 2 {
+	if len(channels) < 2 {
 		return nil, nil
 	}
-	n := len(channels[subset[0]])
+	n := len(channels[0])
 	if n == 0 {
-		return nil, fmt.Errorf("srp: pair (%d,%d): srp: empty channels", subset[0], subset[1])
+		return nil, fmt.Errorf("srp: pair (0,1): srp: empty channels")
 	}
-	for _, c := range subset[1:] {
-		if len(channels[c]) != n {
-			return nil, fmt.Errorf("srp: pair (%d,%d): srp: channel length mismatch %d != %d",
-				subset[0], c, n, len(channels[c]))
+	for c, ch := range channels[1:] {
+		if len(ch) != n {
+			return nil, fmt.Errorf("srp: pair (0,%d): srp: channel length mismatch %d != %d",
+				c+1, n, len(ch))
 		}
 	}
 
-	nch := len(subset)
+	nch := len(channels)
 	npairs := nch * (nch - 1) / 2
 	want := 2*opt.MaxLag + 1
 	m := dsp.NextPow2(2 * n)
@@ -145,14 +106,14 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 	// phase-normalized here, inside the band only, so the per-pair
 	// whitened cross-spectrum is a plain multiply: with ua = fa/|fa|,
 	// ua·conj(ub) = fa·conj(fb)/|fa·conj(fb)|.
-	for si, c := range subset {
-		spec := p.RFFT(ws.flat[si*bins:si*bins:(si+1)*bins], channels[c])
+	for c, ch := range channels {
+		spec := p.RFFT(ws.flat[c*bins:c*bins:(c+1)*bins], ch)
 		if opt.PHAT {
 			whitenSpectrum(spec[loBin : hiBin+1])
 		} else {
-			ws.rms[si] = dsp.RMS(channels[c])
+			ws.rms[c] = dsp.RMS(ch)
 		}
-		ws.specs[si] = spec
+		ws.specs[c] = spec
 	}
 
 	// Phase two: the pair inverses over the still-hot plan. Outside the
@@ -196,8 +157,8 @@ func (ws *Workspace) pairs(channels [][]float64, subset []int, opt PairOptions) 
 				r[i] *= scale
 			}
 			ws.out[k] = PairGCC{
-				I:    subset[a],
-				J:    subset[b],
+				I:    a,
+				J:    b,
 				R:    r,
 				TDoA: dsp.ArgMax(r) - opt.MaxLag,
 			}

@@ -25,12 +25,6 @@ func NewHopFramer(frameLen, hop int) *HopFramer {
 	return &HopFramer{frameLen: frameLen, hop: hop, buf: make([]float64, frameLen)}
 }
 
-// FrameLen returns the frame length in samples.
-func (h *HopFramer) FrameLen() int { return h.frameLen }
-
-// Hop returns the hop in samples.
-func (h *HopFramer) Hop() int { return h.hop }
-
 // Reset discards buffered samples.
 func (h *HopFramer) Reset() { h.n = 0 }
 

@@ -30,7 +30,8 @@ func placeSource(dst [][]float64, src []float64, offset int, delays []int) {
 
 func tdoas(t *testing.T, channels [][]float64) []int {
 	t.Helper()
-	pairs, err := srp.AllPairs(channels, sigOpts)
+	var ws srp.Workspace
+	pairs, err := ws.AllPairs(channels, sigOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestSignatureFollowsTheWord(t *testing.T) {
 
 // TestSignatureMatchesAllPairsOnShortWindows: a window no longer than
 // the focus window is correlated whole, so the signature is exactly
-// the allocating srp.AllPairs TDoA vector.
+// the srp.Workspace.AllPairs TDoA vector.
 func TestSignatureMatchesAllPairsOnShortWindows(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 0))
 	utter := speech.Synthesize(speech.WordComputer, speech.RandomVoice(rng), 48000, rng).Samples
@@ -121,7 +122,7 @@ func TestSignatureMatchesAllPairsOnShortWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want := tdoas(t, rec.Channels); !slices.Equal(got, want) {
-			t.Fatalf("n=%d: signature %v, srp.AllPairs %v", tc.n, got, want)
+			t.Fatalf("n=%d: signature %v, AllPairs %v", tc.n, got, want)
 		}
 	}
 }

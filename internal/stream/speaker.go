@@ -114,13 +114,6 @@ type Tracker struct {
 	nextID int
 }
 
-// NewTracker builds a tracker; cfg zero-values get defaults (with a
-// 30 s session-timeout baseline when used standalone).
-func NewTracker(cfg TrackerConfig) *Tracker {
-	cfg.applyDefaults(30 * time.Second)
-	return &Tracker{cfg: cfg}
-}
-
 // Len returns the live track count.
 func (tk *Tracker) Len() int {
 	tk.mu.Lock()

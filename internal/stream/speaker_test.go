@@ -10,8 +10,15 @@ import (
 	"headtalk/internal/metrics"
 )
 
+// newTracker builds a standalone tracker the way the manager does,
+// against a 30 s session timeout.
+func newTracker(cfg TrackerConfig) *Tracker {
+	cfg.applyDefaults(30 * time.Second)
+	return &Tracker{cfg: cfg}
+}
+
 func TestTrackerClustersBySignature(t *testing.T) {
-	tk := NewTracker(TrackerConfig{Tolerance: 2})
+	tk := newTracker(TrackerConfig{Tolerance: 2})
 	now := time.Unix(1_700_000_000, 0)
 
 	a1, matched := tk.Observe([]int{3, 5, -2}, &core.Decision{FacingRan: true, FacingScore: 1.2}, now)
@@ -51,7 +58,7 @@ func TestTrackerClustersBySignature(t *testing.T) {
 }
 
 func TestTrackerEvictIdle(t *testing.T) {
-	tk := NewTracker(TrackerConfig{TrackTimeout: time.Minute})
+	tk := newTracker(TrackerConfig{TrackTimeout: time.Minute})
 	now := time.Unix(1_700_000_000, 0)
 	tk.Observe([]int{0, 0, 0}, nil, now)
 	tk.Observe([]int{20, 20, 20}, nil, now.Add(50*time.Second))
@@ -69,7 +76,7 @@ func TestTrackerEvictIdle(t *testing.T) {
 }
 
 func TestTrackerCapacityRecyclesOldest(t *testing.T) {
-	tk := NewTracker(TrackerConfig{MaxTracks: 2, Tolerance: 0.5})
+	tk := newTracker(TrackerConfig{MaxTracks: 2, Tolerance: 0.5})
 	now := time.Unix(1_700_000_000, 0)
 	tk.Observe([]int{0, 0}, nil, now)                    // spk-1, oldest
 	tk.Observe([]int{10, 10}, nil, now.Add(time.Second)) // spk-2

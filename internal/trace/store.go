@@ -9,10 +9,10 @@ import (
 
 // Store retains finished traces in two fixed-capacity rings: a
 // "recent" ring holding the last N decisions, and a "slow" ring that
-// only admits traces at or above a configurable latency threshold —
-// so a burst of fast decisions can never evict the tail-latency
-// evidence the tracing exists to capture. Evictions are counted, like
-// the core decision log.
+// only admits traces at or above a latency threshold fixed at
+// NewStore — so a burst of fast decisions can never evict the
+// tail-latency evidence the tracing exists to capture. Evictions are
+// counted.
 //
 // The Store also owns the tracing on/off switch and the trace ID
 // sequence; a serving engine auto-creates recorders from its store
@@ -21,7 +21,7 @@ import (
 type Store struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64
-	slowNS  atomic.Int64
+	slowThr time.Duration
 
 	mu          sync.Mutex
 	recent      []*Trace
@@ -58,12 +58,11 @@ func NewStore(capacity int, slowThreshold time.Duration) *Store {
 	if slowThreshold == 0 {
 		slowThreshold = DefaultSlowThreshold
 	}
-	s := &Store{
-		recent: make([]*Trace, capacity),
-		slow:   make([]*Trace, slowCap),
+	return &Store{
+		slowThr: slowThreshold,
+		recent:  make([]*Trace, capacity),
+		slow:    make([]*Trace, slowCap),
 	}
-	s.slowNS.Store(int64(slowThreshold))
-	return s
 }
 
 // SetEnabled flips automatic per-decision tracing on or off. Nil-safe.
@@ -82,15 +81,7 @@ func (s *Store) SlowThreshold() time.Duration {
 	if s == nil {
 		return -1
 	}
-	return time.Duration(s.slowNS.Load())
-}
-
-// SetSlowThreshold adjusts the slow-decision retention threshold at
-// runtime; negative disables slow retention.
-func (s *Store) SetSlowThreshold(d time.Duration) {
-	if s != nil {
-		s.slowNS.Store(int64(d))
-	}
+	return s.slowThr
 }
 
 // NewRecorder starts a recorder with the store's next sequential ID.
@@ -112,7 +103,7 @@ func (s *Store) Add(t *Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pushRing(s.recent, &s.recentStart, &s.recentLen, &s.dropped, t)
-	if thr := time.Duration(s.slowNS.Load()); thr >= 0 && t.Total >= thr {
+	if s.slowThr >= 0 && t.Total >= s.slowThr {
 		pushRing(s.slow, &s.slowStart, &s.slowLen, &s.slowDropped, t)
 	}
 }

@@ -192,11 +192,11 @@ func TestStoreRingsAndSlowRetention(t *testing.T) {
 	if got := s.Recent(2); len(got) != 2 || got[0].ID != "fast" {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
-	// Disabling slow retention stops admissions.
-	s.SetSlowThreshold(-1)
+	// A negative threshold disables slow retention.
+	s = NewStore(4, -1)
 	add("slow-2", ms(500))
-	if got := s.Slow(0); len(got) != 1 {
-		t.Fatalf("slow ring grew while disabled: %+v", got)
+	if got := s.Slow(0); len(got) != 0 {
+		t.Fatalf("slow ring admitted while disabled: %+v", got)
 	}
 }
 

@@ -7,10 +7,7 @@
 // and verified against the paper's reported numbers.
 package userstudy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // SurveyQuestion is one Table V row: the question plus labeled
 // response counts in presentation order.
@@ -51,15 +48,6 @@ func TableV() []SurveyQuestion {
 			Counts:   []int{9, 5, 5, 0, 1},
 		},
 	}
-}
-
-// Respondents returns the total respondent count for a question.
-func (q SurveyQuestion) Respondents() int {
-	total := 0
-	for _, c := range q.Counts {
-		total += c
-	}
-	return total
 }
 
 // TopTwoFraction returns the fraction of non-skipped respondents who
@@ -125,37 +113,6 @@ func (s SUSSummary) AboveAverage() bool { return s.Mean > 68 }
 // String formats the summary the way the paper reports it.
 func (s SUSSummary) String() string {
 	return fmt.Sprintf("%.2f ± %.2f (n=%d)", s.Mean, s.CI95, s.N)
-}
-
-// ScoreAll computes the SUS summary for a set of responses.
-func ScoreAll(responses []SUSResponse) (SUSSummary, error) {
-	if len(responses) == 0 {
-		return SUSSummary{}, fmt.Errorf("userstudy: no SUS responses")
-	}
-	scores := make([]float64, len(responses))
-	for i, r := range responses {
-		s, err := r.Score()
-		if err != nil {
-			return SUSSummary{}, fmt.Errorf("userstudy: response %d: %w", i, err)
-		}
-		scores[i] = s
-	}
-	var mean float64
-	for _, s := range scores {
-		mean += s
-	}
-	mean /= float64(len(scores))
-	var varsum float64
-	for _, s := range scores {
-		d := s - mean
-		varsum += d * d
-	}
-	ci := 0.0
-	if len(scores) > 1 {
-		std := math.Sqrt(varsum / float64(len(scores)-1))
-		ci = 1.96 * std / math.Sqrt(float64(len(scores)))
-	}
-	return SUSSummary{Mean: mean, CI95: ci, N: len(scores)}, nil
 }
 
 // PaperSUS returns the paper's reported SUS results for HeadTalk and

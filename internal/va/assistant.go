@@ -30,16 +30,6 @@ type Response struct {
 	Speech string
 }
 
-// Decider is the decision backend an assistant routes wake words
-// through. core.System implements it directly; serve.Engine implements
-// it by dispatching to its worker pool, letting many assistants (or
-// listener streams) share one set of serving workers. The interface is
-// context-first, matching the consolidated core API: the context bounds
-// the decision and may carry a trace recorder.
-type Decider interface {
-	ProcessWake(ctx context.Context, rec *audio.Recording) (core.Decision, error)
-}
-
 // Assistant wires a wake-word spotter to a HeadTalk privacy
 // controller and records every would-be cloud upload. It is safe for
 // concurrent use.
@@ -47,7 +37,6 @@ type Assistant struct {
 	Name    string
 	spotter *Spotter
 	sys     *core.System
-	decider Decider
 
 	mu      sync.Mutex
 	uploads []Upload
@@ -62,22 +51,11 @@ func NewAssistant(name string, spotter *Spotter, sys *core.System, clock func() 
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Assistant{Name: name, spotter: spotter, sys: sys, decider: sys, clock: clock}, nil
+	return &Assistant{Name: name, spotter: spotter, sys: sys, clock: clock}, nil
 }
 
 // System exposes the underlying HeadTalk controller (to switch modes).
 func (a *Assistant) System() *core.System { return a.sys }
-
-// UseDecider reroutes wake-word decisions through d — typically a
-// serve.Engine sharing its worker pool across streams — instead of
-// calling the core system inline. Passing nil restores the direct
-// path. Not safe to call concurrently with Hear.
-func (a *Assistant) UseDecider(d Decider) {
-	if d == nil {
-		d = a.sys
-	}
-	a.decider = d
-}
 
 // Hear processes a microphone-array recording that may contain the
 // wake word. source tags the scenario actor for the upload log. It is
@@ -87,8 +65,7 @@ func (a *Assistant) Hear(rec *audio.Recording, source string) (Response, error) 
 }
 
 // HearCtx is Hear with a caller context: the context bounds the wake
-// decision (relevant when the decider is a serving engine with a
-// bounded queue) and may carry a trace recorder.
+// decision and may carry a trace recorder.
 func (a *Assistant) HearCtx(ctx context.Context, rec *audio.Recording, source string) (Response, error) {
 	var resp Response
 	detected, score, _ := a.spotter.Detect(rec.Mono(), rec.SampleRate)
@@ -98,7 +75,7 @@ func (a *Assistant) HearCtx(ctx context.Context, rec *audio.Recording, source st
 		resp.Speech = ""
 		return resp, nil
 	}
-	decision, err := a.decider.ProcessWake(ctx, rec)
+	decision, err := a.sys.ProcessWake(ctx, rec)
 	if err != nil {
 		return resp, fmt.Errorf("va: processing wake word: %w", err)
 	}
@@ -117,15 +94,6 @@ func (a *Assistant) HearCtx(ctx context.Context, rec *audio.Recording, source st
 		resp.Speech = "Sorry, I didn't hear you."
 	}
 	return resp, nil
-}
-
-// Uploads returns a copy of the cloud-upload log.
-func (a *Assistant) Uploads() []Upload {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]Upload, len(a.uploads))
-	copy(out, a.uploads)
-	return out
 }
 
 // UploadsBySource tallies uploads per scenario actor.

@@ -59,16 +59,15 @@ func TestOnlineSpotterReset(t *testing.T) {
 	}
 	o := s.NewOnline()
 	frame := make([]float64, spotBands)
-	for i := 0; i < s.TemplateFrames(); i++ {
-		o.PushFrame(frame)
+	for i := 1; i < s.TemplateFrames(); i++ {
+		if _, ready := o.PushFrame(frame); ready {
+			t.Fatalf("scorer ready after %d of %d frames", i, s.TemplateFrames())
+		}
 	}
-	if !o.Ready() {
+	if _, ready := o.PushFrame(frame); !ready {
 		t.Fatal("scorer not ready after a full window")
 	}
 	o.Reset()
-	if o.Ready() {
-		t.Fatal("scorer still ready after Reset")
-	}
 	if _, ready := o.PushFrame(frame); ready {
 		t.Fatal("one frame after Reset reported ready")
 	}

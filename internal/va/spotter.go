@@ -251,9 +251,6 @@ func (o *OnlineSpotter) Reset() {
 	o.filled = 0
 }
 
-// Ready reports whether a full template-length window has accumulated.
-func (o *OnlineSpotter) Ready() bool { return o.filled == o.s.frames }
-
 // PushFrame appends one fingerprint frame (one value per band) and,
 // once a full window has accumulated, returns the best normalized
 // template correlation for the window ending at this frame and

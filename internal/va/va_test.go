@@ -135,7 +135,7 @@ func TestAssistantUploadGating(t *testing.T) {
 		t.Errorf("noise response %+v", resp)
 	}
 
-	uploads := assistant.Uploads()
+	uploads := assistant.uploads
 	if len(uploads) != 1 {
 		t.Fatalf("%d uploads, want 1", len(uploads))
 	}

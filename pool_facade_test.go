@@ -55,9 +55,6 @@ func TestPoolFacade(t *testing.T) {
 	if !eh.Healthy {
 		t.Fatalf("tenant health %+v", eh)
 	}
-	if err := p.RemoveTenant(context.Background(), "home"); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +107,6 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, berr := eng.Decide(context.Background(), facadeRecording(9)); !errors.Is(berr, ErrBreakerOpen) {
 		t.Fatalf("tripped engine err = %v, want ErrBreakerOpen", berr)
 	}
-	eng.ResetBreaker()
 
 	// ErrEngineClosed after Close.
 	if err := eng.Close(); err != nil {
