@@ -27,6 +27,20 @@ func (b *Biquad) Reset() {
 	b.z1, b.z2 = 0, 0
 }
 
+// run filters x through the section in place, continuing from its
+// state.
+func (b *Biquad) run(x []float64) {
+	b0, b1, b2, a1, a2 := b.B0, b.B1, b.B2, b.A1, b.A2
+	z1, z2 := b.z1, b.z2
+	for n, v := range x {
+		y := b0*v + z1
+		z1 = b1*v - a1*y + z2
+		z2 = b2*v - a2*y
+		x[n] = y
+	}
+	b.z1, b.z2 = z1, z2
+}
+
 // IIRFilter is a cascade of biquad sections.
 type IIRFilter struct {
 	sections []Biquad
@@ -76,6 +90,9 @@ func (f *IIRFilter) Apply(x []float64) []float64 {
 // speed: one section's recurrence is latency-bound (each output waits
 // on the previous one), and two independent recurrences in one loop
 // overlap. An odd section count ends with a single-section pass.
+//
+// With the AVX2 kernels selected, a cascade of 2 to 8 sections over at
+// least as many samples runs in one pass instead: see applySkewed.
 func (f *IIRFilter) ApplyTo(dst, x []float64) []float64 {
 	f.Reset()
 	dst = dst[:len(x)]
@@ -84,6 +101,10 @@ func (f *IIRFilter) ApplyTo(dst, x []float64) []float64 {
 		return dst
 	}
 	secs := f.sections
+	if useAVX2 && len(secs) >= 2 && len(secs) <= 8 && len(dst) >= len(secs) {
+		f.applySkewed(dst)
+		return dst
+	}
 	k := 0
 	for ; k+1 < len(secs); k += 2 {
 		s, t := &secs[k], &secs[k+1]
@@ -116,18 +137,47 @@ func (f *IIRFilter) ApplyTo(dst, x []float64) []float64 {
 		t.z1, t.z2 = u1, u2
 	}
 	if k < len(secs) {
-		s := &secs[k]
-		b0, b1, b2, a1, a2 := s.B0, s.B1, s.B2, s.A1, s.A2
-		z1, z2 := s.z1, s.z2
-		for n, v := range dst {
-			y := b0*v + z1
-			z1 = b1*v - a1*y + z2
-			z2 = b2*v - a2*y
-			dst[n] = y
-		}
-		s.z1, s.z2 = z1, z2
+		secs[k].run(dst)
 	}
 	return dst
+}
+
+// applySkewed filters dst in place through the cascade's S sections
+// (2 <= S <= 8, len(dst) >= S) in one pass of cascadeAVX2, whose lane
+// j runs section j on the sample j steps behind lane 0. The triangles
+// where some lanes have no sample yet, or none left, run in Go: before
+// the kernel, section j filters samples 0 to S-2-j; after it, section
+// j filters the last j samples. Each section therefore sees the same
+// inputs in the same order as in the one-section-per-pass cascade.
+func (f *IIRFilter) applySkewed(dst []float64) {
+	secs := f.sections
+	S, n := len(secs), len(dst)
+	for j := 0; j < S-1; j++ {
+		secs[j].run(dst[:S-1-j])
+	}
+	// dst[S-1-j] now holds section j's first input for the kernel.
+	var c cascadeLanes
+	for j := range secs {
+		s := &secs[j]
+		c.b0[j], c.b1[j], c.b2[j], c.a1[j], c.a2[j] = s.B0, s.B1, s.B2, s.A1, s.A2
+		c.z1[j], c.z2[j] = s.z1, s.z2
+		c.y[j] = dst[S-1-j]
+	}
+	last := uint32(S-1) % 4
+	c.sel[0], c.sel[1] = 2*last, 2*last+1
+	if S > 4 {
+		c.hi = 1
+	}
+	cascadeAVX2(&c, dst[:n-S+1], dst[S:])
+	// Lane j's last output is section j's output for sample n-1-j,
+	// the input section j+1 still needs.
+	for j := range secs {
+		secs[j].z1, secs[j].z2 = c.z1[j], c.z2[j]
+		dst[n-1-j] = c.y[j]
+	}
+	for j := 1; j < S; j++ {
+		secs[j].run(dst[n-j:])
+	}
 }
 
 // butterworthQs returns the section Q factors for an order-n Butterworth

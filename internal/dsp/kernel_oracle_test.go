@@ -12,7 +12,10 @@ import (
 
 // Differential oracles for the FFT, band-pass, decimation and Welch
 // kernels: each reference below is the straightforward loop the kernel
-// replaced, and the kernel must match it bit for bit.
+// replaced, and the kernel must match it bit for bit. The FFT,
+// band-pass and Welch oracles run once per kernel setting (see
+// forEachKernel), so the AVX2 kernels answer to the same references as
+// the Go loops.
 
 // bitReverseRef permutes x, of power-of-two length, into bit-reversed
 // order.
@@ -205,6 +208,10 @@ func oracleComplex(n int, seed uint64, sparse bool) []complex128 {
 // loop on every bit, forward and inverse, at every power of two from 2
 // to 2^17.
 func TestRadix2MatchesReference(t *testing.T) {
+	forEachKernel(t, testRadix2MatchesReference)
+}
+
+func testRadix2MatchesReference(t *testing.T) {
 	for n := 2; n <= 1<<17; n <<= 1 {
 		for _, inverse := range []bool{false, true} {
 			for _, sparse := range []bool{false, true} {
@@ -241,6 +248,10 @@ func TestRealTransformsLeaveComplexTablesUnbuilt(t *testing.T) {
 // Goroutines racing to make the first complex transform of a fresh plan
 // build its tables once and all get the reference result.
 func TestRadix2FirstUseConcurrent(t *testing.T) {
+	forEachKernel(t, testRadix2FirstUseConcurrent)
+}
+
+func testRadix2FirstUseConcurrent(t *testing.T) {
 	const n = 1 << 10
 	in := oracleComplex(n, 5, false)
 	want := append([]complex128(nil), in...)
@@ -367,6 +378,10 @@ func oracleReal(n int, seed uint64, sparse bool) []float64 {
 // inputs at other sizes, odd ones included, match the same transform of
 // the explicitly zero-padded input.
 func TestRFFTMatchesReference(t *testing.T) {
+	forEachKernel(t, testRFFTMatchesReference)
+}
+
+func testRFFTMatchesReference(t *testing.T) {
 	for n := 2; n <= 1<<17; n <<= 1 {
 		for _, sparse := range []bool{false, true} {
 			x := oracleReal(n, uint64(n), sparse)
@@ -430,6 +445,10 @@ func windowRef(r []float64, maxLag int) []float64 {
 // signature (300-4000 Hz) at 48 kHz and m = 65 536, or zero
 // everywhere, as the cross-spectrum of an empty band is.
 func TestIRFFTLagsMatchesWindowedIRFFT(t *testing.T) {
+	forEachKernel(t, testIRFFTLagsMatchesWindowedIRFFT)
+}
+
+func testIRFFTLagsMatchesWindowedIRFFT(t *testing.T) {
 	type input struct {
 		name string
 		m    int
@@ -497,9 +516,10 @@ func oracleFilter(kind, order uint8, lo, hi float64) (*IIRFilter, bool) {
 	return f, err == nil
 }
 
-// FuzzIIRApplyTo checks the two-sections-per-pass band-pass against
-// the one-section-per-pass reference: every output sample, and the
-// next Process output, which exposes any difference in final state.
+// FuzzIIRApplyTo checks the band-pass, under every kernel setting,
+// against the one-section-per-pass reference: every output sample, and
+// the next Process output, which exposes any difference in final
+// state.
 func FuzzIIRApplyTo(f *testing.F) {
 	f.Add(uint8(2), uint8(4), uint16(4096), uint64(1), 0.1, 0.3, []byte(nil))
 	f.Add(uint8(0), uint8(0), uint16(1), uint64(2), 0.9, 0.1, []byte(nil))
@@ -513,12 +533,15 @@ func FuzzIIRApplyTo(f *testing.F) {
 			return
 		}
 		x := oracleSignal(raw, int(n)%4097, seed)
-		ref, got := filt.Clone(), filt.Clone()
-		want := applyToRef(ref, make([]float64, len(x)), x)
-		have := got.ApplyTo(make([]float64, len(x)), x)
-		sameBits(t, "ApplyTo", want, have)
-		for _, probe := range []float64{1, -0.25} {
-			sameBits(t, "next Process", []float64{ref.Process(probe)}, []float64{got.Process(probe)})
+		for _, k := range kernelSettings() {
+			setKernel(t, k.avx2)
+			ref, got := filt.Clone(), filt.Clone()
+			want := applyToRef(ref, make([]float64, len(x)), x)
+			have := got.ApplyTo(make([]float64, len(x)), x)
+			sameBits(t, "ApplyTo "+k.name, want, have)
+			for _, probe := range []float64{1, -0.25} {
+				sameBits(t, "next Process "+k.name, []float64{ref.Process(probe)}, []float64{got.Process(probe)})
+			}
 		}
 	})
 }
@@ -556,6 +579,10 @@ func FuzzDecimate(f *testing.F) {
 // A PSDWorkspace reused across signals of different lengths and frame
 // lengths returns exactly what a fresh estimate does.
 func TestPSDWorkspaceReuseMatchesReference(t *testing.T) {
+	forEachKernel(t, testPSDWorkspaceReuseMatchesReference)
+}
+
+func testPSDWorkspaceReuseMatchesReference(t *testing.T) {
 	var w PSDWorkspace
 	var dst []float64
 	for i, c := range []struct{ n, frameLen int }{

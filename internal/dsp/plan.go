@@ -250,12 +250,19 @@ func (p *FFTPlan) permute(x []complex128) {
 // over memory; when the count is odd the half-size-1 stage runs alone
 // first. Each butterfly performs the same operations on the same
 // operands as when every stage made its own pass, so the result is
-// bit-identical to the one-stage-per-pass loop.
+// bit-identical to the one-stage-per-pass loop. The AVX2 kernels, when
+// selected, run the lone stage on two index pairs per iteration.
 func stages(x, tw []complex128, last int) {
 	h := 1
 	if bits.TrailingZeros(uint(last))%2 == 0 {
 		w := tw[0]
-		for y := x; len(y) >= 2; y = y[2:] {
+		y := x
+		if useAVX2 {
+			n := len(x) &^ 3
+			stage1AVX2(x[:n], w)
+			y = x[n:]
+		}
+		for ; len(y) >= 2; y = y[2:] {
 			a := y[0]
 			t := y[1] * w
 			y[0], y[1] = a+t, a-t
@@ -269,12 +276,24 @@ func stages(x, tw []complex128, last int) {
 
 // stagePair runs the stages of half-size h and 2h in one pass: each
 // block of 4h elements is finished through both stages while its four
-// operands per index sit in registers.
+// operands per index sit in registers. The AVX2 kernels, when
+// selected, run it on two indices per register (for h = 1, on the one
+// index of two blocks); the Go loop finishes any block they leave.
 func stagePair(x, tw []complex128, h int) {
+	s := 0
+	if useAVX2 {
+		if h == 1 {
+			s = len(x) &^ 7
+			stagePair1AVX2(x[:s], tw[:3])
+		} else {
+			s = len(x) &^ (4*h - 1)
+			stagePairAVX2(x[:s], tw[h-1:4*h-1], h)
+		}
+	}
 	w1 := tw[h-1 : 2*h-1]
 	w2 := tw[2*h-1 : 4*h-1]
 	w2a, w2b := w2[:h], w2[h:2*h]
-	for s := 0; s+4*h <= len(x); s += 4 * h {
+	for ; s+4*h <= len(x); s += 4 * h {
 		blk := x[s : s+4*h]
 		x0, x1, x2, x3 := blk[:h], blk[h:2*h], blk[2*h:3*h], blk[3*h:4*h]
 		// Equal lengths let the compiler drop the inner loop's bounds
@@ -297,9 +316,15 @@ func stagePair(x, tw []complex128, h int) {
 }
 
 // butterflies runs the butterflies between lo[j] and hi[j] with
-// twiddle w[j], for every j < len(lo).
+// twiddle w[j], for every j < len(lo): the AVX2 kernel, when
+// selected, takes the indices in pairs and the Go loop any odd one out.
 func butterflies(lo, hi, w []complex128) {
 	hi, w = hi[:len(lo)], w[:len(lo)]
+	if useAVX2 {
+		n := len(lo) &^ 1
+		butterfliesAVX2(lo[:n], hi[:n], w[:n])
+		lo, hi, w = lo[n:], hi[n:], w[n:]
+	}
 	for j, a := range lo {
 		t := hi[j] * w[j]
 		lo[j] = a + t

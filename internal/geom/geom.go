@@ -29,16 +29,6 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Dist returns the Euclidean distance between v and w.
 func (v Vec3) Dist(w Vec3) float64 { return v.Sub(w).Norm() }
 
-// Unit returns v normalized to unit length; the zero vector is
-// returned unchanged.
-func (v Vec3) Unit() Vec3 {
-	n := v.Norm()
-	if n == 0 {
-		return v
-	}
-	return v.Scale(1 / n)
-}
-
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
 

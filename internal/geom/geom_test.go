@@ -27,21 +27,13 @@ func TestVecArithmetic(t *testing.T) {
 	}
 }
 
-func TestNormDistUnit(t *testing.T) {
+func TestNormDist(t *testing.T) {
 	v := Vec3{3, 4, 0}
 	if v.Norm() != 5 {
 		t.Errorf("Norm = %g", v.Norm())
 	}
 	if got := v.Dist(Vec3{0, 0, 0}); got != 5 {
 		t.Errorf("Dist = %g", got)
-	}
-	u := v.Unit()
-	if math.Abs(u.Norm()-1) > 1e-12 {
-		t.Errorf("Unit norm = %g", u.Norm())
-	}
-	zero := Vec3{}
-	if zero.Unit() != zero {
-		t.Error("Unit of zero vector should be zero")
 	}
 }
 

@@ -7,10 +7,7 @@
 // metrics including equal error rate.
 package ml
 
-import (
-	"fmt"
-	"math/rand/v2"
-)
+import "fmt"
 
 // Classifier is a trainable binary (or small multi-class) classifier
 // over dense feature vectors. Labels are small non-negative ints; the
@@ -184,15 +181,6 @@ func RestorePipeline(scalerJSON []byte, clf Classifier) (*Pipeline, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// Shuffle permutes x and y in place with a shared permutation.
-func Shuffle(x [][]float64, y []int, rng *rand.Rand) {
-	for i := len(x) - 1; i > 0; i-- {
-		j := rng.IntN(i + 1)
-		x[i], x[j] = x[j], x[i]
-		y[i], y[j] = y[j], y[i]
-	}
 }
 
 // CountClasses returns a map from label to count.

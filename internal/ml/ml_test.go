@@ -305,21 +305,6 @@ func TestPipelineStandardizesForInner(t *testing.T) {
 	}
 }
 
-func TestShuffleAndSplit(t *testing.T) {
-	x := [][]float64{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}
-	y := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	rng := rand.New(rand.NewPCG(27, 28))
-	xs := make([][]float64, len(x))
-	copy(xs, x)
-	ys := append([]int{}, y...)
-	Shuffle(xs, ys, rng)
-	for i := range xs {
-		if int(xs[i][0]) != ys[i] {
-			t.Fatal("Shuffle broke x/y pairing")
-		}
-	}
-}
-
 func TestCountClasses(t *testing.T) {
 	got := CountClasses([]int{0, 1, 1, 2})
 	if got[0] != 1 || got[1] != 2 || got[2] != 1 {

@@ -28,7 +28,6 @@ type Ring struct {
 	cap    int
 	pos    int // next write index
 	filled int
-	total  uint64 // samples ever pushed per channel
 }
 
 // NewRing returns a ring holding capacity samples per channel.
@@ -52,10 +51,6 @@ func (r *Ring) Cap() int { return r.cap }
 // Len returns the retained sample count (≤ Cap).
 func (r *Ring) Len() int { return r.filled }
 
-// Total returns the number of samples ever pushed per channel,
-// including those the ring has since overwritten.
-func (r *Ring) Total() uint64 { return r.total }
-
 // Push appends one chunk — frame[c] is channel c's samples, all equal
 // length (the caller validates shape). The newest samples win when the
 // chunk exceeds capacity. Push performs no allocations.
@@ -64,7 +59,6 @@ func (r *Ring) Push(frame [][]float64) {
 	if n == 0 {
 		return
 	}
-	r.total += uint64(n)
 	if n >= r.cap {
 		// Only the newest cap samples survive; realign to slot 0 so the
 		// copy is one straight pass per channel.

@@ -38,9 +38,6 @@ func TestRingWrapAround(t *testing.T) {
 		if r.Len() != want {
 			t.Fatalf("trial %d: Len=%d, want %d", trial, r.Len(), want)
 		}
-		if r.Total() != uint64(total) {
-			t.Fatalf("trial %d: Total=%d, want %d", trial, r.Total(), total)
-		}
 		snap := r.Snapshot(48000)
 		if snap.SampleRate != 48000 || len(snap.Channels) != channels {
 			t.Fatalf("trial %d: snapshot shape %gHz/%dch", trial, snap.SampleRate, len(snap.Channels))
@@ -78,8 +75,8 @@ func TestRingRejectsBadGeometry(t *testing.T) {
 func TestRingEmptyPushAndSnapshot(t *testing.T) {
 	r := NewRing(2, 8)
 	r.Push([][]float64{{}, {}})
-	if r.Len() != 0 || r.Total() != 0 {
-		t.Fatalf("empty push changed state: Len=%d Total=%d", r.Len(), r.Total())
+	if r.Len() != 0 {
+		t.Fatalf("empty push changed state: Len=%d", r.Len())
 	}
 	snap := r.Snapshot(16000)
 	if snap.Len() != 0 {

@@ -283,9 +283,10 @@ func (s *session) push(ctx context.Context, frame [][]float64) (PushResult, erro
 	s.cooldown = m.cfg.Spotter.TemplateFrames()
 	s.online.Reset()
 	res := PushResult{Status: StatusSpotted, SpotScore: s.pushBest}
-	// One snapshot per candidate. The speaker signature reads it before
-	// the decision pipeline runs, because Decide then owns the snapshot
-	// and may mutate it.
+	// One snapshot per candidate: the speaker signature reads it, then
+	// Decide takes it over. The decision pipeline never writes its
+	// recording (core's TestProcessWakeLeavesInputIntact pins that), so
+	// the order matters only for ownership.
 	rec := s.ring.Snapshot(m.cfg.SampleRate)
 	var sig []int
 	if m.speakers != nil {
