@@ -22,7 +22,7 @@ test:
 # cache and scratch pools, the streaming-ingest session manager
 # (concurrent push/evict plus speaker tracking), the multi-array
 # fusion vote the fan-out feeds, and the versioned model registry
-# (atomic hot-swap/rollback/shadow under concurrent readers). The
+# (atomic hot-swap/rollback under concurrent readers). The
 # corpus generator is documented safe for concurrent use; its one
 # concurrency test runs alone, because the rest of the dataset suite
 # renders whole corpora and is slow under the race detector.
@@ -74,8 +74,10 @@ chaos:
 # fast path against encoding/json, the binary peer frame (the only way
 # samples cross between nodes), the cluster snapshot envelope, WAV
 # decode, the sealed model envelope file, and the SVM and ConvNet model
-# loaders; and the differential oracles of the band-pass and
-# decimation kernels against their plain reference loops. The snapshot
+# loaders; the differential oracles of the band-pass and decimation
+# kernels against their plain reference loops; and one whole decision
+# on the committed served enrollment (no panic, only typed bad-input
+# errors, no accept of silence or DC). The snapshot
 # seeds are whole tenant captures (~80 KB), so its minimization is
 # capped, or shrinking one new input would take the whole run. CI runs
 # a short pass; run longer locally, e.g.
@@ -92,6 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConvNet$$' -fuzztime $(FUZZTIME) ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzIIRApplyTo$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecimate$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzProcessWake$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Benchmarks, machine-readable: serving-layer throughput (worker
 # sweep), the paper's §IV-B15 pipeline-stage timings, and the DSP

@@ -12,10 +12,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"headtalk/internal/audio"
-	"headtalk/internal/core"
 	"headtalk/internal/dataset"
 	"headtalk/internal/dsp"
 	"headtalk/internal/eval"
@@ -23,7 +21,6 @@ import (
 	"headtalk/internal/liveness"
 	"headtalk/internal/ml"
 	"headtalk/internal/orientation"
-	"headtalk/internal/registry"
 	"headtalk/internal/speech"
 	"headtalk/internal/srp"
 	"headtalk/internal/stream"
@@ -204,7 +201,6 @@ func BenchmarkRuntimeOrientation(b *testing.B) {
 func BenchmarkRuntimeLiveness(b *testing.B) {
 	rng := rand.New(rand.NewPCG(6, 7))
 	det := liveness.NewDetector(1)
-	det.Config().Epochs = 2
 	var waveforms [][]float64
 	var labels []int
 	for i := 0; i < 8; i++ {
@@ -221,74 +217,6 @@ func BenchmarkRuntimeLiveness(b *testing.B) {
 		if _, err := det.Score(probe, 16000); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkRuntimeShadowScoring measures the serving-path tax of
-// shadow evaluation: the full wake decision with and without a
-// candidate model scoring every request alongside the active one. The
-// registry's budget is <10% added p50 latency, which holds because the
-// shadow reuses the active gate's feature vector — its marginal cost
-// is one extra SVM prediction, not a second extraction.
-func BenchmarkRuntimeShadowScoring(b *testing.B) {
-	rec := benchCapture(b)
-	featCfg := features.DefaultConfig(13, 48000)
-	train := func(genSeed uint64) *orientation.Model {
-		var x [][]float64
-		var y []int
-		gen := dataset.NewGenerator(genSeed)
-		for i := 0; i < 10; i++ {
-			angle := 0.0
-			label := orientation.LabelFacing
-			if i%2 == 0 {
-				angle = 180
-				label = orientation.LabelNonFacing
-			}
-			s, err := gen.Generate(dataset.Condition{AngleDeg: angle, Rep: i + 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			x = append(x, s.Features)
-			y = append(y, label)
-		}
-		model, err := orientation.Train(x, y, orientation.ModelConfig{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return model
-	}
-	active, shadow := train(8), train(9)
-	for _, tc := range []struct {
-		name   string
-		shadow *orientation.Model
-	}{
-		{"noshadow", nil},
-		{"shadow", shadow},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			sys, err := core.NewSystem(core.Config{
-				SessionTimeout: time.Minute,
-				Features:       featCfg,
-				Models: registry.NewStatic(registry.ModelSet{
-					Orientation: active,
-					Shadow:      tc.shadow,
-				}),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys.SetMode(core.ModeHeadTalk)
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// Close the session so every iteration takes the full
-				// orientation (and shadow) path, not the session shortcut.
-				sys.EndSession()
-				if _, err := sys.ProcessWake(ctx, rec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

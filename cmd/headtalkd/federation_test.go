@@ -286,3 +286,24 @@ func TestFederationForwardedFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestFederationBadInputKindMatchesLocal: a capture too short for
+// audio.Validate reports error_kind bad_input whether its tenant is
+// served locally or by the owning peer, because both sides classify
+// errors with the same vocabulary.
+func TestFederationBadInputKindMatchesLocal(t *testing.T) {
+	a, _, tenantA, tenantB := newFederation(t)
+	path := truncatedWAV(t)
+	m := byID(runStream(t, a,
+		`{"id":"local","tenant":"`+tenantA+`","wav":"`+path+`"}`+"\n"+
+			`{"id":"remote","tenant":"`+tenantB+`","wav":"`+path+`"}`+"\n"))
+	for _, id := range []string{"local", "remote"} {
+		r := m[id]
+		if r.Type != "error" || r.ErrorKind != "bad_input" || (r.Accepted != nil && *r.Accepted) {
+			t.Errorf("%s too-short capture: %+v, want a bad_input error", id, r)
+		}
+	}
+	if !m["remote"].Forwarded {
+		t.Errorf("remote response %+v was not forwarded", m["remote"])
+	}
+}

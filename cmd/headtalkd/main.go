@@ -73,7 +73,7 @@
 //	{"v":5,"id":"13","rollback":"orientation"}
 //
 // model_status answers a "models" line listing every model family's
-// versions (lifecycle state, checksum, active/shadow/previous) plus
+// versions (lifecycle state, checksum, active/previous) plus
 // the orientation drift detector's state. promote atomically hot-swaps
 // the named version to active without draining in-flight decisions;
 // rollback reactivates the previously active version byte-for-byte.
@@ -521,8 +521,8 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 	// Gate training is per (device, room): tenants sharing an
 	// environment share one enrollment run instead of re-simulating it.
 	// Each tenant still gets its OWN model registry seeded from the
-	// shared enrollment — lifecycle state (versions, shadow, adaptation,
-	// drift) is per-tenant, the trained weights are not.
+	// shared enrollment — lifecycle state (versions, adaptation, drift)
+	// is per-tenant, the trained weights are not.
 	enrollments := map[string]*headtalk.Enrollment{}
 	for _, spec := range specs {
 		cfg := headtalk.Config{}
@@ -992,49 +992,6 @@ func (d *daemon) echoTenant(t *pool.Tenant) string {
 	return ""
 }
 
-// errorKind classifies a serving-path error for the error_kind field.
-func errorKind(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, pool.ErrUnknownTenant), errors.Is(err, pool.ErrNoRoute):
-		return "unknown_tenant"
-	case errors.Is(err, serve.ErrQueueFull):
-		return "backpressure"
-	case errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrNotStarted),
-		errors.Is(err, pool.ErrPoolClosed), errors.Is(err, stream.ErrClosed):
-		return "closed"
-	case errors.Is(err, serve.ErrBreakerOpen):
-		return "breaker_open"
-	case errors.Is(err, stream.ErrSessionLimit):
-		return "session_limit"
-	case errors.Is(err, stream.ErrBadFrame):
-		return "bad_input"
-	case errors.Is(err, serve.ErrNoStream):
-		return "request"
-	case errors.Is(err, cluster.ErrPeerUnavailable):
-		return "peer_unavailable"
-	case errors.Is(err, cluster.ErrSnapshotVersion), errors.Is(err, cluster.ErrSnapshotChecksum), errors.Is(err, cluster.ErrSnapshotCorrupt):
-		return "snapshot"
-	case errors.Is(err, headtalk.ErrModelVersion), errors.Is(err, headtalk.ErrModelCorrupt):
-		return "model"
-	case serve.IsPanic(err):
-		return "panic"
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return "deadline"
-	}
-	// A forwarded request the owning peer rejected surfaces the peer's
-	// own error_kind verbatim.
-	var remote *cluster.RemoteError
-	if errors.As(err, &remote) && remote.Kind != "" {
-		return remote.Kind
-	}
-	if _, ok := audio.AsBadInput(err); ok {
-		return "bad_input"
-	}
-	return "pipeline"
-}
-
 // latencySummary renders one histogram for the metrics line.
 type latencySummary struct {
 	Count  uint64 `json:"count"`
@@ -1166,7 +1123,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 			d.handleForward(req, lw, inflight)
 			return
 		}
-		lw.write(response{Type: "error", ID: req.ID, Error: err.Error(), ErrorKind: errorKind(err)})
+		lw.write(response{Type: "error", ID: req.ID, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 		return
 	}
 	echo := d.echoTenant(t)
@@ -1178,7 +1135,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 		spec := d.specs[t.ID()]
 		env, err := cluster.CaptureTenant(t, spec.Device, spec.Room)
 		if err != nil {
-			lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err)})
+			lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 			return
 		}
 		lw.write(response{Type: "snapshot", ID: req.ID, Tenant: echo, Envelope: env})
@@ -1232,7 +1189,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 			defer inflight.Done()
 			defer cancel()
 			if res.Err != nil {
-				resp := response{Type: "error", ID: res.ID, Tenant: echo, Error: res.Err.Error(), ErrorKind: errorKind(res.Err), TraceID: res.TraceID}
+				resp := response{Type: "error", ID: res.ID, Tenant: echo, Error: res.Err.Error(), ErrorKind: cluster.ErrorKind(res.Err), TraceID: res.TraceID}
 				if forceTrace {
 					resp.Trace = res.Trace
 				}
@@ -1260,7 +1217,7 @@ func (d *daemon) handle(req request, lw *lineWriter, inflight *sync.WaitGroup) {
 		// will never fire.
 		inflight.Done()
 		cancel()
-		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err)})
+		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 	}
 }
 
@@ -1290,7 +1247,7 @@ func (d *daemon) handleFused(req request, t *pool.Tenant, lw *lineWriter) {
 	defer cancel()
 	room, reports, err := t.Engine().DecideFused(ctx, inputs)
 	if err != nil {
-		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err)})
+		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 		return
 	}
 	resp := response{
@@ -1348,7 +1305,7 @@ func (d *daemon) handleStream(req request, t *pool.Tenant, lw *lineWriter) {
 	if req.EndSession {
 		ended, err := t.Engine().EndSession(sid)
 		if err != nil {
-			lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: errorKind(err)})
+			lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 			return
 		}
 		lw.write(response{Type: "stream", ID: req.ID, Tenant: echo, Session: sid, Ended: &ended})
@@ -1359,14 +1316,14 @@ func (d *daemon) handleStream(req request, t *pool.Tenant, lw *lineWriter) {
 	defer cancel()
 	res, err := t.Engine().PushFrames(ctx, sid, req.Frames)
 	if err != nil {
-		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: errorKind(err)})
+		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 		return
 	}
 	if res.Err != nil {
 		// The chunk was spotted but the decision pipeline failed
 		// (backpressure, breaker, pipeline error): surface it as a typed
 		// error so clients can retry or back off.
-		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Status: res.Status.String(), Error: res.Err.Error(), ErrorKind: errorKind(res.Err)})
+		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Status: res.Status.String(), Error: res.Err.Error(), ErrorKind: cluster.ErrorKind(res.Err)})
 		return
 	}
 	lw.write(streamResponse(req.ID, echo, sid, &res))
@@ -1487,7 +1444,7 @@ func (d *daemon) handleCluster(req request, lw *lineWriter) {
 		ctx, cancel := d.requestContext()
 		defer cancel()
 		if err := d.restoreEnvelope(ctx, req.Restore); err != nil {
-			lw.write(response{Type: "error", ID: req.ID, Tenant: d.echoID(req.Restore.TenantID), Error: err.Error(), ErrorKind: errorKind(err)})
+			lw.write(response{Type: "error", ID: req.ID, Tenant: d.echoID(req.Restore.TenantID), Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
 			return
 		}
 		lw.write(response{Type: "ok", ID: req.ID, Tenant: d.echoID(req.Restore.TenantID)})
@@ -1562,21 +1519,21 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 		case req.Snapshot:
 			env, _, err := d.node.Snapshot(ctx, tid)
 			if err != nil {
-				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
+				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err), Forwarded: true})
 				return
 			}
 			lw.write(response{Type: "snapshot", ID: req.ID, Tenant: echo, Envelope: env, Forwarded: true})
 		case req.EndSession:
 			ended, _, err := d.node.EndSession(ctx, tid, sid)
 			if err != nil {
-				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
+				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: cluster.ErrorKind(err), Forwarded: true})
 				return
 			}
 			lw.write(response{Type: "stream", ID: req.ID, Tenant: echo, Session: sid, Ended: &ended, Forwarded: true})
 		case req.Frames != nil:
 			res, _, err := d.node.PushFrames(ctx, tid, sid, req.Frames)
 			if err != nil {
-				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
+				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Session: sid, Error: err.Error(), ErrorKind: cluster.ErrorKind(err), Forwarded: true})
 				return
 			}
 			// The peer wire carries no speaker attribution, so a
@@ -1589,7 +1546,7 @@ func (d *daemon) handleForward(req request, lw *lineWriter, inflight *sync.WaitG
 			start := time.Now()
 			dec, _, err := d.node.Decide(ctx, tid, rec)
 			if err != nil {
-				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: errorKind(err), Forwarded: true})
+				lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err), Forwarded: true})
 				return
 			}
 			resp := decisionResponse(req.ID, echo, dec)

@@ -192,6 +192,23 @@ func TestErrorKindsOnBadLines(t *testing.T) {
 // line, never an accept.
 func TestBadInputWAVFailsClosed(t *testing.T) {
 	d := testDaemon(t, "normal")
+	m := byID(runStream(t, d, `{"id":"s","wav":"`+truncatedWAV(t)+`"}`+"\n"))
+	r := m["s"]
+	if r.Type != "error" || r.ErrorKind != "bad_input" {
+		t.Fatalf("truncated-wav response %+v, want bad_input error", r)
+	}
+	if r.ReasonSlug != "bad_input" {
+		t.Fatalf("reason_slug = %q, want bad_input (fail-closed reject)", r.ReasonSlug)
+	}
+	if r.Accepted != nil && *r.Accepted {
+		t.Fatal("malformed capture was accepted")
+	}
+}
+
+// truncatedWAV writes a 2-channel WAV of 100 noise samples (2 ms, far
+// below the input-hardening minimum) and returns its path.
+func truncatedWAV(t *testing.T) string {
+	t.Helper()
 	rng := rand.New(rand.NewPCG(5, 9))
 	rec := audio.NewRecording(48000, 2, 100)
 	for c := range rec.Channels {
@@ -204,22 +221,11 @@ func TestBadInputWAVFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
 	if err := audio.WriteWAV(f, rec); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	m := byID(runStream(t, d, `{"id":"s","wav":"`+path+`"}`+"\n"))
-	r := m["s"]
-	if r.Type != "error" || r.ErrorKind != "bad_input" {
-		t.Fatalf("truncated-wav response %+v, want bad_input error", r)
-	}
-	if r.ReasonSlug != "bad_input" {
-		t.Fatalf("reason_slug = %q, want bad_input (fail-closed reject)", r.ReasonSlug)
-	}
-	if r.Accepted != nil && *r.Accepted {
-		t.Fatal("malformed capture was accepted")
-	}
+	return path
 }
 
 // TestHealthLine exercises the {"health":true} control request.

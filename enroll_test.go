@@ -100,7 +100,7 @@ func TestSaveToWritesVerifiedEnvelopes(t *testing.T) {
 		if env.Kind != string(kind) {
 			t.Fatalf("%s sealed as %q, want %q", name, env.Kind, kind)
 		}
-		if _, err := env.Open(); err != nil {
+		if err := env.Verify(); err != nil {
 			t.Fatalf("%s failed integrity check straight off disk: %v", name, err)
 		}
 	}

@@ -174,9 +174,6 @@ var (
 	ErrTenantExists = pool.ErrTenantExists
 	// ErrPoolClosed is returned by pool operations after Drain/Close.
 	ErrPoolClosed = pool.ErrPoolClosed
-	// ErrNoRoute rejects a pool request that names no tenant (empty
-	// tenant ID).
-	ErrNoRoute = pool.ErrNoRoute
 	// ErrNoStream rejects streaming calls on an engine built without
 	// EngineConfig.Streaming.
 	ErrNoStream = serve.ErrNoStream
@@ -251,8 +248,6 @@ type (
 	// ClusterEnvelope is one tenant's portable serving state: versioned,
 	// checksummed, safe to store and replay into Restore.
 	ClusterEnvelope = cluster.Envelope
-	// ClusterPeerStatus reports one peer's membership view.
-	ClusterPeerStatus = cluster.PeerStatus
 	// ClusterPeerHealth is the probe-driven peer lifecycle state.
 	ClusterPeerHealth = cluster.PeerHealth
 	// ClusterRemoteError is a failure the owning peer reported: the wire
@@ -378,9 +373,8 @@ func TrainArrayFingerprint(recs []*Recording, cfg FingerprintConfig) (*ArrayFing
 }
 
 // Versioned model management (see internal/registry): an immutable,
-// per-tenant model store with atomic hot-swap and rollback, shadow
-// evaluation of candidate versions, online adaptation from accepted
-// decisions, and drift detection. Attach one as Config.Models — the
+// per-tenant model store with atomic hot-swap and rollback, online
+// adaptation from accepted decisions, and drift detection. Attach one as Config.Models — the
 // System resolves all of its gates through the registry with a single
 // atomic load per decision, so promote/rollback never expose a torn
 // model set and never require draining the serving engine.
@@ -399,7 +393,7 @@ type (
 	// ModelKind names a managed model family.
 	ModelKind = registry.Kind
 	// ModelState is a version's lifecycle position
-	// (candidate → shadow → active → archived).
+	// (candidate → active → archived).
 	ModelState = registry.State
 	// ModelEnvelope is one sealed, checksummed model document — the
 	// serialization enrollment artifacts and registries share.
@@ -426,7 +420,6 @@ const (
 // Model version lifecycle states.
 const (
 	ModelStateCandidate = registry.StateCandidate
-	ModelStateShadow    = registry.StateShadow
 	ModelStateActive    = registry.StateActive
 	ModelStateArchived  = registry.StateArchived
 )

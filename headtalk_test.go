@@ -17,7 +17,7 @@ func TestPublicSurfaceBasics(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(1, 2))
 	buf := SynthesizeWakeWord(WordComputer, DefaultVoice(), 16000, rng)
-	if buf.Duration() < 0.2 {
+	if float64(len(buf.Samples))/buf.SampleRate < 0.2 {
 		t.Error("synthesized word too short")
 	}
 	v := RandomVoice(rng)
@@ -92,11 +92,7 @@ func TestSpotterAndAssistantWiring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assistant, err := NewAssistant("demo", spotter, sys)
-	if err != nil {
+	if _, err := NewAssistant("demo", spotter, sys); err != nil {
 		t.Fatal(err)
-	}
-	if assistant.System() != sys {
-		t.Error("assistant not wired to system")
 	}
 }

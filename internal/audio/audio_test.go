@@ -10,19 +10,19 @@ import (
 )
 
 func TestBufferBasics(t *testing.T) {
-	b := NewBuffer(48000, 4800)
-	if b.Duration() != 0.1 {
-		t.Errorf("duration = %g, want 0.1", b.Duration())
+	b := NewBuffer(48000, 4)
+	if b.SampleRate != 48000 || len(b.Samples) != 4 {
+		t.Fatalf("NewBuffer = %g Hz, %d samples", b.SampleRate, len(b.Samples))
 	}
-	b.Samples[0] = 1
-	c := b.Clone()
-	c.Samples[0] = 2
-	if b.Samples[0] != 1 {
-		t.Error("Clone shares storage")
+	if b.RMS() != 0 {
+		t.Errorf("RMS of a zeroed buffer = %g", b.RMS())
 	}
-	b.Gain(0.5)
-	if b.Samples[0] != 0.5 {
-		t.Errorf("Gain: %g", b.Samples[0])
+	copy(b.Samples, []float64{1, -1, 1, -1})
+	if b.RMS() != 1 {
+		t.Errorf("RMS of a ±1 square wave = %g, want 1", b.RMS())
+	}
+	if (&Buffer{}).RMS() != 0 {
+		t.Error("RMS of an empty buffer should be 0")
 	}
 }
 
@@ -45,16 +45,6 @@ func TestRecordingChannelOps(t *testing.T) {
 	mono := r.Mono()
 	if mono[0] != 1 {
 		t.Errorf("Mono[0] = %g, want mean 1", mono[0])
-	}
-}
-
-func TestRecordingClone(t *testing.T) {
-	r := NewRecording(48000, 2, 4)
-	r.Channels[0][0] = 7
-	c := r.Clone()
-	c.Channels[0][0] = 9
-	if r.Channels[0][0] != 7 {
-		t.Error("Clone shares storage")
 	}
 }
 

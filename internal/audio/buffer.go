@@ -21,29 +21,6 @@ func NewBuffer(sampleRate float64, n int) *Buffer {
 	return &Buffer{SampleRate: sampleRate, Samples: make([]float64, n)}
 }
 
-// Duration returns the buffer length in seconds.
-func (b *Buffer) Duration() float64 {
-	if b.SampleRate == 0 {
-		return 0
-	}
-	return float64(len(b.Samples)) / b.SampleRate
-}
-
-// Clone returns a deep copy of the buffer.
-func (b *Buffer) Clone() *Buffer {
-	out := NewBuffer(b.SampleRate, len(b.Samples))
-	copy(out.Samples, b.Samples)
-	return out
-}
-
-// Gain scales all samples in place by g and returns the buffer.
-func (b *Buffer) Gain(g float64) *Buffer {
-	for i := range b.Samples {
-		b.Samples[i] *= g
-	}
-	return b
-}
-
 // RMS returns the root-mean-square level of the buffer.
 func (b *Buffer) RMS() float64 {
 	if len(b.Samples) == 0 {
@@ -126,13 +103,4 @@ func (r *Recording) MonoInto(dst []float64) []float64 {
 		dst[i] *= inv
 	}
 	return dst
-}
-
-// Clone returns a deep copy of the recording.
-func (r *Recording) Clone() *Recording {
-	out := NewRecording(r.SampleRate, len(r.Channels), r.Len())
-	for i, ch := range r.Channels {
-		copy(out.Channels[i], ch)
-	}
-	return out
 }

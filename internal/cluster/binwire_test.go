@@ -268,8 +268,8 @@ func TestJSONLinesCarryNoSamples(t *testing.T) {
 	if n := sysMetrics.Counter("headtalk.decisions.total").Value(); n != 0 {
 		t.Fatalf("JSON sample lines reached the tenant: %d decisions", n)
 	}
-	if ten, _ := c.pools["solo"].Tenant(tenant); ten.Streams().Len() != 0 {
-		t.Fatalf("JSON frames line opened %d stream sessions", ten.Streams().Len())
+	if ten, _ := c.pools["solo"].Tenant(tenant); ten.Metrics().Snapshot().Counters["stream.sessions.created"] != 0 {
+		t.Fatal("JSON frames line opened a stream session")
 	}
 }
 

@@ -212,8 +212,7 @@ func TestChaosProbeIsolatesBlackHole(t *testing.T) {
 	n.Start()
 
 	waitFor(t, 5*time.Second, "black-hole peer marked down", func() bool {
-		ps := n.Peers()
-		return len(ps) == 1 && ps[0].Health == PeerDown
+		return n.Metrics().Gauge("cluster.peer.wedged.state").Value() == int64(PeerDown)
 	})
 	if got := n.Metrics().Gauge("cluster.ring.members").Value(); got != 1 {
 		t.Fatalf("ring members = %d, want 1 after shedding the wedged peer", got)

@@ -258,7 +258,7 @@ func TestDecideLocalAndForwarded(t *testing.T) {
 	if got := c.nodes["n1"].Metrics().Counter("cluster.forward.total").Value(); got != 1 {
 		t.Fatalf("forward.total = %d, want 1", got)
 	}
-	if got := c.nodes["n1"].Metrics().Histogram("cluster.forward.latency", nil).Count(); got != 1 {
+	if got := c.nodes["n1"].Metrics().Snapshot().Histograms["cluster.forward.latency"].Count; got != 1 {
 		t.Fatalf("forward.latency count = %d, want 1", got)
 	}
 	// Both ways: n2 forwards n1's tenant.
@@ -332,8 +332,7 @@ func TestProbeMembershipDownAndRevive(t *testing.T) {
 	n1.Start()
 
 	waitFor(t, 5*time.Second, "peer n2 down", func() bool {
-		ps := n1.Peers()
-		return len(ps) == 1 && ps[0].Health == PeerDown
+		return n1.Metrics().Gauge("cluster.peer.n2.state").Value() == int64(PeerDown)
 	})
 	if got := n1.Metrics().Gauge("cluster.ring.members").Value(); got != 1 {
 		t.Fatalf("ring members after down = %d, want 1", got)
@@ -354,8 +353,7 @@ func TestProbeMembershipDownAndRevive(t *testing.T) {
 	defer ln.Close()
 	go pingResponder(ln)
 	waitFor(t, 5*time.Second, "peer n2 revived", func() bool {
-		ps := n1.Peers()
-		return len(ps) == 1 && ps[0].Health == PeerAlive
+		return n1.Metrics().Gauge("cluster.peer.n2.state").Value() == int64(PeerAlive)
 	})
 	if got := n1.Metrics().Gauge("cluster.ring.members").Value(); got != 2 {
 		t.Fatalf("ring members after revive = %d, want 2", got)

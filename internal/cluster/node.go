@@ -156,13 +156,6 @@ type peerState struct {
 	gauge    *metrics.Gauge // cluster.peer.<id>.state
 }
 
-// PeerStatus is one peer's externally visible state.
-type PeerStatus struct {
-	ID     string
-	Addr   string
-	Health PeerHealth
-}
-
 // Node is one member of a headtalkd federation: it owns the tenants
 // the ring assigns to its ID, forwards everything else, probes its
 // peers and serves the peer wire protocol. All methods are safe for
@@ -235,9 +228,6 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// ID returns this node's ring identity.
-func (n *Node) ID() string { return n.cfg.NodeID }
-
 // Metrics returns the node's cluster registry.
 func (n *Node) Metrics() *metrics.Registry { return n.reg }
 
@@ -297,19 +287,6 @@ func (n *Node) Owner(tenantID string) string {
 
 // Owns reports whether this node is the tenant's ring owner.
 func (n *Node) Owns(tenantID string) bool { return n.Owner(tenantID) == n.cfg.NodeID }
-
-// Peers reports every configured peer's membership state, sorted by
-// ID.
-func (n *Node) Peers() []PeerStatus {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]PeerStatus, 0, len(n.peers))
-	for _, p := range n.peers {
-		out = append(out, PeerStatus{ID: p.id, Addr: p.addr, Health: p.health})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // Join adds (or re-addresses) a peer and rebuilds the ring. Used by
 // the join wire verb and operator tooling.

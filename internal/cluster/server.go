@@ -87,7 +87,7 @@ func (n *Node) servePeerConn(conn net.Conn) {
 		if badInput != "" {
 			resp = peerResponse{OK: false, ErrorKind: "bad_input", Error: badInput}
 		} else if err := n.handlePeer(&req, &resp); err != nil {
-			resp = peerResponse{OK: false, Node: n.cfg.NodeID, ErrorKind: kindOf(err), Error: err.Error()}
+			resp = peerResponse{OK: false, Node: n.cfg.NodeID, ErrorKind: ErrorKind(err), Error: err.Error()}
 		}
 		if err := enc.Encode(resp); err != nil {
 			return
@@ -100,14 +100,18 @@ func (n *Node) servePeerConn(conn net.Conn) {
 func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ForwardTimeout)
 	defer cancel()
+	var t *pool.Tenant
+	switch req.Op {
+	case opDecide, opFrames, opEndSession, opSnapshot:
+		var ok bool
+		if t, ok = n.cfg.Pool.Tenant(req.Tenant); !ok {
+			return fmt.Errorf("%w: %q", pool.ErrUnknownTenant, req.Tenant)
+		}
+	}
 	switch req.Op {
 	case opPing:
 		return nil
 	case opDecide:
-		t, ok := n.cfg.Pool.Tenant(req.Tenant)
-		if !ok {
-			return fmt.Errorf("%w: %q", pool.ErrUnknownTenant, req.Tenant)
-		}
 		if len(req.Channels) == 0 {
 			return fmt.Errorf("decide for %q carries no audio", req.Tenant)
 		}
@@ -118,10 +122,6 @@ func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 		resp.Decision = decisionToWire(dec)
 		return nil
 	case opFrames:
-		t, ok := n.cfg.Pool.Tenant(req.Tenant)
-		if !ok {
-			return fmt.Errorf("%w: %q", pool.ErrUnknownTenant, req.Tenant)
-		}
 		res, err := t.Engine().PushFrames(ctx, req.Session, req.Frames)
 		if err != nil {
 			return err
@@ -134,10 +134,6 @@ func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 		}
 		return nil
 	case opEndSession:
-		t, ok := n.cfg.Pool.Tenant(req.Tenant)
-		if !ok {
-			return fmt.Errorf("%w: %q", pool.ErrUnknownTenant, req.Tenant)
-		}
 		ended, err := t.Engine().EndSession(req.Session)
 		if err != nil {
 			return err
@@ -145,10 +141,6 @@ func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 		resp.Ended = &ended
 		return nil
 	case opSnapshot:
-		t, ok := n.cfg.Pool.Tenant(req.Tenant)
-		if !ok {
-			return fmt.Errorf("%w: %q", pool.ErrUnknownTenant, req.Tenant)
-		}
 		var device, room string
 		if n.cfg.Profile != nil {
 			device, room = n.cfg.Profile(req.Tenant)

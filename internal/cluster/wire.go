@@ -15,12 +15,15 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 
+	"headtalk/internal/audio"
 	"headtalk/internal/core"
 	"headtalk/internal/pool"
+	"headtalk/internal/registry"
 	"headtalk/internal/serve"
 	"headtalk/internal/stream"
 )
@@ -161,29 +164,49 @@ func statusFromString(s string) stream.Status {
 	return stream.StatusInvalid
 }
 
-// kindOf classifies a local serving error for the wire's error_kind
-// field (the server half of the daemon's errorKind vocabulary).
-func kindOf(err error) string {
+// ErrorKind classifies a serving error for the error_kind field. It is
+// the one vocabulary of the daemon's responses and of the peer wire, so
+// a request a peer serves reports the same kind as one served locally.
+func ErrorKind(err error) string {
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, pool.ErrUnknownTenant), errors.Is(err, pool.ErrNoRoute):
+	case errors.Is(err, pool.ErrUnknownTenant):
 		return "unknown_tenant"
 	case errors.Is(err, serve.ErrQueueFull):
 		return "backpressure"
+	case errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrNotStarted),
+		errors.Is(err, pool.ErrPoolClosed), errors.Is(err, stream.ErrClosed):
+		return "closed"
 	case errors.Is(err, serve.ErrBreakerOpen):
 		return "breaker_open"
-	case errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrNotStarted), errors.Is(err, pool.ErrPoolClosed), errors.Is(err, stream.ErrClosed):
-		return "closed"
 	case errors.Is(err, stream.ErrSessionLimit):
 		return "session_limit"
 	case errors.Is(err, stream.ErrBadFrame):
 		return "bad_input"
+	case errors.Is(err, serve.ErrNoStream):
+		return "request"
+	case errors.Is(err, ErrPeerUnavailable):
+		return "peer_unavailable"
 	case errors.Is(err, ErrSnapshotVersion), errors.Is(err, ErrSnapshotChecksum), errors.Is(err, ErrSnapshotCorrupt):
 		return "snapshot"
-	default:
-		return "pipeline"
+	case errors.Is(err, registry.ErrModelVersion), errors.Is(err, registry.ErrModelCorrupt):
+		return "model"
+	case serve.IsPanic(err):
+		return "panic"
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return "deadline"
 	}
+	// A forwarded request the owning peer rejected keeps the peer's
+	// own error_kind.
+	var remote *RemoteError
+	if errors.As(err, &remote) && remote.Kind != "" {
+		return remote.Kind
+	}
+	if _, ok := audio.AsBadInput(err); ok {
+		return "bad_input"
+	}
+	return "pipeline"
 }
 
 // ErrLineTooLong reports a line longer than ReadBoundedLine's bound;

@@ -17,7 +17,7 @@ func decisionsEqual(t *testing.T, label string, want, got Decision) {
 	w, g := want, got
 	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 	if w != g || !sameBits(w.LiveScore, g.LiveScore) || !sameBits(w.FacingScore, g.FacingScore) ||
-		!sameBits(w.FingerprintScore, g.FingerprintScore) || !sameBits(w.ShadowScore, g.ShadowScore) {
+		!sameBits(w.FingerprintScore, g.FingerprintScore) {
 		t.Fatalf("%s: want %+v, got %+v", label, want, got)
 	}
 }

@@ -159,15 +159,13 @@ func servedCaptures(t testing.TB) []servedCapture {
 		// liveness, which looks no higher than 7.6 kHz, passes it; the
 		// array fingerprint does not.
 		if muffled := render("facing-1m-lowpass-9k", cond(0, 1, 14, "")); muffled != nil {
-			for c, ch := range muffled.Channels {
+			for _, ch := range muffled.Channels {
 				lp, err := dsp.NewButterworthLowPass(4, 9000, muffled.SampleRate)
 				if err != nil {
 					servedErr = err
 					return
 				}
-				for i, v := range ch {
-					muffled.Channels[c][i] = lp.Process(v)
-				}
+				lp.ApplyTo(ch, ch)
 			}
 		}
 

@@ -149,11 +149,6 @@ type Decision struct {
 	// when that liveness gate ran (fused ensemble).
 	FingerprintScore float64
 	FingerprintRan   bool
-	// ShadowScore is the shadow (candidate) orientation model's margin
-	// when a registry had a version under shadow evaluation. It never
-	// affects Accepted.
-	ShadowScore float64
-	ShadowRan   bool
 	// DegradedChannels counts microphone channels the health check
 	// scored as dead/stuck/low-SNR (HeadTalk mode only).
 	DegradedChannels int
@@ -175,10 +170,9 @@ type Config struct {
 	SessionTimeout time.Duration
 	// Models resolves the trained gates for every decision. This is
 	// the model-attachment API: pass a *registry.Registry for
-	// versioned models with hot-swap, rollback, shadow evaluation and
-	// online adaptation, or registry.NewStatic for a fixed set. A nil
-	// Models is an empty static set: HeadTalk mode then rejects with
-	// ReasonNoOrientation.
+	// versioned models with hot-swap, rollback and online adaptation,
+	// or registry.NewStatic for a fixed set. A nil Models is an empty
+	// static set: HeadTalk mode then rejects with ReasonNoOrientation.
 	Models registry.Provider
 	// LivenessThreshold is the minimum live score (default 0.5).
 	LivenessThreshold float64
@@ -339,27 +333,25 @@ func NewSystem(cfg Config) (*System, error) {
 // live in buffers the Preprocessor reuses. A Preprocessor
 // must not be used from more than one goroutine at a time.
 type Preprocessor struct {
-	bp  *dsp.IIRFilter
-	ins *instruments
+	bp *dsp.IIRFilter
 
 	// Arena: single-decision scratch.
-	plan          planScratch
-	preBack       []float64
-	preChans      [][]float64
-	preRec        audio.Recording
-	selChans      [][]float64
-	selRec        audio.Recording
-	mono          []float64
-	live          liveness.Workspace
-	feats         features.Workspace
-	mlScratch     []float64
-	shadowScratch []float64
+	plan      planScratch
+	preBack   []float64
+	preChans  [][]float64
+	preRec    audio.Recording
+	selChans  [][]float64
+	selRec    audio.Recording
+	mono      []float64
+	live      liveness.Workspace
+	feats     features.Workspace
+	mlScratch []float64
 }
 
 // NewPreprocessor clones the system's designed band-pass into an
 // independent preprocessing pipeline.
 func (s *System) NewPreprocessor() *Preprocessor {
-	return &Preprocessor{bp: s.bp.Clone(), ins: s.ins}
+	return &Preprocessor{bp: s.bp.Clone()}
 }
 
 // Config returns a copy of the system's resolved configuration (every
@@ -379,7 +371,6 @@ func (s *System) ModelSet() *registry.ModelSet { return s.cfg.Models.ModelSet() 
 // The returned recording aliases p's backing store and is valid until
 // the next applyInto call; a warm arena makes it allocation-free.
 func (p *Preprocessor) applyInto(rec *audio.Recording) *audio.Recording {
-	start := time.Now()
 	n := rec.Len()
 	nch := len(rec.Channels)
 	if cap(p.preBack) < n*nch {
@@ -395,9 +386,6 @@ func (p *Preprocessor) applyInto(rec *audio.Recording) *audio.Recording {
 		p.preChans[i] = dst
 	}
 	p.preRec = audio.Recording{SampleRate: rec.SampleRate, Channels: p.preChans}
-	if p.ins != nil {
-		p.ins.preprocess.ObserveDuration(time.Since(start))
-	}
 	return &p.preRec
 }
 
@@ -650,8 +638,8 @@ func (s *System) ProcessWakeWith(ctx context.Context, p *Preprocessor, rec *audi
 
 func (s *System) headTalkDecision(tr *trace.Recorder, p *Preprocessor, rec *audio.Recording) (Decision, error) {
 	// Resolve the model set exactly once: everything downstream — the
-	// channel plan, both liveness gates, the orientation score and any
-	// shadow score — works from this one immutable set, so a registry
+	// channel plan, both liveness gates and the orientation score —
+	// works from this one immutable set, so a registry
 	// hot-swap mid-decision can never mix versions.
 	set := s.cfg.Models.ModelSet()
 
@@ -693,9 +681,13 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	var pre *audio.Recording
 	preprocess := func() *audio.Recording {
 		if pre == nil {
-			preStart := tr.Begin()
+			start := time.Now()
 			pre = p.applyInto(rec)
-			tr.End(trace.StagePreprocess, preStart)
+			elapsed := time.Since(start)
+			tr.Observe(trace.StagePreprocess, elapsed)
+			if s.ins != nil {
+				s.ins.preprocess.ObserveDuration(elapsed)
+			}
 		}
 		return pre
 	}
@@ -815,21 +807,6 @@ func (s *System) decideWithPlan(tr *trace.Recorder, p *Preprocessor, rec *audio.
 	d.FacingRan = true
 	if set.OnScore != nil {
 		set.OnScore(score)
-	}
-
-	// Shadow evaluation: the candidate version scores the same feature
-	// vector, outside the active gate's timing window; its result is
-	// recorded and metered but never decides.
-	if set.Shadow != nil {
-		if cerr := set.Shadow.CheckFeatures(feats); cerr == nil {
-			sPred, sScore, sScratch := set.Shadow.PredictScore(feats, p.shadowScratch)
-			p.shadowScratch = sScratch
-			d.ShadowScore = sScore
-			d.ShadowRan = true
-			if set.OnShadow != nil {
-				set.OnShadow(pred, sPred, score, sScore)
-			}
-		}
 	}
 
 	if pred != orientation.LabelFacing {

@@ -14,14 +14,6 @@ type Biquad struct {
 	z1, z2     float64 // state
 }
 
-// Process filters one sample through the section.
-func (b *Biquad) Process(x float64) float64 {
-	y := b.B0*x + b.z1
-	b.z1 = b.B1*x - b.A1*y + b.z2
-	b.z2 = b.B2*x - b.A2*y
-	return y
-}
-
 // Reset clears the section's internal state.
 func (b *Biquad) Reset() {
 	b.z1, b.z2 = 0, 0
@@ -64,14 +56,6 @@ func (f *IIRFilter) Reset() {
 	}
 }
 
-// Process filters one sample through the full cascade, updating state.
-func (f *IIRFilter) Process(x float64) float64 {
-	for i := range f.sections {
-		x = f.sections[i].Process(x)
-	}
-	return x
-}
-
 // Apply resets the filter and runs x through it, returning a new slice.
 func (f *IIRFilter) Apply(x []float64) []float64 {
 	return f.ApplyTo(make([]float64, len(x)), x)
@@ -86,7 +70,8 @@ func (f *IIRFilter) Apply(x []float64) []float64 {
 // output for sample n-1, each section's coefficients and state held in
 // locals. Every section still sees the same inputs in the same order
 // and evaluates the same expressions, so the output and the final
-// state are bit-identical to Process per sample. What changes is
+// state are bit-identical to running each section over the whole
+// signal in turn, as run does. What changes is
 // speed: one section's recurrence is latency-bound (each output waits
 // on the previous one), and two independent recurrences in one loop
 // overlap. An odd section count ends with a single-section pass.

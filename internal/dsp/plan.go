@@ -609,15 +609,6 @@ func RFFT(dst []complex128, x []float64) []complex128 {
 	return Plan(len(x)).RFFT(dst, x)
 }
 
-// IRFFT inverts a half-spectrum back to n real samples, reusing dst
-// when it has the capacity. See FFTPlan.IRFFT.
-func IRFFT(dst []float64, spec []complex128, n int) []float64 {
-	if n == 0 {
-		return dst[:0]
-	}
-	return Plan(n).IRFFT(dst, spec)
-}
-
 // MagnitudeInto writes |spec[i]| into dst (grown if needed) and
 // returns dst[:len(spec)].
 func MagnitudeInto(dst []float64, spec []complex128) []float64 {

@@ -119,7 +119,7 @@ func TestIRFFTInvertsRFFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 6, 16, 100, 256, 1000, 1024, 337} {
 		x := randReal(n, rng)
 		spec := RFFT(nil, x)
-		back := IRFFT(nil, spec, n)
+		back := Plan(n).IRFFT(nil, spec)
 		for i := range x {
 			if math.Abs(x[i]-back[i]) > 1e-8 {
 				t.Errorf("n=%d sample %d: %g vs %g", n, i, x[i], back[i])
@@ -139,7 +139,7 @@ func TestRFFTReusesDst(t *testing.T) {
 		t.Error("RFFT did not reuse dst")
 	}
 	rdst := make([]float64, 256)
-	back := IRFFT(rdst, got, 256)
+	back := Plan(256).IRFFT(rdst, got)
 	if &back[0] != &rdst[0] {
 		t.Error("IRFFT did not reuse dst")
 	}
@@ -196,7 +196,7 @@ func TestPlanConcurrentUse(t *testing.T) {
 				for _, n := range []int{64, 100, 1024} {
 					x := randReal(n, rng)
 					spec := RFFT(nil, x)
-					back := IRFFT(nil, spec, n)
+					back := Plan(n).IRFFT(nil, spec)
 					for i := range x {
 						if math.Abs(x[i]-back[i]) > 1e-8 {
 							t.Errorf("n=%d: concurrent round-trip mismatch", n)

@@ -118,7 +118,7 @@ func (in *Injector) Hook() func(*audio.Recording) *audio.Recording {
 		corrupt := fires(n, in.cfg.CorruptEvery)
 		drop := fires(n, in.cfg.DropChannelsEvery) && len(in.cfg.DropChannels) > 0
 		if (corrupt || drop) && rec != nil {
-			rec = rec.Clone() // never mutate the caller's recording
+			rec = cloneRecording(rec) // never mutate the caller's recording
 			if corrupt {
 				in.corrupted.Add(1)
 				corruptFrames(rec)
@@ -134,6 +134,15 @@ func (in *Injector) Hook() func(*audio.Recording) *audio.Recording {
 		}
 		return rec
 	}
+}
+
+// cloneRecording returns a deep copy of rec.
+func cloneRecording(rec *audio.Recording) *audio.Recording {
+	out := audio.NewRecording(rec.SampleRate, len(rec.Channels), rec.Len())
+	for i, ch := range rec.Channels {
+		copy(out.Channels[i], ch)
+	}
+	return out
 }
 
 // corruptFrames overwrites the middle eighth of every channel with NaN.

@@ -29,10 +29,6 @@ func NewDetector(seed uint64) *Detector {
 	return &Detector{net: ml.NewConvNet(cfg)}
 }
 
-// Config exposes the underlying network configuration for tuning
-// before Train is called.
-func (d *Detector) Config() *ml.ConvNetConfig { return &d.net.Cfg }
-
 // Train fits the network on waveforms at sample rate fs with labels
 // (LabelHuman / LabelSpoof).
 func (d *Detector) Train(waveforms [][]float64, fs float64, labels []int) error {

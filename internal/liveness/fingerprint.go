@@ -212,17 +212,10 @@ func (f *ArrayFingerprint) bandProfile(w *Workspace, rec *audio.Recording) ([]fl
 	return prof, nil
 }
 
-// Score returns a similarity score in (0, 1]: how well the capture's
-// band profile matches the enrolled array signature. Live captures
-// through the enrolled array score near 1; audio that crossed an extra
-// playback chain scores low.
-func (f *ArrayFingerprint) Score(rec *audio.Recording) (float64, error) {
-	w := workspaces.Get().(*Workspace)
-	defer workspaces.Put(w)
-	return f.ScoreWith(w, rec)
-}
-
-// ScoreWith is Score on the caller's workspace.
+// ScoreWith returns a similarity score in (0, 1], computed on the
+// caller's workspace: how well the capture's band profile matches the
+// enrolled array signature. Live captures through the enrolled array
+// score near 1; audio that crossed an extra playback chain scores low.
 func (f *ArrayFingerprint) ScoreWith(w *Workspace, rec *audio.Recording) (float64, error) {
 	if rec == nil || len(rec.Channels) == 0 {
 		return 0, fmt.Errorf("liveness: fingerprint scoring empty recording")
@@ -264,13 +257,3 @@ func (f *ArrayFingerprint) CheckWith(w *Workspace, rec *audio.Recording) (bool, 
 	}
 	return s >= f.cfg.Threshold, s, nil
 }
-
-// Threshold returns the configured accept threshold.
-func (f *ArrayFingerprint) Threshold() float64 { return f.cfg.Threshold }
-
-// Config returns the (defaulted) configuration the fingerprint was
-// trained with.
-func (f *ArrayFingerprint) Config() FingerprintConfig { return f.cfg }
-
-// SampleRate returns the enrollment sample rate.
-func (f *ArrayFingerprint) SampleRate() float64 { return f.sampleRate }

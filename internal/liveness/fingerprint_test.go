@@ -48,11 +48,11 @@ func trainedFingerprint(t *testing.T, taps int) *ArrayFingerprint {
 func TestFingerprintSeparatesColorations(t *testing.T) {
 	fp := trainedFingerprint(t, 1)
 
-	same, err := fp.Score(coloredCapture(500, 1, 24000))
+	_, same, err := fp.Check(coloredCapture(500, 1, 24000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := fp.Score(coloredCapture(501, 12, 24000))
+	_, other, err := fp.Check(coloredCapture(501, 12, 24000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,10 @@ func TestFingerprintTrainingValidation(t *testing.T) {
 	}
 
 	fp := trainedFingerprint(t, 1)
-	if _, err := fp.Score(audio.NewRecording(16000, 4, 8000)); err == nil {
+	if _, _, err := fp.Check(audio.NewRecording(16000, 4, 8000)); err == nil {
 		t.Fatal("scoring at a foreign sample rate should fail")
 	}
-	if _, err := fp.Score(nil); err == nil {
+	if _, _, err := fp.Check(nil); err == nil {
 		t.Fatal("scoring nil should fail")
 	}
 }
@@ -116,11 +116,11 @@ func TestFingerprintSaveLoadByteStable(t *testing.T) {
 
 	// The reloaded model scores identically.
 	rec := coloredCapture(600, 1, 24000)
-	s1, err := fp.Score(rec)
+	_, s1, err := fp.Check(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := loaded.Score(rec)
+	_, s2, err := loaded.Check(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestDetectorSeparatesHumanFromReplay(t *testing.T) {
 	}
 	trainW, trainY := synthPair(16, 11)
 	det := NewDetector(1)
-	det.Config().Epochs = 20
+	det.net.Cfg.Epochs = 20
 	if err := det.Train(trainW, 16000, trainY); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDetectorAdaptDoesNotDegrade(t *testing.T) {
 	}
 	trainW, trainY := synthPair(12, 13)
 	det := NewDetector(2)
-	det.Config().Epochs = 15
+	det.net.Cfg.Epochs = 15
 	if err := det.Train(trainW, 16000, trainY); err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDetectorErrors(t *testing.T) {
 func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	trainW, trainY := synthPair(6, 17)
 	det := NewDetector(4)
-	det.Config().Epochs = 4
+	det.net.Cfg.Epochs = 4
 	if err := det.Train(trainW, 16000, trainY); err != nil {
 		t.Fatal(err)
 	}

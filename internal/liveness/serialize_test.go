@@ -13,7 +13,7 @@ import (
 func TestDetectorRoundTripByteIdentical(t *testing.T) {
 	trainW, trainY := synthPair(6, 23)
 	det := NewDetector(4)
-	det.Config().Epochs = 2
+	det.net.Cfg.Epochs = 2
 	if err := det.Train(trainW, 16000, trainY); err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestDetectorRoundTripByteIdentical(t *testing.T) {
 func TestLoadTypedErrors(t *testing.T) {
 	trainW, trainY := synthPair(6, 29)
 	det := NewDetector(5)
-	det.Config().Epochs = 2
+	det.net.Cfg.Epochs = 2
 	if err := det.Train(trainW, 16000, trainY); err != nil {
 		t.Fatal(err)
 	}

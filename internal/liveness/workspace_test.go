@@ -116,7 +116,7 @@ func TestWorkspaceFramesMatchReference(t *testing.T) {
 // A reused Workspace scores both gates exactly as a fresh one does.
 func TestWorkspaceScoresMatchFresh(t *testing.T) {
 	det := NewDetector(3)
-	det.Config().Epochs = 2
+	det.net.Cfg.Epochs = 2
 	waves, labels := synthPair(3, 5)
 	if err := det.Train(waves, 16000, labels); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestWorkspaceScoresMatchFresh(t *testing.T) {
 // A warm Workspace scores both gates without allocating.
 func TestWorkspaceAllocFree(t *testing.T) {
 	det := NewDetector(3)
-	det.Config().Epochs = 1
+	det.net.Cfg.Epochs = 1
 	waves, labels := synthPair(2, 7)
 	if err := det.Train(waves, 16000, labels); err != nil {
 		t.Fatal(err)

@@ -494,12 +494,8 @@ func (c *ConvNet) trainBatch(x [][][]float64, y []int, batch []int) error {
 	return nil
 }
 
-// PredictProba returns the class-1 probability for a frame sequence.
-func (c *ConvNet) PredictProba(x [][]float64) (float64, error) {
-	return c.PredictProbaWith(&ConvNetWorkspace{}, x)
-}
-
-// PredictProbaWith is PredictProba running on ws's reused activations.
+// PredictProbaWith returns the class-1 probability for a frame
+// sequence, running on ws's reused activations.
 func (c *ConvNet) PredictProbaWith(ws *ConvNetWorkspace, x [][]float64) (float64, error) {
 	if c.dense2 == nil {
 		return 0, fmt.Errorf("ml: convnet: predict before fit")

@@ -54,7 +54,7 @@ func TestConvNetLearnsTemporalPattern(t *testing.T) {
 	tx, ty := sequenceData(40, 3)
 	correct := 0
 	for i := range tx {
-		p, err := net.PredictProba(tx[i])
+		p, err := net.PredictProbaWith(&ConvNetWorkspace{}, tx[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,7 +84,7 @@ func TestConvNetContinueFitImproves(t *testing.T) {
 		tx, ty := sequenceData(40, 5)
 		correct := 0
 		for i := range tx {
-			p, err := net.PredictProba(tx[i])
+			p, err := net.PredictProbaWith(&ConvNetWorkspace{}, tx[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func TestConvNetErrors(t *testing.T) {
 	if err := net.ContinueFit(nil, nil, 1); err == nil {
 		t.Error("expected error for ContinueFit before Fit")
 	}
-	if _, err := net.PredictProba([][]float64{{1, 2, 3, 4}}); err == nil {
+	if _, err := net.PredictProbaWith(&ConvNetWorkspace{}, [][]float64{{1, 2, 3, 4}}); err == nil {
 		t.Error("expected error for predict before fit")
 	}
 	// Sequence shorter than the kernel.
@@ -124,7 +124,7 @@ func TestConvNetErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	short := [][]float64{{0, 0, 0, 0, 0, 0}}
-	if _, err := net.PredictProba(short); err == nil {
+	if _, err := net.PredictProbaWith(&ConvNetWorkspace{}, short); err == nil {
 		t.Error("expected error for too-short sequence")
 	}
 }
@@ -156,7 +156,7 @@ func TestConvNetWorkspaceReuse(t *testing.T) {
 	}
 	var ws ConvNetWorkspace
 	for i, seq := range x {
-		want, err := net.PredictProba(seq)
+		want, err := net.PredictProbaWith(&ConvNetWorkspace{}, seq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,11 +110,11 @@ func TestConvNetSaveLoadRoundTrip(t *testing.T) {
 	}
 	tx, _ := sequenceData(10, 35)
 	for _, seq := range tx {
-		a, err := net.PredictProba(seq)
+		a, err := net.PredictProbaWith(&ConvNetWorkspace{}, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := loaded.PredictProba(seq)
+		b, err := loaded.PredictProbaWith(&ConvNetWorkspace{}, seq)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,7 +47,8 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 	}
 
 	// Stall A's worker: submit one request and wait for the hook.
-	if _, err := p.Submit(context.Background(), "faulty", serve.Request{ID: "stall", Recording: testRecording(1)}); err != nil {
+	faulty := engine(t, p, "faulty")
+	if _, err := faulty.Submit(context.Background(), serve.Request{ID: "stall", Recording: testRecording(1)}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -59,7 +60,7 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 	// Saturate A's queue until backpressure trips.
 	sawFull := false
 	for i := 0; i < 10 && !sawFull; i++ {
-		_, err := p.Submit(context.Background(), "faulty", serve.Request{ID: "fill-" + strconv.Itoa(i), Recording: testRecording(uint64(i + 2))})
+		_, err := faulty.Submit(context.Background(), serve.Request{ID: "fill-" + strconv.Itoa(i), Recording: testRecording(uint64(i + 2))})
 		sawFull = errors.Is(err, serve.ErrQueueFull)
 	}
 	if !sawFull {
@@ -67,21 +68,20 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 	}
 
 	// Force A's breaker open on top: both failure modes at once.
-	faulty, _ := p.Tenant("faulty")
-	faulty.Engine().TripBreaker()
-	if h := faulty.Health(); h.Breaker != "open" || h.QueueDepth != h.QueueCapacity {
+	faulty.TripBreaker()
+	if h := faulty.HealthSnapshot(); h.Breaker != "open" || h.QueueDepth != h.QueueCapacity {
 		t.Fatalf("tenant A not in the intended fault state: %+v", h)
 	}
 
 	// A keeps rejecting...
-	if _, err := p.Submit(context.Background(), "faulty", serve.Request{ID: "x", Recording: testRecording(50)}); !errors.Is(err, serve.ErrQueueFull) {
+	if _, err := faulty.Submit(context.Background(), serve.Request{ID: "x", Recording: testRecording(50)}); !errors.Is(err, serve.ErrQueueFull) {
 		t.Fatalf("tenant A submit = %v, want ErrQueueFull", err)
 	}
 
 	// ...while every one of B's requests succeeds.
 	const n = 50
 	for i := 0; i < n; i++ {
-		d, err := p.Decide(context.Background(), "healthy", testRecording(uint64(100+i)))
+		d, err := engine(t, p, "healthy").Decide(context.Background(), testRecording(uint64(100+i)))
 		if err != nil {
 			t.Fatalf("tenant B decide %d: %v", i, err)
 		}
@@ -117,7 +117,7 @@ func TestTenantIsolationUnderFault(t *testing.T) {
 
 // TestDrainDeliversExactlyOnce races concurrent drains against
 // in-flight submissions: accepted requests are delivered exactly once
-// each, and post-drain traffic gets a typed error.
+// each, and a drained pool routes no tenant.
 func TestDrainDeliversExactlyOnce(t *testing.T) {
 	sys, err := core.NewSystem(core.Config{})
 	if err != nil {
@@ -146,7 +146,11 @@ func TestDrainDeliversExactlyOnce(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			idx := i
-			_, err := p.Submit(context.Background(), "victim", serve.Request{
+			tn, ok := p.Tenant("victim")
+			if !ok {
+				return // unrouted by the drain: no callback owed
+			}
+			_, err := tn.Engine().Submit(context.Background(), serve.Request{
 				ID:        strconv.Itoa(i),
 				Recording: testRecording(uint64(i)),
 				Callback: func(r serve.Result) {
@@ -157,7 +161,7 @@ func TestDrainDeliversExactlyOnce(t *testing.T) {
 			switch {
 			case err == nil:
 				accepted.Add(1)
-			case errors.Is(err, ErrUnknownTenant), errors.Is(err, ErrPoolClosed), errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrQueueFull):
+			case errors.Is(err, serve.ErrClosed), errors.Is(err, serve.ErrQueueFull):
 				// Rejected before acceptance: typed, and no callback owed.
 			default:
 				t.Errorf("submit %d: unexpected error %v", i, err)
@@ -187,8 +191,11 @@ func TestDrainDeliversExactlyOnce(t *testing.T) {
 			t.Fatalf("request %d delivered %d times", i, c)
 		}
 	}
-	if _, err := p.Submit(context.Background(), "victim", serve.Request{ID: "late", Recording: testRecording(99)}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("post-drain submit = %v, want ErrPoolClosed", err)
+	if _, ok := p.Tenant("victim"); ok {
+		t.Fatal("drained pool still routes its tenant")
+	}
+	if _, err := p.AddTenant(testTenantConfig(t, "late")); !errors.Is(err, ErrPoolClosed) {
+		t.Fatalf("post-drain add = %v, want ErrPoolClosed", err)
 	}
 	if p.Len() != 0 {
 		t.Fatalf("pool still holds %d tenants", p.Len())

@@ -10,8 +10,9 @@
 // and instrument belongs to exactly one tenant, so one tenant's open
 // breaker or saturated queue can never reject another tenant's
 // requests (internal/pool's fault-injection tests assert this under
-// -race). Routing is by explicit tenant ID; a request without one fails
-// with ErrNoRoute. Tenants may be added and replaced at runtime —
+// -race). Callers route by explicit tenant ID: Tenant looks one up, and
+// its Engine serves the request. Tenants may be added and replaced at
+// runtime —
 // ReplaceTenant routes the new tenant first, then drains the old one's
 // in-flight work exactly once.
 package pool
@@ -24,12 +25,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"headtalk/internal/audio"
-	"headtalk/internal/core"
-	"headtalk/internal/fusion"
 	"headtalk/internal/metrics"
 	"headtalk/internal/serve"
-	"headtalk/internal/stream"
 )
 
 // Typed errors. Route failures wrap these with the offending tenant
@@ -42,8 +39,6 @@ var (
 	ErrTenantExists = errors.New("pool: tenant already exists")
 	// ErrPoolClosed: the pool has been drained or closed.
 	ErrPoolClosed = errors.New("pool: pool closed")
-	// ErrNoRoute: a request named no tenant (empty tenant ID).
-	ErrNoRoute = errors.New("pool: no route for anonymous request")
 )
 
 // Pool owns N named tenants behind one lookup map. All methods are
@@ -129,21 +124,6 @@ func (p *Pool) Len() int {
 	return len(p.tenants)
 }
 
-// resolve routes a request to its tenant by explicit ID.
-func (p *Pool) resolve(tenantID string) (*Tenant, error) {
-	if p.closed.Load() {
-		return nil, ErrPoolClosed
-	}
-	if tenantID == "" {
-		return nil, ErrNoRoute
-	}
-	t, ok := p.Tenant(tenantID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownTenant, tenantID)
-	}
-	return t, nil
-}
-
 // ReplaceTenant atomically swaps in a freshly built tenant for
 // cfg.ID: the new serving stack is fully constructed and started
 // BEFORE the old tenant (if any) is unrouted, so a failed build leaves
@@ -176,59 +156,6 @@ func (p *Pool) ReplaceTenant(ctx context.Context, cfg TenantConfig) (*Tenant, er
 		}
 	}
 	return t, nil
-}
-
-// Decide serves one decision through the named tenant's engine,
-// blocking for queue space and the decision, bounded by ctx.
-func (p *Pool) Decide(ctx context.Context, tenantID string, rec *audio.Recording) (core.Decision, error) {
-	t, err := p.resolve(tenantID)
-	if err != nil {
-		return core.Decision{}, err
-	}
-	return t.engine.Decide(ctx, rec)
-}
-
-// DecideFused serves one multi-array room-level decision through the
-// named tenant's engine: every array's capture runs the pipeline, and
-// the per-array posteriors are fused (health-weighted) into a single
-// accept/reject.
-func (p *Pool) DecideFused(ctx context.Context, tenantID string, arrays []serve.ArrayInput) (fusion.RoomDecision, []fusion.ArrayReport, error) {
-	t, err := p.resolve(tenantID)
-	if err != nil {
-		return fusion.RoomDecision{}, nil, err
-	}
-	return t.engine.DecideFused(ctx, arrays)
-}
-
-// PushFrames feeds one multichannel chunk into the named streaming
-// session of the named tenant's engine. Tenants built without
-// TenantConfig.Streaming fail with serve.ErrNoStream.
-func (p *Pool) PushFrames(ctx context.Context, tenantID, sessionID string, frame [][]float64) (stream.PushResult, error) {
-	t, err := p.resolve(tenantID)
-	if err != nil {
-		return stream.PushResult{}, err
-	}
-	return t.engine.PushFrames(ctx, sessionID, frame)
-}
-
-// EndSession removes one streaming session from the named tenant's
-// engine, reporting whether it existed.
-func (p *Pool) EndSession(tenantID, sessionID string) (bool, error) {
-	t, err := p.resolve(tenantID)
-	if err != nil {
-		return false, err
-	}
-	return t.engine.EndSession(sessionID)
-}
-
-// Submit enqueues a request on the named tenant's engine with Submit
-// semantics: never blocks, ErrQueueFull on that tenant's full queue.
-func (p *Pool) Submit(ctx context.Context, tenantID string, req serve.Request) (<-chan serve.Result, error) {
-	t, err := p.resolve(tenantID)
-	if err != nil {
-		return nil, err
-	}
-	return t.engine.Submit(ctx, req)
 }
 
 // Health aggregates per-tenant serving fitness.

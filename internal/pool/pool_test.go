@@ -50,6 +50,17 @@ func newTestPool(t *testing.T, ids ...string) *Pool {
 	return p
 }
 
+// engine returns the serving engine of tenant id, looked up the way
+// headtalkd and cluster route a request.
+func engine(t *testing.T, p *Pool, id string) *serve.Engine {
+	t.Helper()
+	tn, ok := p.Tenant(id)
+	if !ok {
+		t.Fatalf("pool routes no tenant %q", id)
+	}
+	return tn.Engine()
+}
+
 func TestPoolAddDecideRemove(t *testing.T) {
 	p := newTestPool(t, "lab", "home")
 	if got := p.Tenants(); len(got) != 2 || got[0] != "home" || got[1] != "lab" {
@@ -59,7 +70,7 @@ func TestPoolAddDecideRemove(t *testing.T) {
 		t.Fatalf("len = %d", p.Len())
 	}
 	for _, id := range []string{"lab", "home"} {
-		d, err := p.Decide(context.Background(), id, testRecording(1))
+		d, err := engine(t, p, id).Decide(context.Background(), testRecording(1))
 		if err != nil {
 			t.Fatalf("decide %s: %v", id, err)
 		}
@@ -67,14 +78,14 @@ func TestPoolAddDecideRemove(t *testing.T) {
 			t.Fatalf("decide %s: %+v", id, d)
 		}
 	}
-	if _, err := p.Decide(context.Background(), "ghost", testRecording(2)); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("unknown tenant decide = %v, want ErrUnknownTenant", err)
+	if _, ok := p.Tenant("ghost"); ok {
+		t.Fatal("pool routes an unknown tenant")
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(context.Background(), "lab", testRecording(3)); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("closed pool decide = %v, want ErrPoolClosed", err)
+	if _, ok := p.Tenant("lab"); ok {
+		t.Fatal("closed pool still routes its tenants")
 	}
 	if p.Len() != 0 {
 		t.Fatalf("len after close = %d", p.Len())
@@ -102,40 +113,12 @@ func TestTenantConfigValidation(t *testing.T) {
 	}
 }
 
-// TestPoolEmptyTenantIDIsNoRoute: every entry point refuses a request
-// that names no tenant, even with tenants in the pool.
+// TestPoolEmptyTenantIDIsNoRoute: a lookup that names no tenant finds
+// none, even with tenants in the pool.
 func TestPoolEmptyTenantIDIsNoRoute(t *testing.T) {
 	p := newTestPool(t, "lab")
-	ctx := context.Background()
-	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
-	for _, tc := range []struct {
-		name string
-		call func() error
-	}{
-		{"Decide", func() error {
-			_, err := p.Decide(ctx, "", testRecording(4))
-			return err
-		}},
-		{"DecideFused", func() error {
-			_, _, err := p.DecideFused(ctx, "", []serve.ArrayInput{{Recording: testRecording(5)}})
-			return err
-		}},
-		{"Submit", func() error {
-			_, err := p.Submit(ctx, "", serve.Request{ID: "r", Recording: testRecording(6)})
-			return err
-		}},
-		{"PushFrames", func() error {
-			_, err := p.PushFrames(ctx, "", "s", chunk)
-			return err
-		}},
-		{"EndSession", func() error {
-			_, err := p.EndSession("", "s")
-			return err
-		}},
-	} {
-		if err := tc.call(); !errors.Is(err, ErrNoRoute) {
-			t.Errorf("%s with empty tenant ID = %v, want ErrNoRoute", tc.name, err)
-		}
+	if tn, ok := p.Tenant(""); ok || tn != nil {
+		t.Fatalf("empty tenant ID routed to %v", tn)
 	}
 }
 
@@ -177,8 +160,8 @@ func TestPoolClosedSemantics(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(context.Background(), "lab", testRecording(6)); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("decide after close = %v, want ErrPoolClosed", err)
+	if _, ok := p.Tenant("lab"); ok {
+		t.Fatal("closed pool still routes its tenants")
 	}
 	if _, err := p.AddTenant(testTenantConfig(t, "late")); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("add after close = %v, want ErrPoolClosed", err)
@@ -227,11 +210,11 @@ func TestPoolHealthSnapshot(t *testing.T) {
 func TestPoolSnapshotPrefixesTenants(t *testing.T) {
 	p := newTestPool(t, "lab", "home")
 	for i := 0; i < 3; i++ {
-		if _, err := p.Decide(context.Background(), "lab", testRecording(uint64(10+i))); err != nil {
+		if _, err := engine(t, p, "lab").Decide(context.Background(), testRecording(uint64(10+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := p.Decide(context.Background(), "home", testRecording(20)); err != nil {
+	if _, err := engine(t, p, "home").Decide(context.Background(), testRecording(20)); err != nil {
 		t.Fatal(err)
 	}
 	s := p.Snapshot()
@@ -314,14 +297,14 @@ func TestReplaceTenantSwapsAtomically(t *testing.T) {
 		t.Fatalf("old engine not drained: %v", err)
 	}
 	// The replacement serves.
-	if _, err := p.Decide(context.Background(), "x", testRecording(2)); err != nil {
+	if _, err := engine(t, p, "x").Decide(context.Background(), testRecording(2)); err != nil {
 		t.Fatalf("replacement tenant decide: %v", err)
 	}
 	// A failed build must leave the current tenant serving.
 	if _, err := p.ReplaceTenant(context.Background(), TenantConfig{ID: "x"}); err == nil {
 		t.Fatal("ReplaceTenant with no System should fail")
 	}
-	if _, err := p.Decide(context.Background(), "x", testRecording(3)); err != nil {
+	if _, err := engine(t, p, "x").Decide(context.Background(), testRecording(3)); err != nil {
 		t.Fatalf("tenant lost after failed replace: %v", err)
 	}
 }

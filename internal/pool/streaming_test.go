@@ -50,16 +50,13 @@ func TestPoolStreamingPerTenant(t *testing.T) {
 	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
 	// Same session ID on both tenants: two distinct sessions.
 	for _, id := range []string{"t1", "t2"} {
-		if _, err := p.PushFrames(context.Background(), id, "kitchen", chunk); err != nil {
+		if _, err := engine(t, p, id).PushFrames(context.Background(), "kitchen", chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
 	t1, _ := p.Tenant("t1")
 	t2, _ := p.Tenant("t2")
-	if t1.Streams() == t2.Streams() {
-		t.Fatal("tenants share a session manager")
-	}
-	if got := t1.Streams().Len(); got != 1 {
+	if got := sessions(t1); got != 1 {
 		t.Fatalf("t1 has %d sessions, want 1", got)
 	}
 	snap := p.Snapshot()
@@ -69,25 +66,30 @@ func TestPoolStreamingPerTenant(t *testing.T) {
 		}
 	}
 	// Ending t1's session leaves t2's alone.
-	if ok, err := p.EndSession("t1", "kitchen"); err != nil || !ok {
+	if ok, err := t1.Engine().EndSession("kitchen"); err != nil || !ok {
 		t.Fatalf("EndSession(t1) = %v, %v", ok, err)
 	}
-	if got := t1.Streams().Len(); got != 0 {
+	if got := sessions(t1); got != 0 {
 		t.Fatalf("t1 has %d sessions after end, want 0", got)
 	}
-	if got := t2.Streams().Len(); got != 1 {
+	if got := sessions(t2); got != 1 {
 		t.Fatalf("t2 has %d sessions after t1 end, want 1", got)
 	}
 }
 
-// TestPoolStreamingRouting: unknown tenants fail, tenants without
-// streaming fail with serve.ErrNoStream.
+// sessions reads tenant tn's active streaming-session gauge.
+func sessions(tn *Tenant) int64 {
+	return tn.Metrics().Snapshot().Gauges["stream.sessions.active"]
+}
+
+// TestPoolStreamingRouting: the pool routes no unknown tenant, and a
+// tenant without streaming fails with serve.ErrNoStream.
 func TestPoolStreamingRouting(t *testing.T) {
 	p := New()
 	defer p.Close()
 	chunk := [][]float64{make([]float64, 480), make([]float64, 480)}
-	if _, err := p.PushFrames(context.Background(), "ghost", "s", chunk); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("unknown tenant = %v, want ErrUnknownTenant", err)
+	if _, ok := p.Tenant("ghost"); ok {
+		t.Fatal("pool routes an unknown tenant")
 	}
 	sys, err := core.NewSystem(core.Config{})
 	if err != nil {
@@ -96,10 +98,10 @@ func TestPoolStreamingRouting(t *testing.T) {
 	if _, err := p.AddTenant(TenantConfig{ID: "plain", System: sys}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.PushFrames(context.Background(), "plain", "s", chunk); !errors.Is(err, serve.ErrNoStream) {
+	if _, err := engine(t, p, "plain").PushFrames(context.Background(), "s", chunk); !errors.Is(err, serve.ErrNoStream) {
 		t.Fatalf("tenant without streaming = %v, want serve.ErrNoStream", err)
 	}
-	if _, err := p.EndSession("plain", "s"); !errors.Is(err, serve.ErrNoStream) {
+	if _, err := engine(t, p, "plain").EndSession("s"); !errors.Is(err, serve.ErrNoStream) {
 		t.Fatalf("EndSession without streaming = %v, want serve.ErrNoStream", err)
 	}
 }

@@ -148,9 +148,5 @@ func (t *Tenant) Metrics() *metrics.Registry { return t.registry }
 // Traces returns the tenant's private trace store.
 func (t *Tenant) Traces() *trace.Store { return t.traces }
 
-// Streams returns the tenant's streaming session manager (nil when the
-// tenant was built without TenantConfig.Streaming).
-func (t *Tenant) Streams() *stream.Manager { return t.engine.Streams() }
-
 // Health reports the tenant's serving fitness.
 func (t *Tenant) Health() serve.Health { return t.engine.HealthSnapshot() }

@@ -14,8 +14,8 @@ import (
 // its stored bytes, the batch is folded in with
 // orientation.IncrementalUpdate (self-training: only high-confidence
 // pseudo-labels are absorbed), and the result is stored as a new
-// CANDIDATE version — never auto-promoted, and never shadow-scored
-// until an operator asks for it (Registry.Shadow).
+// CANDIDATE version. It never promotes itself: it goes live only
+// through Promote.
 type AdaptConfig struct {
 	// Disable turns online adaptation off entirely.
 	Disable bool

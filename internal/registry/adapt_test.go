@@ -49,7 +49,7 @@ func TestAdaptNowBuildsCandidate(t *testing.T) {
 	}
 	// The candidate never auto-promotes: the active version is
 	// untouched.
-	if got := reg.ModelSet().Version(KindOrientation); got != active {
+	if got := reg.ModelSet().Versions[KindOrientation]; got != active {
 		t.Fatalf("adaptation hot-swapped itself in: serving v%d, want v%d", got, active)
 	}
 	var found *VersionInfo
@@ -97,10 +97,9 @@ func TestAdaptBatchTriggersInBackground(t *testing.T) {
 	reg.WaitAdapt()
 
 	// The batch build stored one new candidate beside the untouched
-	// active version, and nothing entered shadow evaluation.
-	after := reg.ModelSet()
-	if after.Version(KindOrientation) != active || after.Shadow != nil {
-		t.Fatalf("batch build changed serving: active v%d, shadow %v", after.Version(KindOrientation), after.Shadow != nil)
+	// active version.
+	if got := reg.ModelSet().Versions[KindOrientation]; got != active {
+		t.Fatalf("batch build changed serving: active v%d, want v%d", got, active)
 	}
 	candidates := 0
 	for _, st := range reg.Status() {
@@ -189,32 +188,6 @@ func TestDriftDetectorTripsOnShift(t *testing.T) {
 		t.Fatalf("promote did not reset drift state: %+v", st)
 	}
 	_ = v1
-}
-
-func TestShadowDivergenceMetered(t *testing.T) {
-	m := metrics.NewRegistry()
-	reg := New(Config{Metrics: m})
-	if _, err := reg.Install(KindOrientation, trainedModel(t, 48, 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	cand, err := reg.AddModel(KindOrientation, trainedModel(t, 49, 3.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Shadow(cand); err != nil {
-		t.Fatal(err)
-	}
-	set := reg.ModelSet()
-	set.OnShadow(1, 1, 0.9, 0.8)  // agree
-	set.OnShadow(1, 0, 0.9, -0.2) // diverge
-	set.OnShadow(0, 0, -0.5, -0.4)
-	snap := m.Snapshot()
-	if snap.Counters["registry_shadow_scored_total"] != 3 {
-		t.Fatalf("shadow scored %d, want 3", snap.Counters["registry_shadow_scored_total"])
-	}
-	if snap.Counters["registry_shadow_diverged_total"] != 1 {
-		t.Fatalf("shadow diverged %d, want 1", snap.Counters["registry_shadow_diverged_total"])
-	}
 }
 
 // Once a build has run, the adaptation hook copies accepted feature

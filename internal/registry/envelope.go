@@ -1,7 +1,7 @@
 // Package registry is the versioned model store behind every decision
 // pipeline: an immutable, per-tenant catalog of trained model
-// documents with atomic hot-swap, rollback, shadow evaluation of
-// candidate versions, and online adaptation from accepted decisions.
+// documents with atomic hot-swap, rollback, and online adaptation from
+// accepted decisions.
 // Decisions resolve their models through one atomic pointer load (a
 // ModelSet is immutable once published), so a promote or rollback
 // never exposes a torn set to an in-flight request and never requires
@@ -95,14 +95,6 @@ func (e *Envelope) Verify() error {
 		return fmt.Errorf("%w: payload hashes to %s, envelope says %s", ErrModelCorrupt, got, e.Checksum)
 	}
 	return nil
-}
-
-// Open verifies the envelope and returns its payload bytes.
-func (e *Envelope) Open() ([]byte, error) {
-	if err := e.Verify(); err != nil {
-		return nil, err
-	}
-	return e.Payload, nil
 }
 
 // WriteEnvelopeFile persists an envelope to path atomically (see

@@ -33,16 +33,12 @@ const (
 func Kinds() []Kind { return []Kind{KindOrientation, KindLiveness, KindArrayFingerprint} }
 
 // State is a version's position in the lifecycle:
-// candidate → shadow → active → archived.
+// candidate → active → archived.
 type State string
 
 const (
-	// StateCandidate: stored and validated, not yet serving or
-	// shadow-scoring.
+	// StateCandidate: stored and validated, not yet serving.
 	StateCandidate State = "candidate"
-	// StateShadow: scores every request alongside the active version;
-	// never decides.
-	StateShadow State = "shadow"
 	// StateActive: the one version whose scores decide.
 	StateActive State = "active"
 	// StateArchived: superseded; retained for rollback until pruned.
@@ -52,9 +48,8 @@ const (
 // ModelSet is one immutable, internally-consistent view of every model
 // the decision pipeline needs. The registry publishes a new set behind
 // an atomic pointer on every mutation; a decision loads the pointer
-// once and works from that set for its whole lifetime, so hot-swap,
-// rollback and shadow changes are atomic with respect to in-flight
-// requests — no decision ever sees the orientation model from one
+// once and works from that set for its whole lifetime, so hot-swap
+// and rollback are atomic with respect to in-flight requests — no decision ever sees the orientation model from one
 // version and the liveness model from another.
 //
 // A ModelSet and everything it references MUST be treated as
@@ -79,35 +74,18 @@ type ModelSet struct {
 	// (fail closed) instead of skipping the gate.
 	RequireEnsemble bool
 
-	// Shadow is the candidate orientation model under shadow
-	// evaluation, or nil. It scores every orientation-gated request;
-	// its result never decides.
-	Shadow *orientation.Model
-
 	// Versions records the registry version number serving each kind
-	// (0 = unversioned/static); ShadowVersion likewise for Shadow.
-	Versions      map[Kind]uint64
-	ShadowVersion uint64
+	// (0 = unversioned/static).
+	Versions map[Kind]uint64
 
 	// Hooks, all optional and called synchronously on the decision
 	// path (keep them cheap; the registry's own hooks only touch
 	// atomics and a mutex-guarded slice append):
 	//   OnScore    — every active-orientation score (drift detection).
-	//   OnShadow   — every paired active/shadow score (divergence).
 	//   OnAccepted — every fully-accepted decision; feats is only
 	//                valid during the call and must be copied.
 	OnScore    func(score float64)
-	OnShadow   func(activePred, shadowPred int, activeScore, shadowScore float64)
 	OnAccepted func(feats []float64, score float64)
-}
-
-// Version return the registry version number serving kind (0 when the
-// set is static or the kind is unmanaged).
-func (s *ModelSet) Version(k Kind) uint64 {
-	if s == nil || s.Versions == nil {
-		return 0
-	}
-	return s.Versions[k]
 }
 
 // Model returns the set's model of kind k, typed as DecodeModel
@@ -161,11 +139,11 @@ func (s *Static) ModelSet() *ModelSet { return s.set }
 // Config tunes a Registry.
 type Config struct {
 	// Metrics receives registry instrumentation (swap/rollback
-	// counters, shadow divergence, drift gauges). Optional.
+	// counters, drift gauges). Optional.
 	Metrics *metrics.Registry
 	// MaxVersionsPerKind bounds retained versions per kind; the oldest
-	// archived versions are pruned beyond it (never the active,
-	// previous-active, or shadow version). Default 8.
+	// archived versions are pruned beyond it (never the active or
+	// previous-active version). Default 8.
 	MaxVersionsPerKind int
 	// Adapt tunes online adaptation from accepted decisions.
 	Adapt AdaptConfig
@@ -206,18 +184,15 @@ type Version struct {
 // kindState tracks one model family's versions and lifecycle pointers.
 type kindState struct {
 	versions map[uint64]*Version
-	// active / prevActive / shadow are version numbers (0 = none).
+	// active / prevActive are version numbers (0 = none).
 	active     uint64
 	prevActive uint64
-	shadow     uint64
 }
 
 // instruments is the registry's metrics surface.
 type instruments struct {
 	swaps      *metrics.Counter
 	rollbacks  *metrics.Counter
-	shadowRuns *metrics.Counter
-	shadowDiv  *metrics.Counter
 	adaptAccum *metrics.Counter
 	adaptBuilt *metrics.Counter
 	driftTrips *metrics.Counter
@@ -231,8 +206,6 @@ func newInstruments(m *metrics.Registry) *instruments {
 	return &instruments{
 		swaps:      m.Counter("registry_swaps_total"),
 		rollbacks:  m.Counter("registry_rollbacks_total"),
-		shadowRuns: m.Counter("registry_shadow_scored_total"),
-		shadowDiv:  m.Counter("registry_shadow_diverged_total"),
 		adaptAccum: m.Counter("registry_adapt_accepted_total"),
 		adaptBuilt: m.Counter("registry_adapt_candidates_total"),
 		driftTrips: m.Counter("registry_drift_trips_total"),
@@ -273,9 +246,6 @@ func New(cfg Config) *Registry {
 	r.publishLocked()
 	return r
 }
-
-// Config returns the registry's (defaulted) configuration.
-func (r *Registry) Config() Config { return r.cfg }
 
 // ModelSet implements Provider: one atomic load, immutable result.
 func (r *Registry) ModelSet() *ModelSet { return r.set.Load() }
@@ -383,8 +353,7 @@ func (r *Registry) Install(k Kind, model any) (uint64, error) {
 // hot-swapping the published ModelSet. The previously active version
 // is archived and retained for Rollback. In-flight decisions keep the
 // set they already resolved; new decisions see the new set — no drain,
-// no torn state. If num is the current shadow version, the shadow slot
-// is cleared (it graduated).
+// no torn state.
 func (r *Registry) Promote(k Kind, num uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -402,9 +371,6 @@ func (r *Registry) Promote(k Kind, num uint64) error {
 	ks.prevActive = ks.active
 	ks.active = num
 	v.State = StateActive
-	if ks.shadow == num {
-		ks.shadow = 0
-	}
 	r.publishLocked()
 	if r.ins != nil {
 		r.ins.swaps.Inc()
@@ -443,31 +409,6 @@ func (r *Registry) Rollback(k Kind) (uint64, error) {
 		r.drift.reset()
 	}
 	return ks.active, nil
-}
-
-// Shadow puts orientation version num under shadow evaluation: it
-// scores every orientation-gated request alongside the active version,
-// divergence is metered, and its result never decides. Only the
-// orientation family shadow-scores (the liveness gates are binary and
-// cheap to A/B offline).
-func (r *Registry) Shadow(num uint64) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ks := r.kind(KindOrientation)
-	v := ks.versions[num]
-	if v == nil {
-		return fmt.Errorf("registry: orientation version %d not found", num)
-	}
-	if ks.active == num {
-		return fmt.Errorf("registry: orientation version %d is already active", num)
-	}
-	if old := ks.versions[ks.shadow]; old != nil && old.State == StateShadow {
-		old.State = StateCandidate
-	}
-	ks.shadow = num
-	v.State = StateShadow
-	r.publishLocked()
-	return nil
 }
 
 // ImportActive installs payload as version num of kind and makes it
@@ -536,7 +477,6 @@ type VersionInfo struct {
 type KindStatus struct {
 	Kind     Kind          `json:"kind"`
 	Active   uint64        `json:"active"`
-	Shadow   uint64        `json:"shadow,omitempty"`
 	Previous uint64        `json:"previous,omitempty"`
 	Versions []VersionInfo `json:"versions"`
 }
@@ -552,7 +492,7 @@ func (r *Registry) Status() []KindStatus {
 		if ks == nil || len(ks.versions) == 0 {
 			continue
 		}
-		st := KindStatus{Kind: k, Active: ks.active, Shadow: ks.shadow, Previous: ks.prevActive}
+		st := KindStatus{Kind: k, Active: ks.active, Previous: ks.prevActive}
 		for _, v := range ks.versions {
 			st.Versions = append(st.Versions, VersionInfo{Kind: v.Kind, Number: v.Number, Checksum: v.Checksum, State: v.State})
 		}
@@ -567,8 +507,8 @@ func (r *Registry) Status() []KindStatus {
 func (r *Registry) DriftState() DriftState { return r.drift.state() }
 
 // pruneLocked drops the oldest archived/candidate versions beyond
-// MaxVersionsPerKind. The active, previous-active and shadow versions
-// are never pruned.
+// MaxVersionsPerKind. The active and previous-active versions are never
+// pruned.
 func (r *Registry) pruneLocked(ks *kindState) {
 	max := r.cfg.MaxVersionsPerKind
 	if max <= 0 || len(ks.versions) <= max {
@@ -583,7 +523,7 @@ func (r *Registry) pruneLocked(ks *kindState) {
 		if len(ks.versions) <= max {
 			break
 		}
-		if n == ks.active || n == ks.prevActive || n == ks.shadow {
+		if n == ks.active || n == ks.prevActive {
 			continue
 		}
 		delete(ks.versions, n)
@@ -611,32 +551,10 @@ func (r *Registry) publishLocked() {
 		set.SetModel(m)
 		set.Versions[k] = v.Number
 	}
-	if ks := r.kinds[KindOrientation]; ks != nil && ks.shadow != 0 {
-		if v := ks.versions[ks.shadow]; v != nil {
-			if m, err := DecodeModel(KindOrientation, v.Bytes); err == nil {
-				set.Shadow = m.(*orientation.Model)
-				set.ShadowVersion = v.Number
-			}
-		}
-	}
 	// Wire the registry's own observation hooks.
 	set.OnScore = r.drift.observe
-	if set.Shadow != nil {
-		set.OnShadow = r.observeShadow
-	}
 	if !r.cfg.Adapt.Disable {
 		set.OnAccepted = r.adapt.observe
 	}
 	r.set.Store(set)
-}
-
-// observeShadow meters paired active/shadow scoring.
-func (r *Registry) observeShadow(activePred, shadowPred int, activeScore, shadowScore float64) {
-	if r.ins == nil {
-		return
-	}
-	r.ins.shadowRuns.Inc()
-	if activePred != shadowPred {
-		r.ins.shadowDiv.Inc()
-	}
 }

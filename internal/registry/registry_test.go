@@ -60,12 +60,11 @@ func TestEnvelopeSealVerifyOpen(t *testing.T) {
 	if env.Version != EnvelopeVersion || env.Kind != "orientation" || env.ModelVersion != 3 {
 		t.Fatalf("envelope header %+v", env)
 	}
-	got, err := env.Open()
-	if err != nil {
+	if err := env.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload %q, want %q", got, payload)
+	if !bytes.Equal(env.Payload, payload) {
+		t.Fatalf("payload %q, want %q", env.Payload, payload)
 	}
 
 	// Tampered payload must fail the checksum.
@@ -125,8 +124,8 @@ func TestEnvelopeFileKeepsPayloadVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := env.Open(); err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("payload read back as %q, %v; want %q", got, err, payload)
+	if err := env.Verify(); err != nil || !bytes.Equal(env.Payload, payload) {
+		t.Fatalf("payload read back as %q, %v; want %q", env.Payload, err, payload)
 	}
 	// The trailing newline json.Encoder writes is sealed away, not
 	// written into a checksum no file can match.
@@ -158,11 +157,10 @@ func FuzzReadEnvelopeFile(f *testing.F) {
 			}
 			return
 		}
-		payload, err := env.Open()
-		if err != nil {
-			t.Fatalf("read envelope does not open: %v", err)
+		if err := env.Verify(); err != nil {
+			t.Fatalf("read envelope does not verify: %v", err)
 		}
-		if got := Seal(Kind(env.Kind), env.ModelVersion, payload).Checksum; got != env.Checksum {
+		if got := Seal(Kind(env.Kind), env.ModelVersion, env.Payload).Checksum; got != env.Checksum {
 			t.Fatalf("payload re-seals to %s, file says %s", got, env.Checksum)
 		}
 	})
@@ -203,7 +201,7 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := reg.ModelSet()
-	if set.Orientation == nil || set.Version(KindOrientation) != v1 {
+	if set.Orientation == nil || set.Versions[KindOrientation] != v1 {
 		t.Fatalf("after install: set %+v", set.Versions)
 	}
 	b1, n1 := reg.ActiveBytes(KindOrientation)
@@ -217,13 +215,13 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A candidate must not serve.
-	if got := reg.ModelSet().Version(KindOrientation); got != v1 {
+	if got := reg.ModelSet().Versions[KindOrientation]; got != v1 {
 		t.Fatalf("candidate leaked into serving set: v%d", got)
 	}
 	if err := reg.Promote(KindOrientation, v2); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.ModelSet().Version(KindOrientation); got != v2 {
+	if got := reg.ModelSet().Versions[KindOrientation]; got != v2 {
 		t.Fatalf("after promote: serving v%d, want v%d", got, v2)
 	}
 
@@ -240,7 +238,7 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatalf("rollback not byte-exact: %d bytes v%d vs %d bytes v%d", len(b1), n1, len(b1Again), n1Again)
 	}
 	// The served model decodes from those same bytes.
-	if reg.ModelSet().Version(KindOrientation) != v1 {
+	if reg.ModelSet().Versions[KindOrientation] != v1 {
 		t.Fatal("serving set disagrees with ActiveBytes after rollback")
 	}
 
@@ -267,41 +265,46 @@ func TestRollbackWithoutHistoryFails(t *testing.T) {
 	}
 }
 
-func TestShadowLifecycle(t *testing.T) {
+// TestLifecycleStates walks one version through the lifecycle:
+// candidate (stored, not serving) → active → archived (kept as the
+// rollback target).
+func TestLifecycleStates(t *testing.T) {
 	reg := New(Config{})
-	if _, err := reg.Install(KindOrientation, trainedModel(t, 4, 2.0)); err != nil {
+	v1, err := reg.Install(KindOrientation, trainedModel(t, 4, 2.0))
+	if err != nil {
 		t.Fatal(err)
 	}
 	cand, err := reg.AddModel(KindOrientation, trainedModel(t, 5, 3.0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reg.Shadow(cand); err != nil {
-		t.Fatal(err)
+	states := func() map[uint64]State {
+		out := map[uint64]State{}
+		for _, st := range reg.Status() {
+			for _, v := range st.Versions {
+				out[v.Number] = v.State
+			}
+		}
+		return out
 	}
-	set := reg.ModelSet()
-	if set.Shadow == nil || set.ShadowVersion != cand {
-		t.Fatalf("shadow not published: version %d", set.ShadowVersion)
+	if got := states(); got[v1] != StateActive || got[cand] != StateCandidate {
+		t.Fatalf("after add: states %v", got)
 	}
-	if set.OnShadow == nil {
-		t.Fatal("shadow set without OnShadow hook")
+	if got := reg.ModelSet().Versions[KindOrientation]; got != v1 {
+		t.Fatalf("a candidate went live: serving v%d, want v%d", got, v1)
 	}
 
-	// Promoting the shadow graduates it: shadow slot clears.
 	if err := reg.Promote(KindOrientation, cand); err != nil {
 		t.Fatal(err)
 	}
-	set = reg.ModelSet()
-	if set.Shadow != nil || set.ShadowVersion != 0 {
-		t.Fatal("promoted shadow should leave the shadow slot empty")
+	if got := states(); got[v1] != StateArchived || got[cand] != StateActive {
+		t.Fatalf("after promote: states %v", got)
 	}
-	if set.Version(KindOrientation) != cand {
-		t.Fatalf("promoted shadow not active: v%d", set.Version(KindOrientation))
+	if got := reg.ModelSet().Versions[KindOrientation]; got != cand {
+		t.Fatalf("promoted candidate not serving: v%d", got)
 	}
-
-	// Shadowing the active version is an error.
-	if err := reg.Shadow(cand); err == nil {
-		t.Fatal("shadowing the active version should fail")
+	if st := reg.Status()[0]; st.Active != cand || st.Previous != v1 {
+		t.Fatalf("status %+v, want active v%d with previous v%d", st, cand, v1)
 	}
 }
 
@@ -438,7 +441,7 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 					errs <- errors.New("resolved set lost its orientation model mid-swap")
 					return
 				}
-				got := set.Version(KindOrientation)
+				got := set.Versions[KindOrientation]
 				if got != v1 && got != v2 {
 					errs <- errors.New("resolved set serves an unknown version")
 					return

@@ -7,7 +7,6 @@ import (
 )
 
 func sqrtf(x float64) float64 { return math.Sqrt(x) }
-func cosf(x float64) float64  { return math.Cos(x) }
 func sinf(x float64) float64  { return math.Sin(x) }
 
 // Directivity models the angular radiation pattern of a sound source

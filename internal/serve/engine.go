@@ -251,16 +251,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Metrics returns the engine's registry (its own or the shared one
-// from Config).
-func (e *Engine) Metrics() *metrics.Registry { return e.cfg.Metrics }
-
-// Snapshot scrapes the engine's metrics registry.
-func (e *Engine) Snapshot() metrics.Snapshot { return e.cfg.Metrics.Snapshot() }
-
-// Workers returns the configured pool size.
-func (e *Engine) Workers() int { return e.cfg.Workers }
-
 // Start launches the worker pool. It errors if the engine was already
 // started or closed.
 func (e *Engine) Start() error {
@@ -455,10 +445,6 @@ func (e *Engine) maybeTrace(ctx context.Context) context.Context {
 	}
 	return trace.NewContext(ctx, e.cfg.Traces.NewRecorder())
 }
-
-// Traces returns the engine's trace store (nil when tracing is not
-// configured).
-func (e *Engine) Traces() *trace.Store { return e.cfg.Traces }
 
 // enqueue places a task on the queue. block selects Decide semantics
 // (wait for space until ctx expires) versus Submit semantics (fail

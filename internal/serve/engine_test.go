@@ -178,7 +178,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			t.Fatal("queue never filled")
 		}
 	}
-	if eng.Metrics().Snapshot().Counters["serve.rejected.queue_full"] == 0 {
+	if eng.cfg.Metrics.Snapshot().Counters["serve.rejected.queue_full"] == 0 {
 		t.Fatal("queue-full rejection not counted")
 	}
 	// Backpressure clears once the worker resumes: every accepted
@@ -215,7 +215,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	if res.Decision.Accepted {
 		t.Fatal("expired request must not carry an accepted decision")
 	}
-	if eng.Metrics().Snapshot().Counters["serve.expired.deadline"] != 1 {
+	if eng.cfg.Metrics.Snapshot().Counters["serve.expired.deadline"] != 1 {
 		t.Fatal("deadline expiry not counted")
 	}
 }
@@ -318,7 +318,7 @@ func TestEngineMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := eng.Snapshot()
+	s := reg.Snapshot()
 	if s.Counters["serve.submitted.total"] != 5 || s.Counters["serve.completed.total"] != 5 {
 		t.Fatalf("submitted/completed = %d/%d, want 5/5",
 			s.Counters["serve.submitted.total"], s.Counters["serve.completed.total"])

@@ -48,10 +48,6 @@ func (e *Engine) streamDecide(ctx context.Context, rec *audio.Recording, spans s
 	return e.Decide(ctx, rec)
 }
 
-// Streams returns the engine's streaming session manager (nil when
-// streaming is not configured).
-func (e *Engine) Streams() *stream.Manager { return e.streams }
-
 // PushFrames feeds one multichannel chunk into the named streaming
 // session (created on first push) and runs the early-exit cascade: a
 // chunk that fails validation, the energy floor or the wake-word

@@ -165,7 +165,7 @@ func TestEngineStreamingTraceSpans(t *testing.T) {
 // with ErrNoStream.
 func TestEngineWithoutStreaming(t *testing.T) {
 	eng, _ := newTestEngine(t, 1, 4, nil)
-	if eng.Streams() != nil {
+	if eng.streams != nil {
 		t.Fatal("plain engine has a session manager")
 	}
 	chunk := [][]float64{make([]float64, 480)}

@@ -47,13 +47,13 @@ func TestEngineAutoTracing(t *testing.T) {
 		t.Fatalf("result carries no trace: %+v", res)
 	}
 	tr := res.Trace
-	if _, ok := tr.Span(trace.StageQueueWait); !ok {
+	if !hasSpan(tr, trace.StageQueueWait) {
 		t.Fatalf("queue_wait span missing: %+v", tr.Spans())
 	}
-	if _, ok := tr.Span(trace.StagePickup); !ok {
+	if !hasSpan(tr, trace.StagePickup) {
 		t.Fatalf("pickup span missing: %+v", tr.Spans())
 	}
-	if _, ok := tr.Span(trace.StageValidate); !ok {
+	if !hasSpan(tr, trace.StageValidate) {
 		t.Fatalf("validate span missing: %+v", tr.Spans())
 	}
 	if tr.Reason != "normal_mode" || !tr.Accepted {
@@ -87,7 +87,7 @@ func TestEngineTracingOffByDefault(t *testing.T) {
 // honored (and retained) even while the store switch is off.
 func TestEngineForcedPerRequestTrace(t *testing.T) {
 	eng, store := newTracedEngine(t, false)
-	r := store.NewRecorder()
+	r := trace.NewRecorder("forced")
 	ctx := trace.NewContext(context.Background(), r)
 	ch, err := eng.Submit(ctx, Request{ID: "c", Recording: testRecording(3)})
 	if err != nil {
@@ -97,11 +97,11 @@ func TestEngineForcedPerRequestTrace(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.TraceID != r.ID() || res.Trace == nil {
+	if res.TraceID != "forced" || res.Trace == nil {
 		t.Fatalf("forced trace not delivered: %+v", res)
 	}
 	recent := store.Recent(0)
-	if len(recent) != 1 || recent[0].ID != r.ID() {
+	if len(recent) != 1 || recent[0].ID != "forced" {
 		t.Fatalf("forced trace not retained: %+v", recent)
 	}
 }
@@ -115,7 +115,17 @@ func TestDecideTraced(t *testing.T) {
 	if len(recent) != 1 {
 		t.Fatalf("Decide left %d traces, want 1", len(recent))
 	}
-	if _, ok := recent[0].Span(trace.StageQueueWait); !ok {
+	if !hasSpan(recent[0], trace.StageQueueWait) {
 		t.Fatalf("queue_wait span missing: %+v", recent[0].Spans())
 	}
+}
+
+// hasSpan reports whether tr recorded stage s.
+func hasSpan(tr *trace.Trace, s trace.Stage) bool {
+	for _, sp := range tr.Spans() {
+		if sp.Stage == s {
+			return true
+		}
+	}
+	return false
 }

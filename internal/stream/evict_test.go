@@ -199,7 +199,7 @@ func TestChaosAcquireSingleSweep(t *testing.T) {
 	if got := m.sweeps.Load(); got != 1 {
 		t.Errorf("%d capacity sweeps, want exactly 1", got)
 	}
-	if got := m.Len(); got != capacity {
+	if got := int(m.ins.active.Value()); got != capacity {
 		t.Errorf("%d live sessions, want %d", got, capacity)
 	}
 }

@@ -221,13 +221,6 @@ func (m *Manager) janitor(every time.Duration) {
 	}
 }
 
-// Len returns the live session count.
-func (m *Manager) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.sessions)
-}
-
 // Push routes one multichannel chunk (frame[c] is channel c's samples)
 // into the named session, creating it if needed, and runs the
 // early-exit cascade. See Status for the possible outcomes.

@@ -323,8 +323,8 @@ func TestManagerEvictionUnderLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != len(ids) {
-		t.Fatalf("Len=%d, want %d", m.Len(), len(ids))
+	if int(m.ins.active.Value()) != len(ids) {
+		t.Fatalf("Len=%d, want %d", int(m.ins.active.Value()), len(ids))
 	}
 	clk.Advance(50 * time.Second)
 	// Keep "a" warm.
@@ -335,8 +335,8 @@ func TestManagerEvictionUnderLoad(t *testing.T) {
 	if n := m.EvictIdle(); n != 3 {
 		t.Fatalf("evicted %d, want 3", n)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len=%d after eviction, want 1", m.Len())
+	if int(m.ins.active.Value()) != 1 {
+		t.Fatalf("Len=%d after eviction, want 1", int(m.ins.active.Value()))
 	}
 	if got := reg.Gauge("stream.sessions.active").Value(); got != 1 {
 		t.Fatalf("active gauge %d, want 1", got)
@@ -394,8 +394,8 @@ func TestManagerSessionLimit(t *testing.T) {
 	if _, err := m.Push(context.Background(), "c", chunk); err != nil {
 		t.Fatalf("create after idle sweep: %v", err)
 	}
-	if m.Len() != 1 {
-		t.Fatalf("Len=%d after sweep+create, want 1", m.Len())
+	if int(m.ins.active.Value()) != 1 {
+		t.Fatalf("Len=%d after sweep+create, want 1", int(m.ins.active.Value()))
 	}
 }
 
@@ -468,8 +468,8 @@ func TestManagerConcurrentPushEvict(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if m.Len() > 8 {
-		t.Fatalf("Len=%d exceeds MaxSessions", m.Len())
+	if int(m.ins.active.Value()) > 8 {
+		t.Fatalf("Len=%d exceeds MaxSessions", int(m.ins.active.Value()))
 	}
 }
 

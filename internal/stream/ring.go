@@ -48,9 +48,6 @@ func (r *Ring) Channels() int { return len(r.chans) }
 // Cap returns the per-channel capacity in samples.
 func (r *Ring) Cap() int { return r.cap }
 
-// Len returns the retained sample count (≤ Cap).
-func (r *Ring) Len() int { return r.filled }
-
 // Push appends one chunk — frame[c] is channel c's samples, all equal
 // length (the caller validates shape). The newest samples win when the
 // chunk exceeds capacity. Push performs no allocations.

@@ -35,8 +35,8 @@ func TestRingWrapAround(t *testing.T) {
 		if want > capacity {
 			want = capacity
 		}
-		if r.Len() != want {
-			t.Fatalf("trial %d: Len=%d, want %d", trial, r.Len(), want)
+		if r.filled != want {
+			t.Fatalf("trial %d: Len=%d, want %d", trial, r.filled, want)
 		}
 		snap := r.Snapshot(48000)
 		if snap.SampleRate != 48000 || len(snap.Channels) != channels {
@@ -75,8 +75,8 @@ func TestRingRejectsBadGeometry(t *testing.T) {
 func TestRingEmptyPushAndSnapshot(t *testing.T) {
 	r := NewRing(2, 8)
 	r.Push([][]float64{{}, {}})
-	if r.Len() != 0 {
-		t.Fatalf("empty push changed state: Len=%d", r.Len())
+	if r.filled != 0 {
+		t.Fatalf("empty push changed state: Len=%d", r.filled)
 	}
 	snap := r.Snapshot(16000)
 	if snap.Len() != 0 {

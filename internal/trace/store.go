@@ -75,15 +75,6 @@ func (s *Store) SetEnabled(on bool) {
 // Enabled reports whether automatic tracing is on (false on nil).
 func (s *Store) Enabled() bool { return s != nil && s.enabled.Load() }
 
-// SlowThreshold returns the slow-decision retention threshold
-// (negative = disabled).
-func (s *Store) SlowThreshold() time.Duration {
-	if s == nil {
-		return -1
-	}
-	return s.slowThr
-}
-
 // NewRecorder starts a recorder with the store's next sequential ID.
 // Nil-safe: a nil store returns a nil (no-op) recorder.
 func (s *Store) NewRecorder() *Recorder {

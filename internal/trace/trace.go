@@ -57,8 +57,7 @@ const (
 	// StagePickup is the worker's dispatch overhead between dequeuing
 	// the request and starting the pipeline (breaker check, plumbing).
 	StagePickup
-	// StageValidate is the input-hardening stage (audio.Validate and
-	// optional repair).
+	// StageValidate is the input-hardening stage (audio.Validate).
 	StageValidate
 	// StageChannelPlan is the degraded-array policy: per-channel health
 	// scoring and healthy-spare substitution.
@@ -74,8 +73,8 @@ const (
 	// extraction plus SVM scoring).
 	StageOrientation
 	// StageDecide is the decision bookkeeping remainder: mode dispatch,
-	// session handling, logging, and any wall time not attributed to an
-	// explicit stage. It is computed at Finish so a trace's stage
+	// session handling, and any wall time not attributed to an explicit
+	// stage. It is computed at Finish so a trace's stage
 	// durations always sum to its total.
 	StageDecide
 
@@ -160,15 +159,6 @@ type Trace struct {
 
 	durs [numStages]time.Duration
 	has  [numStages]bool
-}
-
-// Span returns the duration recorded for stage s and whether the stage
-// ran.
-func (t *Trace) Span(s Stage) (time.Duration, bool) {
-	if t == nil || s < 0 || s >= numStages {
-		return 0, false
-	}
-	return t.durs[s], t.has[s]
 }
 
 // Spans returns the recorded spans in pipeline order.
@@ -283,14 +273,6 @@ func NewRecorderClock(id string, clock func() time.Time) *Recorder {
 		clock = time.Now
 	}
 	return &Recorder{t: Trace{ID: id, Start: clock()}, clock: clock}
-}
-
-// ID returns the trace ID ("" on nil).
-func (r *Recorder) ID() string {
-	if r == nil {
-		return ""
-	}
-	return r.t.ID
 }
 
 // Begin returns the current time for a later End call. On a nil

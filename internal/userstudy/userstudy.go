@@ -75,28 +75,6 @@ func (q SurveyQuestion) TopTwoFraction() (float64, error) {
 	return float64(num) / float64(denom), nil
 }
 
-// SUSResponse is one participant's answers to the 10 SUS items on a
-// 1–5 Likert scale (item order follows Brooke [16]: odd items
-// positive, even items negative).
-type SUSResponse [10]int
-
-// Score returns the participant's SUS score (0–100): odd items
-// contribute (answer-1), even items (5-answer), total scaled by 2.5.
-func (r SUSResponse) Score() (float64, error) {
-	var total float64
-	for i, a := range r {
-		if a < 1 || a > 5 {
-			return 0, fmt.Errorf("userstudy: SUS item %d answer %d outside 1..5", i+1, a)
-		}
-		if i%2 == 0 { // items 1,3,5,7,9
-			total += float64(a - 1)
-		} else { // items 2,4,6,8,10
-			total += float64(5 - a)
-		}
-	}
-	return total * 2.5, nil
-}
-
 // SUSSummary is a scored questionnaire set.
 type SUSSummary struct {
 	Mean float64

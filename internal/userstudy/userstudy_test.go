@@ -65,42 +65,6 @@ func TestFacingHabitSkipsNA(t *testing.T) {
 	}
 }
 
-func TestSUSScoreIdentities(t *testing.T) {
-	// All "strongly agree" (5) on positive items and "strongly
-	// disagree" (1) on negative items = perfect 100.
-	perfect := SUSResponse{5, 1, 5, 1, 5, 1, 5, 1, 5, 1}
-	s, err := perfect.Score()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 100 {
-		t.Errorf("perfect SUS = %g", s)
-	}
-	worst := SUSResponse{1, 5, 1, 5, 1, 5, 1, 5, 1, 5}
-	s, err = worst.Score()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 0 {
-		t.Errorf("worst SUS = %g", s)
-	}
-	neutral := SUSResponse{3, 3, 3, 3, 3, 3, 3, 3, 3, 3}
-	s, err = neutral.Score()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != 50 {
-		t.Errorf("neutral SUS = %g", s)
-	}
-}
-
-func TestSUSScoreValidation(t *testing.T) {
-	bad := SUSResponse{0, 1, 5, 1, 5, 1, 5, 1, 5, 1}
-	if _, err := bad.Score(); err == nil {
-		t.Error("expected error for out-of-range answer")
-	}
-}
-
 func TestPaperSUS(t *testing.T) {
 	ht, existing := PaperSUS()
 	if ht.Mean != 77.38 || ht.CI95 != 6.26 || ht.N != 20 {

@@ -54,9 +54,6 @@ func NewAssistant(name string, spotter *Spotter, sys *core.System, clock func() 
 	return &Assistant{Name: name, spotter: spotter, sys: sys, clock: clock}, nil
 }
 
-// System exposes the underlying HeadTalk controller (to switch modes).
-func (a *Assistant) System() *core.System { return a.sys }
-
 // Hear processes a microphone-array recording that may contain the
 // wake word. source tags the scenario actor for the upload log. It is
 // HearCtx with a background context.

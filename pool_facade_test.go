@@ -36,12 +36,16 @@ func TestPoolFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d, err := p.Decide(context.Background(), "lab", facadeRecording(1))
+	lab, ok := p.Tenant("lab")
+	if !ok {
+		t.Fatal("pool does not route tenant lab")
+	}
+	d, err := lab.Engine().Decide(context.Background(), facadeRecording(1))
 	if err != nil || !d.Accepted {
 		t.Fatalf("pool decide = %+v, %v", d, err)
 	}
-	if _, err := p.Decide(context.Background(), "ghost", facadeRecording(2)); !errors.Is(err, ErrUnknownTenant) {
-		t.Fatalf("unknown tenant = %v, want ErrUnknownTenant", err)
+	if _, ok := p.Tenant("ghost"); ok {
+		t.Fatal("pool routes an unknown tenant")
 	}
 	sys, _ := NewSystem(Config{})
 	if _, err := p.AddTenant(TenantConfig{ID: "lab", System: sys}); !errors.Is(err, ErrTenantExists) {
@@ -58,7 +62,7 @@ func TestPoolFacade(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Decide(context.Background(), "lab", facadeRecording(3)); !errors.Is(err, ErrPoolClosed) {
+	if _, err := p.AddTenant(TenantConfig{ID: "late", System: sys}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("closed pool = %v, want ErrPoolClosed", err)
 	}
 }
