@@ -71,8 +71,10 @@ chaos:
 
 # Native fuzz targets, each run for FUZZTIME (go test fuzzes one
 # target per invocation): at the trust boundaries, the headtalkd frames
-# fast path against encoding/json, the binary peer frame (the only way
-# samples cross between nodes), the cluster snapshot envelope, WAV
+# fast path against encoding/json, headtalkd's request decode and verb
+# lookup (one verb or one typed error per line), adversarial chunk
+# shapes pushed into a streaming session, the binary peer frame (the
+# one encoding of every peer request), the cluster snapshot envelope, WAV
 # decode, the sealed model envelope file, and the SVM and ConvNet model
 # loaders; the differential oracles of the band-pass and decimation
 # kernels against their plain reference loops; and one whole decision
@@ -86,6 +88,8 @@ FUZZTIME ?= 30s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzFramesRequest$$' -fuzztime $(FUZZTIME) ./cmd/headtalkd
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./cmd/headtalkd
+	$(GO) test -run '^$$' -fuzz '^FuzzPushFrames$$' -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryRequest$$' -fuzztime $(FUZZTIME) ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotEnvelope$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzReadWAVLimit$$' -fuzztime $(FUZZTIME) ./internal/audio

@@ -234,11 +234,12 @@ type (
 func NewPool() *Pool { return pool.New() }
 
 // Federated multi-node serving (see internal/cluster): tenants are
-// partitioned across nodes on a consistent-hash ring; each node serves
-// its own tenants locally and forwards everyone else's to the owning
-// peer with deadlines, retries, one hedged attempt and a per-peer
-// circuit breaker. Dead peers are probed out of the ring; tenants move
-// between nodes as versioned, checksummed snapshot envelopes.
+// partitioned across nodes on a consistent-hash ring; the caller serves
+// the tenants its own pool hosts, and the node forwards everyone else's
+// to the owning peer with deadlines, retries, one hedged attempt and a
+// per-peer circuit breaker. Dead peers are probed out of the ring;
+// tenants move between nodes as versioned, checksummed snapshot
+// envelopes.
 type (
 	// ClusterNode federates one serving pool with its peers.
 	ClusterNode = cluster.Node
@@ -246,7 +247,7 @@ type (
 	// retry/hedge policy, breaker sizing).
 	ClusterConfig = cluster.Config
 	// ClusterEnvelope is one tenant's portable serving state: versioned,
-	// checksummed, safe to store and replay into Restore.
+	// checksummed, safe to store and to restore on another node.
 	ClusterEnvelope = cluster.Envelope
 	// ClusterPeerHealth is the probe-driven peer lifecycle state.
 	ClusterPeerHealth = cluster.PeerHealth

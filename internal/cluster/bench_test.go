@@ -6,9 +6,9 @@ import (
 )
 
 // BenchmarkForwardOverhead compares a decision served by the local
-// pool against the same decision forwarded to a peer over loopback
-// TCP — the federation tax: one round trip, conn pool, breaker and
-// semaphore included. The forward ships the samples in the binary
+// pool's engine against the same decision forwarded to a peer over
+// loopback TCP — the federation tax: one round trip, conn pool,
+// breaker and semaphore included. The forward ships the samples in the binary
 // peer frame (raw float64 bits).
 func BenchmarkForwardOverhead(b *testing.B) {
 	rec := testRecording(1)
@@ -17,9 +17,10 @@ func BenchmarkForwardOverhead(b *testing.B) {
 		c := newTestCluster(b, []string{"n1", "n2"}, clusterOpts{})
 		tenant := c.tenantOwnedBy("n1", "n1")
 		c.addTenant("n1", tenant, plainSystem(b))
+		engine := c.engine("n1", tenant)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := c.nodes["n1"].Decide(context.Background(), tenant, rec); err != nil {
+			if _, err := engine.Decide(context.Background(), rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -32,17 +33,13 @@ func BenchmarkForwardOverhead(b *testing.B) {
 		tenant := c.tenantOwnedBy("n1", "n2")
 		c.addTenant("n2", tenant, plainSystem(b))
 		// Dial the peer connection outside the timed region.
-		if _, _, err := c.nodes["n1"].Decide(context.Background(), tenant, rec); err != nil {
+		if _, err := c.nodes["n1"].Decide(context.Background(), tenant, rec); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, forwarded, err := c.nodes["n1"].Decide(context.Background(), tenant, rec)
-			if err != nil {
+			if _, err := c.nodes["n1"].Decide(context.Background(), tenant, rec); err != nil {
 				b.Fatal(err)
-			}
-			if !forwarded {
-				b.Fatal("expected a forward")
 			}
 		}
 	})

@@ -1,13 +1,11 @@
 package cluster
 
-// The binary peer frame: the only encoding of the two sample-bearing
-// operations (decide, frames). Every other op is an NDJSON line, and a
-// JSON decide or frames line is refused. Marshaling multichannel
-// float64 audio through JSON costs a decimal render and re-parse per
-// sample and dominates the forwarded-decision round trip; the binary
-// frame moves the bulk samples as raw IEEE-754 bits and keeps only the
-// small metadata header in JSON, so the wire stays extensible where it
-// is cheap and flat where it is hot.
+// The binary peer frame: the one encoding of every peer request.
+// Marshaling multichannel float64 audio through JSON costs a decimal
+// render and re-parse per sample and dominates the forwarded-decision
+// round trip; the binary frame moves the bulk samples as raw IEEE-754
+// bits and keeps only the small metadata header in JSON, so the wire
+// stays extensible where it is cheap and flat where it is hot.
 //
 // Frame layout (all integers and float bits little-endian):
 //
@@ -15,10 +13,11 @@ package cluster
 //
 // The header is the peerRequest's JSON form, which never includes
 // Channels/Frames; the payload attaches to the field the op implies.
+// The sample-bearing ops (decide, frames) carry their channels; every
+// other op carries zero channels, and a payload on one is refused.
 // Responses are always NDJSON lines — they carry no sample data. A
-// server tells the encodings apart by the first byte of each request:
-// 0xB1 opens a binary frame, anything else (in practice '{') is a JSON
-// line, so both kinds interleave freely on one connection.
+// request that does not open with 0xB1 is answered bad_input and its
+// connection dropped, like a malformed frame.
 
 import (
 	"bufio"
@@ -30,11 +29,11 @@ import (
 	"math"
 )
 
-// binaryMagic opens every binary peer frame. It can never begin an
-// NDJSON request, which starts with '{' (0x7B) or whitespace.
+// binaryMagic opens every peer request frame. It can never begin a
+// JSON document, which starts with '{' (0x7B) or whitespace.
 const binaryMagic = 0xB1
 
-// Binary frame bounds, mirroring maxPeerLine's role on the JSON wire.
+// Binary frame bounds; maxPeerLine bounds the sample payload.
 const (
 	maxBinaryHeader   = 1 << 20 // metadata JSON, sans samples
 	maxBinaryChannels = 4096
@@ -47,14 +46,15 @@ const (
 // delivered, not what it claimed.
 const sampleChunk = 512
 
-// errBinaryFrame reports a malformed or over-limit binary frame.
-// Unlike an oversized JSON line, the remaining frame length cannot be
-// trusted, so the connection must be dropped after answering.
+// errBinaryFrame reports a malformed or over-limit binary frame. The
+// remaining frame length cannot be trusted, so the connection must be
+// dropped after answering.
 var errBinaryFrame = fmt.Errorf("cluster: malformed binary peer frame")
 
 // appendBinaryRequest appends req's binary frame encoding to buf
 // (reused across calls for an allocation-free steady state) and
-// returns the extended slice. Only sample-bearing ops encode.
+// returns the extended slice. Ops other than decide and frames encode
+// zero channels.
 func appendBinaryRequest(buf []byte, req *peerRequest) ([]byte, error) {
 	var payload [][]float64
 	switch req.Op {
@@ -62,8 +62,6 @@ func appendBinaryRequest(buf []byte, req *peerRequest) ([]byte, error) {
 		payload = req.Channels
 	case opFrames:
 		payload = req.Frames
-	default:
-		return nil, fmt.Errorf("cluster: op %q has no binary frame encoding", req.Op)
 	}
 	hdr, err := json.Marshal(req)
 	if err != nil {
@@ -115,6 +113,9 @@ func readBinaryRequest(br *bufio.Reader, req *peerRequest) error {
 	}
 	if nch > maxBinaryChannels {
 		return fmt.Errorf("%w: %d channels", errBinaryFrame, nch)
+	}
+	if nch == 0 {
+		return nil
 	}
 	var total uint64
 	payload := make([][]float64, nch)

@@ -28,7 +28,6 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	rec := testRecording(11)
 	req := peerRequest{
 		Op:         opDecide,
-		ID:         "r-1",
 		Tenant:     "tenant-roundtrip",
 		SampleRate: rec.SampleRate,
 		Channels:   rec.Channels,
@@ -45,7 +44,7 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 	if err := readBinaryRequest(br, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.Op != req.Op || got.ID != req.ID || got.Tenant != req.Tenant || got.SampleRate != req.SampleRate {
+	if got.Op != req.Op || got.Tenant != req.Tenant || got.SampleRate != req.SampleRate {
 		t.Fatalf("header mismatch: %+v", got)
 	}
 	if len(got.Channels) != len(req.Channels) {
@@ -76,9 +75,17 @@ func TestBinaryFrameRoundTrip(t *testing.T) {
 		t.Fatalf("frames round trip = %+v", fgot)
 	}
 
-	// Ops without sample payloads have no binary form.
-	if _, err := appendBinaryRequest(nil, &peerRequest{Op: opPing}); err == nil {
-		t.Fatal("ping encoded as a binary frame")
+	// Ops without sample payloads travel as zero-channel frames.
+	buf, err = appendBinaryRequest(buf[:0], &peerRequest{Op: opSnapshot, Tenant: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sgot peerRequest
+	if err := readBinaryRequest(bufio.NewReader(bytes.NewReader(buf[1:])), &sgot); err != nil {
+		t.Fatal(err)
+	}
+	if sgot.Op != opSnapshot || sgot.Tenant != "t" || sgot.Channels != nil || sgot.Frames != nil {
+		t.Fatalf("snapshot round trip = %+v", sgot)
 	}
 }
 
@@ -118,6 +125,7 @@ func TestBinaryFrameDecodeBounds(t *testing.T) {
 		hdr, _ := json.Marshal(peerRequest{Op: opPing})
 		u32(b, uint32(len(hdr)))
 		b.Write(hdr)
+		u32(b, 1)
 		u32(b, 0)
 	}), &req); !errors.Is(err, errBinaryFrame) {
 		t.Fatalf("payload on ping: err = %v", err)
@@ -209,8 +217,8 @@ func TestBinaryFrameBadInputDropsConn(t *testing.T) {
 
 // TestJSONLinesCarryNoSamples: samples ride only the binary frame. A
 // raw NDJSON decide carrying "channels" and a frames push carrying
-// "frames" for a hosted, streaming tenant are both refused as
-// bad_input, and nothing is decided or buffered.
+// "frames" for a hosted, streaming tenant are each refused as bad_input
+// and their connection dropped, and nothing is decided or buffered.
 func TestJSONLinesCarryNoSamples(t *testing.T) {
 	c := newTestCluster(t, []string{"solo"}, clusterOpts{})
 	tenant := c.tenantOwnedBy("solo", "solo")
@@ -229,14 +237,6 @@ func TestJSONLinesCarryNoSamples(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.DialTimeout("tcp", c.addrs["solo"], time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	br := bufio.NewReader(conn)
-
 	rec := testRecording(21)
 	chunk := make([][]float64, len(rec.Channels))
 	for i, ch := range rec.Channels {
@@ -250,9 +250,16 @@ func TestJSONLinesCarryNoSamples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write(append(line, '\n')); err != nil {
+		conn, err := net.DialTimeout("tcp", c.addrs["solo"], time.Second)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		// The server answers from the first byte and drops the conn
+		// mid-line, so the write may fail; only the answer matters.
+		go conn.Write(append(line, '\n'))
 		reply, err := ReadBoundedLine(br, nil, maxPeerLine)
 		if err != nil {
 			t.Fatal(err)
@@ -263,6 +270,9 @@ func TestJSONLinesCarryNoSamples(t *testing.T) {
 		}
 		if resp.OK || resp.ErrorKind != "bad_input" || resp.Decision != nil || resp.Status != "" {
 			t.Fatalf("JSON %s line answered %+v, want a bad_input refusal", raw["op"], resp)
+		}
+		if _, err := br.ReadByte(); err == nil {
+			t.Fatalf("conn still open after a JSON %s line", raw["op"])
 		}
 	}
 	if n := sysMetrics.Counter("headtalk.decisions.total").Value(); n != 0 {

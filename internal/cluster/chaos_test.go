@@ -84,7 +84,8 @@ func TestChaosFaultyPeersDoNotHurtLocalTenants(t *testing.T) {
 	for _, peer := range []string{"dead", "stalled", "drip"} {
 		remoteTenants[peer] = findOwned(peer)
 	}
-	if _, err := p.AddTenant(pool.TenantConfig{ID: local, System: plainSystem(t), Workers: 4, QueueSize: 64}); err != nil {
+	localTenant, err := p.AddTenant(pool.TenantConfig{ID: local, System: plainSystem(t), Workers: 4, QueueSize: 64})
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -109,11 +110,11 @@ func TestChaosFaultyPeersDoNotHurtLocalTenants(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < forwardCalls; i++ {
 				start := time.Now()
-				_, forwarded, err := n.Decide(context.Background(), tenant, testRecording(uint64(i)))
+				_, err := n.Decide(context.Background(), tenant, testRecording(uint64(i)))
 				elapsed := time.Since(start)
 				mu.Lock()
 				forwardLats = append(forwardLats, elapsed)
-				if !forwarded || !errors.Is(err, ErrPeerUnavailable) {
+				if !errors.Is(err, ErrPeerUnavailable) {
 					badErrs = append(badErrs, err)
 				}
 				mu.Unlock()
@@ -121,17 +122,18 @@ func TestChaosFaultyPeersDoNotHurtLocalTenants(t *testing.T) {
 		}(peer, tenant)
 	}
 
-	// Local traffic, concurrent with the chaos.
+	// Local traffic, concurrent with the chaos, served by the local
+	// pool as headtalkd serves a tenant it hosts.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < localCalls; i++ {
 			start := time.Now()
-			d, forwarded, err := n.Decide(context.Background(), local, testRecording(uint64(i)))
+			d, err := localTenant.Engine().Decide(context.Background(), testRecording(uint64(i)))
 			elapsed := time.Since(start)
 			mu.Lock()
 			localLats = append(localLats, elapsed)
-			if err != nil || forwarded || !d.Accepted {
+			if err != nil || !d.Accepted {
 				localErrs = append(localErrs, err)
 			}
 			mu.Unlock()
@@ -161,7 +163,7 @@ func TestChaosFaultyPeersDoNotHurtLocalTenants(t *testing.T) {
 	// The breakers opened under sustained failure, so late forwards
 	// fail without touching the network at all.
 	start := time.Now()
-	_, _, err = n.Decide(context.Background(), remoteTenants["stalled"], testRecording(999))
+	_, err = n.Decide(context.Background(), remoteTenants["stalled"], testRecording(999))
 	if !errors.Is(err, ErrPeerUnavailable) {
 		t.Fatalf("post-chaos forward = %v, want ErrPeerUnavailable", err)
 	}

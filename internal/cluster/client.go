@@ -116,8 +116,7 @@ func (c *peerClient) call(ctx context.Context, req peerRequest, retry bool) (*pe
 	return nil, lastErr
 }
 
-// roundTrip writes one request — a binary frame for the sample-bearing
-// ops (decide, frames), an NDJSON line otherwise — and reads one NDJSON
+// roundTrip writes one request as a binary frame and reads one NDJSON
 // response line on a pooled (or freshly dialed) connection, with every
 // byte bounded by the context deadline. Any failure closes the
 // connection — a conn whose stream alignment is unknown must never
@@ -135,15 +134,7 @@ func (c *peerClient) roundTrip(ctx context.Context, req peerRequest) (*peerRespo
 		pc.Close()
 		return nil, err
 	}
-	if req.Op == opDecide || req.Op == opFrames {
-		pc.buf, err = appendBinaryRequest(pc.buf[:0], &req)
-	} else {
-		var data []byte
-		if data, err = json.Marshal(req); err == nil {
-			pc.buf = append(append(pc.buf[:0], data...), '\n')
-		}
-	}
-	if err != nil {
+	if pc.buf, err = appendBinaryRequest(pc.buf[:0], &req); err != nil {
 		pc.Close()
 		return nil, err
 	}

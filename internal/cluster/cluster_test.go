@@ -18,6 +18,7 @@ import (
 	"headtalk/internal/orientation"
 	"headtalk/internal/pool"
 	"headtalk/internal/registry"
+	"headtalk/internal/serve"
 )
 
 // testRecording is a short 4-channel noise burst — enough to run the
@@ -217,6 +218,29 @@ func (c *testCluster) tenantOwnedBy(viewer, owner string) string {
 	return ""
 }
 
+// engine returns the serving engine of a tenant the node's pool hosts.
+func (c *testCluster) engine(node, tenant string) *serve.Engine {
+	c.t.Helper()
+	tn, ok := c.pools[node].Tenant(tenant)
+	if !ok {
+		c.t.Fatalf("node %s hosts no tenant %q", node, tenant)
+	}
+	return tn.Engine()
+}
+
+// restoreTenant activates env's tenant in p the way headtalkd restores
+// a snapshot: the whole system is built and verified first, then swapped
+// in over any tenant of that ID.
+func restoreTenant(p *pool.Pool, env *Envelope) error {
+	reg := metrics.NewRegistry()
+	sys, models, err := BuildSystemWithModels(env, reg)
+	if err != nil {
+		return err
+	}
+	_, err = p.ReplaceTenant(context.Background(), pool.TenantConfig{ID: env.TenantID, System: sys, Metrics: reg, Models: models})
+	return err
+}
+
 func (c *testCluster) addTenant(node, tenant string, sys *core.System) {
 	c.t.Helper()
 	if _, err := c.pools[node].AddTenant(pool.TenantConfig{ID: tenant, System: sys, Workers: 2, QueueSize: 8}); err != nil {
@@ -237,9 +261,9 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestDecideLocalAndForwarded: a node serves its own tenant directly
-// and transparently forwards a non-owned tenant's decision to the peer
-// hosting it, with the forward instrumented.
+// TestDecideLocalAndForwarded: a node's pool serves its own tenant
+// without the node, and the node forwards a non-owned tenant's decision
+// to the peer hosting it, both ways, with the forward instrumented.
 func TestDecideLocalAndForwarded(t *testing.T) {
 	c := newTestCluster(t, []string{"n1", "n2"}, clusterOpts{})
 	owned := c.tenantOwnedBy("n1", "n1")
@@ -247,13 +271,13 @@ func TestDecideLocalAndForwarded(t *testing.T) {
 	c.addTenant("n1", owned, plainSystem(t))
 	c.addTenant("n2", remote, plainSystem(t))
 
-	d, forwarded, err := c.nodes["n1"].Decide(context.Background(), owned, testRecording(1))
-	if err != nil || forwarded || !d.Accepted {
-		t.Fatalf("local decide = %+v, forwarded=%v, err=%v", d, forwarded, err)
+	d, err := c.engine("n1", owned).Decide(context.Background(), testRecording(1))
+	if err != nil || !d.Accepted {
+		t.Fatalf("local decide = %+v, err=%v", d, err)
 	}
-	d, forwarded, err = c.nodes["n1"].Decide(context.Background(), remote, testRecording(2))
-	if err != nil || !forwarded || !d.Accepted {
-		t.Fatalf("forwarded decide = %+v, forwarded=%v, err=%v", d, forwarded, err)
+	d, err = c.nodes["n1"].Decide(context.Background(), remote, testRecording(2))
+	if err != nil || !d.Accepted {
+		t.Fatalf("forwarded decide = %+v, err=%v", d, err)
 	}
 	if got := c.nodes["n1"].Metrics().Counter("cluster.forward.total").Value(); got != 1 {
 		t.Fatalf("forward.total = %d, want 1", got)
@@ -262,9 +286,9 @@ func TestDecideLocalAndForwarded(t *testing.T) {
 		t.Fatalf("forward.latency count = %d, want 1", got)
 	}
 	// Both ways: n2 forwards n1's tenant.
-	d, forwarded, err = c.nodes["n2"].Decide(context.Background(), owned, testRecording(3))
-	if err != nil || !forwarded || !d.Accepted {
-		t.Fatalf("reverse forwarded decide = %+v, forwarded=%v, err=%v", d, forwarded, err)
+	d, err = c.nodes["n2"].Decide(context.Background(), owned, testRecording(3))
+	if err != nil || !d.Accepted {
+		t.Fatalf("reverse forwarded decide = %+v, err=%v", d, err)
 	}
 }
 
@@ -276,10 +300,7 @@ func TestForwardRemoteErrorPassthrough(t *testing.T) {
 	c := newTestCluster(t, []string{"n1", "n2"}, clusterOpts{})
 	ghost := c.tenantOwnedBy("n1", "n2") // owned by n2, hosted nowhere
 
-	_, forwarded, err := c.nodes["n1"].Decide(context.Background(), ghost, testRecording(1))
-	if !forwarded {
-		t.Fatal("expected a forward")
-	}
+	_, err := c.nodes["n1"].Decide(context.Background(), ghost, testRecording(1))
 	var remote *RemoteError
 	if !errors.As(err, &remote) || remote.Kind != "unknown_tenant" {
 		t.Fatalf("err = %v, want RemoteError{unknown_tenant}", err)
@@ -302,10 +323,10 @@ func TestForwardDeadPeerFailsFastTyped(t *testing.T) {
 	_ = c.nodes["n2"].Close()
 
 	start := time.Now()
-	_, forwarded, err := c.nodes["n1"].Decide(context.Background(), remote, testRecording(1))
+	_, err := c.nodes["n1"].Decide(context.Background(), remote, testRecording(1))
 	elapsed := time.Since(start)
-	if !forwarded || !errors.Is(err, ErrPeerUnavailable) {
-		t.Fatalf("dead-peer decide: forwarded=%v err=%v, want ErrPeerUnavailable", forwarded, err)
+	if !errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("dead-peer decide: err=%v, want ErrPeerUnavailable", err)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("dead-peer forward took %v, want under the 2s deadline", elapsed)
@@ -360,7 +381,7 @@ func TestProbeMembershipDownAndRevive(t *testing.T) {
 	}
 }
 
-// pingResponder answers every request line with a bare ok.
+// pingResponder answers every request frame with a bare ok.
 func pingResponder(ln net.Listener) {
 	for {
 		conn, err := ln.Accept()
@@ -372,10 +393,14 @@ func pingResponder(ln net.Listener) {
 			br := bufio.NewReader(conn)
 			enc := json.NewEncoder(conn)
 			for {
-				if _, err := ReadBoundedLine(br, nil, maxPeerLine); err != nil {
+				var req peerRequest
+				if _, err := br.ReadByte(); err != nil {
 					return
 				}
-				if err := enc.Encode(peerResponse{OK: true, Node: "revived"}); err != nil {
+				if err := readBinaryRequest(br, &req); err != nil {
+					return
+				}
+				if err := enc.Encode(peerResponse{OK: true}); err != nil {
 					return
 				}
 			}
@@ -396,10 +421,10 @@ func TestHedgedDecideWinsOnStalledOwner(t *testing.T) {
 	c.addTenant("backup", tenant, plainSystem(t))
 
 	start := time.Now()
-	d, forwarded, err := self.Decide(context.Background(), tenant, testRecording(1))
+	d, err := self.Decide(context.Background(), tenant, testRecording(1))
 	elapsed := time.Since(start)
-	if err != nil || !forwarded || !d.Accepted {
-		t.Fatalf("hedged decide = %+v, forwarded=%v, err=%v", d, forwarded, err)
+	if err != nil || !d.Accepted {
+		t.Fatalf("hedged decide = %+v, err=%v", d, err)
 	}
 	if elapsed >= self.cfg.ForwardTimeout {
 		t.Fatalf("hedged decide took %v — the stalled owner's deadline, not the hedge", elapsed)
@@ -410,10 +435,10 @@ func TestHedgedDecideWinsOnStalledOwner(t *testing.T) {
 }
 
 // TestSnapshotRestoreMigration: capture a trained tenant through a
-// non-owning node (forwarded), restore it locally with
-// restore-then-activate, serve it locally from then on, and re-capture
-// to the identical checksum — the envelope is stable across a full
-// migration hop.
+// non-owning node (forwarded), restore it into that node's pool with
+// restore-then-activate, serve it there, and re-capture to the
+// identical checksum — the envelope is stable across a full migration
+// hop.
 func TestSnapshotRestoreMigration(t *testing.T) {
 	c := newTestCluster(t, []string{"n1", "n2"}, clusterOpts{
 		tune: func(id string, cfg *Config) {
@@ -423,9 +448,9 @@ func TestSnapshotRestoreMigration(t *testing.T) {
 	tenant := c.tenantOwnedBy("n1", "n2")
 	c.addTenant("n2", tenant, trainedSystem(t))
 
-	env, forwarded, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
-	if err != nil || !forwarded {
-		t.Fatalf("snapshot: forwarded=%v err=%v", forwarded, err)
+	env, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
 	if err := env.Verify(); err != nil {
 		t.Fatalf("envelope failed verify after the wire hop: %v", err)
@@ -435,13 +460,13 @@ func TestSnapshotRestoreMigration(t *testing.T) {
 		t.Fatalf("profile = %q/%q, %v", device, room, err)
 	}
 
-	if err := c.nodes["n1"].Restore(context.Background(), env); err != nil {
+	if err := restoreTenant(c.pools["n1"], env); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	// Served locally now — and the restored gate actually runs.
-	d, forwarded, err := c.nodes["n1"].Decide(context.Background(), tenant, markedRecording(true, 42))
-	if err != nil || forwarded {
-		t.Fatalf("post-restore decide: forwarded=%v err=%v", forwarded, err)
+	d, err := c.engine("n1", tenant).Decide(context.Background(), markedRecording(true, 42))
+	if err != nil {
+		t.Fatalf("post-restore decide: %v", err)
 	}
 	if !d.FacingRan {
 		t.Fatalf("restored system skipped the orientation gate: %+v", d)
@@ -466,7 +491,7 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	c := newTestCluster(t, []string{"n1", "n2"}, clusterOpts{})
 	tenant := c.tenantOwnedBy("n1", "n2")
 	c.addTenant("n2", tenant, trainedSystem(t))
-	env, _, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
+	env, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,13 +500,13 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	raw := append([]byte(nil), tampered.Payload...)
 	raw[len(raw)/2] ^= 0x20
 	tampered.Payload = raw
-	if err := c.nodes["n1"].Restore(context.Background(), &tampered); !errors.Is(err, ErrSnapshotChecksum) && !errors.Is(err, ErrSnapshotCorrupt) {
+	if err := restoreTenant(c.pools["n1"], &tampered); !errors.Is(err, ErrSnapshotChecksum) && !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("tampered restore = %v, want checksum/corrupt error", err)
 	}
 
 	skewed := *env
 	skewed.Version = 99
-	if err := c.nodes["n1"].Restore(context.Background(), &skewed); !errors.Is(err, ErrSnapshotVersion) {
+	if err := restoreTenant(c.pools["n1"], &skewed); !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("skewed restore = %v, want ErrSnapshotVersion", err)
 	}
 	if _, ok := c.pools["n1"].Tenant(tenant); ok {
@@ -489,39 +514,38 @@ func TestRestoreRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestWireRestoreJoinLeave: the raw peer wire accepts restore, join and
-// leave verbs; join/leave rebuild the ring.
-func TestWireRestoreJoinLeave(t *testing.T) {
+// TestWireRefusesRestoreJoinLeave: the peer wire serves only the ops
+// nodes send. A raw NDJSON restore line carrying a valid envelope is
+// answered bad_input, its connection dropped and the hosted tenant left
+// as it was; restore, join and leave frames are unknown ops that change
+// neither the pool nor the ring.
+func TestWireRefusesRestoreJoinLeave(t *testing.T) {
 	c := newTestCluster(t, []string{"n1", "n2"}, clusterOpts{})
-	tenant := c.tenantOwnedBy("n1", "n2")
+	tenant := c.tenantOwnedBy("n1", "n1")
 	c.addTenant("n2", tenant, trainedSystem(t))
-	env, _, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
+	src, _ := c.pools["n2"].Tenant(tenant)
+	env, err := CaptureTenant(src, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.addTenant("n1", tenant, plainSystem(t))
+	hosted, _ := c.pools["n1"].Tenant(tenant)
 
-	conn, err := net.Dial("tcp", c.addrs["n1"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	// Samples ride only the binary frame; every other op is a JSON line.
-	roundTrip := func(req peerRequest) peerResponse {
+	dial := func() (net.Conn, *bufio.Reader) {
 		t.Helper()
-		var frame []byte
-		var err error
-		if req.Op == opDecide {
-			frame, err = appendBinaryRequest(nil, &req)
-		} else if frame, err = json.Marshal(req); err == nil {
-			frame = append(frame, '\n')
-		}
+		conn, err := net.DialTimeout("tcp", c.addrs["n1"], time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write(frame); err != nil {
-			t.Fatal(err)
-		}
+		t.Cleanup(func() { conn.Close() })
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		return conn, bufio.NewReader(conn)
+	}
+	send := func(conn net.Conn, br *bufio.Reader, frame []byte) peerResponse {
+		t.Helper()
+		// A refused line may be dropped mid-write; only the answer
+		// matters.
+		go conn.Write(frame)
 		line, err := ReadBoundedLine(br, nil, maxPeerLine)
 		if err != nil {
 			t.Fatal(err)
@@ -533,33 +557,47 @@ func TestWireRestoreJoinLeave(t *testing.T) {
 		return resp
 	}
 
-	if resp := roundTrip(peerRequest{Op: opPing}); !resp.OK || resp.Node != "n1" {
+	conn, br := dial()
+	line, err := json.Marshal(map[string]any{"op": "restore", "envelope": env})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := send(conn, br, append(line, '\n')); resp.OK || resp.ErrorKind != "bad_input" {
+		t.Fatalf("NDJSON restore = %+v, want a bad_input refusal", resp)
+	}
+	if _, err := br.ReadByte(); err == nil {
+		t.Fatal("conn still open after an NDJSON line")
+	}
+	if now, ok := c.pools["n1"].Tenant(tenant); !ok || now != hosted {
+		t.Fatal("an NDJSON restore line replaced the hosted tenant")
+	}
+
+	conn, br = dial()
+	frame := func(req peerRequest) []byte {
+		t.Helper()
+		b, err := appendBinaryRequest(nil, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if resp := send(conn, br, frame(peerRequest{Op: opPing})); !resp.OK {
 		t.Fatalf("ping = %+v", resp)
 	}
-	if resp := roundTrip(peerRequest{Op: opRestore, Envelope: env}); !resp.OK {
-		t.Fatalf("wire restore = %+v", resp)
+	// Unknown ops and unhosted tenants answer with typed wire errors,
+	// never a dropped conn.
+	for _, op := range []string{"restore", "join", "leave", "bogus"} {
+		if resp := send(conn, br, frame(peerRequest{Op: op, Tenant: tenant})); resp.OK || resp.ErrorKind != "pipeline" {
+			t.Fatalf("%s op = %+v, want an unknown-op error", op, resp)
+		}
 	}
-	if _, ok := c.pools["n1"].Tenant(tenant); !ok {
-		t.Fatal("wire restore did not activate the tenant")
-	}
-	if resp := roundTrip(peerRequest{Op: opJoin, Node: "n3", Addr: "127.0.0.1:1"}); !resp.OK {
-		t.Fatalf("wire join = %+v", resp)
-	}
-	if got := c.nodes["n1"].Metrics().Gauge("cluster.ring.members").Value(); got != 3 {
-		t.Fatalf("ring members after join = %d, want 3", got)
-	}
-	if resp := roundTrip(peerRequest{Op: opLeave, Node: "n3"}); !resp.OK {
-		t.Fatalf("wire leave = %+v", resp)
+	if now, _ := c.pools["n1"].Tenant(tenant); now != hosted {
+		t.Fatal("a restore frame replaced the hosted tenant")
 	}
 	if got := c.nodes["n1"].Metrics().Gauge("cluster.ring.members").Value(); got != 2 {
-		t.Fatalf("ring members after leave = %d, want 2", got)
+		t.Fatalf("ring members = %d after join/leave frames, want 2", got)
 	}
-	// Unknown ops and oversized tenants answer with typed wire errors,
-	// never a dropped conn.
-	if resp := roundTrip(peerRequest{Op: "bogus"}); resp.OK || resp.ErrorKind != "pipeline" {
-		t.Fatalf("bogus op = %+v", resp)
-	}
-	if resp := roundTrip(peerRequest{Op: opDecide, Tenant: "nobody", Channels: [][]float64{{0}}}); resp.OK || resp.ErrorKind != "unknown_tenant" {
+	if resp := send(conn, br, frame(peerRequest{Op: opDecide, Tenant: "nobody", Channels: [][]float64{{0}}})); resp.OK || resp.ErrorKind != "unknown_tenant" {
 		t.Fatalf("unknown tenant decide = %+v", resp)
 	}
 }

@@ -74,7 +74,7 @@ type Config struct {
 	// cluster).
 	NodeID string
 	// Pool is the local serving pool holding this node's owned tenants
-	// (required).
+	// (required). The node answers its peers' forwards from it.
 	Pool *pool.Pool
 	// Peers maps peer node IDs to their peer-listener addresses. The
 	// ring is built over NodeID + all peers; peers start Alive.
@@ -108,10 +108,6 @@ type Config struct {
 	// waits before probing again (default 2s).
 	BreakerCooldown time.Duration
 
-	// TenantBuilder turns a restored system into the pool.TenantConfig
-	// to activate (the daemon wires workers, queue and streaming here).
-	// Nil activates a minimal tenant (ID, System, Metrics).
-	TenantBuilder func(env *Envelope, sys *core.System, reg *metrics.Registry) pool.TenantConfig
 	// Profile reports the enrollment profile (device, room) to record
 	// in captured envelopes; nil records neither.
 	Profile func(tenantID string) (device, room string)
@@ -157,9 +153,9 @@ type peerState struct {
 }
 
 // Node is one member of a headtalkd federation: it owns the tenants
-// the ring assigns to its ID, forwards everything else, probes its
-// peers and serves the peer wire protocol. All methods are safe for
-// concurrent use.
+// the ring assigns to its ID, forwards requests for everyone else's,
+// probes its peers and serves the peer wire protocol. All methods are
+// safe for concurrent use.
 type Node struct {
 	cfg Config
 	reg *metrics.Registry
@@ -288,8 +284,8 @@ func (n *Node) Owner(tenantID string) string {
 // Owns reports whether this node is the tenant's ring owner.
 func (n *Node) Owns(tenantID string) bool { return n.Owner(tenantID) == n.cfg.NodeID }
 
-// Join adds (or re-addresses) a peer and rebuilds the ring. Used by
-// the join wire verb and operator tooling.
+// Join adds (or re-addresses) a peer and rebuilds the ring. The
+// daemon's v3 join verb calls it.
 func (n *Node) Join(id, addr string) error {
 	if id == "" || addr == "" {
 		return fmt.Errorf("cluster: join needs a node id and address")
@@ -316,7 +312,8 @@ func (n *Node) Join(id, addr string) error {
 	return nil
 }
 
-// Leave removes a peer from membership and the ring.
+// Leave removes a peer from membership and the ring. The daemon's v3
+// leave verb calls it.
 func (n *Node) Leave(id string) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -355,7 +352,7 @@ func (n *Node) probeLoop() {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), n.cfg.ProbeTimeout)
 				defer cancel()
-				_, err := p.client.call(ctx, peerRequest{Op: opPing, Node: n.cfg.NodeID}, false)
+				_, err := p.client.call(ctx, peerRequest{Op: opPing}, false)
 				var remote *RemoteError
 				n.recordProbe(p, err == nil || errors.As(err, &remote))
 			}(p)
@@ -414,45 +411,34 @@ func (n *Node) forwardCandidates(tenantID string) []*peerState {
 	return out
 }
 
-// Decide serves one decision: locally when this node hosts the tenant,
-// otherwise forwarded to the ring owner with deadline, retries and one
-// hedged attempt at the next ring successor (idempotent — a decision
-// is a pure classification). forwarded reports which path served it.
-func (n *Node) Decide(ctx context.Context, tenantID string, rec *audio.Recording) (dec core.Decision, forwarded bool, err error) {
-	// Local-first: a tenant restored onto this node is served here even
-	// if the ring nominally assigns it elsewhere (migration window).
-	if t, ok := n.cfg.Pool.Tenant(tenantID); ok {
-		dec, err := t.Engine().Decide(ctx, rec)
-		return dec, false, err
-	}
+// Decide forwards one decision to the tenant's ring owner with
+// deadline, retries and one hedged attempt at the next ring successor
+// (idempotent — a decision is a pure classification). Callers serve
+// tenants their own pool hosts without the node.
+func (n *Node) Decide(ctx context.Context, tenantID string, rec *audio.Recording) (core.Decision, error) {
 	req := peerRequest{
 		Op:         opDecide,
-		Node:       n.cfg.NodeID,
 		Tenant:     tenantID,
 		SampleRate: rec.SampleRate,
 		Channels:   rec.Channels,
 	}
 	resp, err := n.forward(ctx, tenantID, req, true)
 	if err != nil {
-		return core.Decision{}, true, err
+		return core.Decision{}, err
 	}
-	return decisionFromWire(resp.Decision), true, nil
+	return decisionFromWire(resp.Decision), nil
 }
 
-// PushFrames feeds one streaming chunk to the tenant's session,
-// locally or on the owning peer. Frame pushes mutate session state, so
-// forwards run without retries or hedging — at-most-once.
-func (n *Node) PushFrames(ctx context.Context, tenantID, sessionID string, frames [][]float64) (res stream.PushResult, forwarded bool, err error) {
-	if t, ok := n.cfg.Pool.Tenant(tenantID); ok {
-		res, err := t.Engine().PushFrames(ctx, sessionID, frames)
-		return res, false, err
-	}
-	req := peerRequest{Op: opFrames, Node: n.cfg.NodeID, Tenant: tenantID, Session: sessionID, Frames: frames}
+// PushFrames forwards one streaming chunk to the tenant's session on
+// the owning peer. Frame pushes mutate session state, so forwards run
+// without retries or hedging — at-most-once.
+func (n *Node) PushFrames(ctx context.Context, tenantID, sessionID string, frames [][]float64) (stream.PushResult, error) {
+	req := peerRequest{Op: opFrames, Tenant: tenantID, Session: sessionID, Frames: frames}
 	resp, err := n.forward(ctx, tenantID, req, false)
 	if err != nil {
-		return stream.PushResult{}, true, err
+		return stream.PushResult{}, err
 	}
-	res = stream.PushResult{Status: statusFromString(resp.Status)}
+	res := stream.PushResult{Status: statusFromString(resp.Status)}
 	if resp.SpotScore != nil {
 		res.SpotScore = *resp.SpotScore
 	}
@@ -460,73 +446,32 @@ func (n *Node) PushFrames(ctx context.Context, tenantID, sessionID string, frame
 		d := decisionFromWire(resp.StreamDecision)
 		res.Decision = &d
 	}
-	return res, true, nil
+	return res, nil
 }
 
-// EndSession closes the tenant's streaming session, locally or on the
-// owning peer (idempotent: ending an absent session reports false).
-func (n *Node) EndSession(ctx context.Context, tenantID, sessionID string) (ended bool, forwarded bool, err error) {
-	if t, ok := n.cfg.Pool.Tenant(tenantID); ok {
-		ended, err := t.Engine().EndSession(sessionID)
-		return ended, false, err
-	}
-	req := peerRequest{Op: opEndSession, Node: n.cfg.NodeID, Tenant: tenantID, Session: sessionID}
+// EndSession closes the tenant's streaming session on the owning peer
+// (idempotent: ending an absent session reports false).
+func (n *Node) EndSession(ctx context.Context, tenantID, sessionID string) (bool, error) {
+	req := peerRequest{Op: opEndSession, Tenant: tenantID, Session: sessionID}
 	resp, err := n.forward(ctx, tenantID, req, true)
 	if err != nil {
-		return false, true, err
+		return false, err
 	}
-	return resp.Ended != nil && *resp.Ended, true, nil
+	return resp.Ended != nil && *resp.Ended, nil
 }
 
-// Snapshot captures the tenant's envelope, locally or from the owning
-// peer (read-only, so forwarded with retries and hedging).
-func (n *Node) Snapshot(ctx context.Context, tenantID string) (env *Envelope, forwarded bool, err error) {
-	if t, ok := n.cfg.Pool.Tenant(tenantID); ok {
-		var device, room string
-		if n.cfg.Profile != nil {
-			device, room = n.cfg.Profile(tenantID)
-		}
-		env, err := CaptureTenant(t, device, room)
-		return env, false, err
-	}
-	req := peerRequest{Op: opSnapshot, Node: n.cfg.NodeID, Tenant: tenantID}
+// Snapshot fetches the tenant's envelope from the owning peer
+// (read-only, so forwarded with retries and hedging).
+func (n *Node) Snapshot(ctx context.Context, tenantID string) (*Envelope, error) {
+	req := peerRequest{Op: opSnapshot, Tenant: tenantID}
 	resp, err := n.forward(ctx, tenantID, req, true)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	if resp.Envelope == nil {
-		return nil, true, fmt.Errorf("%w: peer returned no envelope", ErrSnapshotCorrupt)
+		return nil, fmt.Errorf("%w: peer returned no envelope", ErrSnapshotCorrupt)
 	}
-	return resp.Envelope, true, nil
-}
-
-// Restore activates the envelope's tenant on THIS node with
-// restore-then-activate semantics: the whole serving stack (models,
-// system, engine) is built and verified first; only then is it swapped
-// in over any existing tenant of that ID. A failed restore leaves the
-// existing tenant serving untouched.
-func (n *Node) Restore(ctx context.Context, env *Envelope) error {
-	reg := metrics.NewRegistry()
-	sys, models, err := BuildSystemWithModels(env, reg)
-	if err != nil {
-		return err
-	}
-	var tcfg pool.TenantConfig
-	if n.cfg.TenantBuilder != nil {
-		tcfg = n.cfg.TenantBuilder(env, sys, reg)
-	} else {
-		tcfg = pool.TenantConfig{ID: env.TenantID, System: sys, Metrics: reg}
-	}
-	if tcfg.Models == nil {
-		// Registry-managed captures restore registry-managed: the
-		// reconstructed model registry rides along so model_status /
-		// promote / rollback keep working on the restored tenant.
-		tcfg.Models = models
-	}
-	if _, err := n.cfg.Pool.ReplaceTenant(ctx, tcfg); err != nil {
-		return fmt.Errorf("cluster: activating restored tenant %q: %w", env.TenantID, err)
-	}
-	return nil
+	return resp.Envelope, nil
 }
 
 // forwardResult carries one attempt's outcome through the hedge race.

@@ -102,9 +102,9 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	env, forwarded, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
-	if err != nil || !forwarded {
-		t.Fatalf("snapshot: forwarded=%v err=%v", forwarded, err)
+	env, err := c.nodes["n1"].Snapshot(context.Background(), tenant)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
 	}
 	if err := env.Verify(); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("captured fingerprint version missing: %v", p.RegistryVersions)
 	}
 
-	if err := c.nodes["n1"].Restore(context.Background(), env); err != nil {
+	if err := restoreTenant(c.pools["n1"], env); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
 	tn, ok := c.pools["n1"].Tenant(tenant)
@@ -156,9 +156,9 @@ func TestRegistrySnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The restored gates actually run.
-	d, forwarded, err := c.nodes["n1"].Decide(context.Background(), tenant, markedRecording(true, 42))
-	if err != nil || forwarded {
-		t.Fatalf("post-restore decide: forwarded=%v err=%v", forwarded, err)
+	d, err := tn.Engine().Decide(context.Background(), markedRecording(true, 42))
+	if err != nil {
+		t.Fatalf("post-restore decide: %v", err)
 	}
 	if !d.FacingRan || !d.FingerprintRan {
 		t.Fatalf("restored registry gates skipped: %+v", d)

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -15,9 +14,9 @@ import (
 )
 
 // Serve accepts peer connections on ln and answers the node-to-node
-// NDJSON protocol until the listener is closed. Each connection is
-// sequential: one request line, one response line. Dispatch is
-// strictly local — a request for a tenant this node does not host is
+// protocol until the listener is closed. Each connection is
+// sequential: one binary request frame, one NDJSON response line.
+// Dispatch is strictly local — a request for a tenant this node does not host is
 // answered with unknown_tenant, never re-forwarded, so a stale ring on
 // one node can never start a forwarding loop.
 func (n *Node) Serve(ln net.Listener) error {
@@ -43,51 +42,27 @@ func (n *Node) servePeerConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 64*1024)
 	enc := json.NewEncoder(conn)
-	var line []byte // reused for every NDJSON request line
 	for {
-		// Dispatch on the first byte: 0xB1 opens a binary frame, anything
-		// else is an NDJSON line. Responses are NDJSON either way.
-		first, err := br.Peek(1)
+		magic, err := br.ReadByte()
 		if err != nil {
 			return // EOF, peer hangup, or transport damage: drop the conn
 		}
 		var req peerRequest
-		var badInput string
-		if first[0] == binaryMagic {
-			_, _ = br.ReadByte()
-			if err := readBinaryRequest(br, &req); err != nil {
-				// A bad binary frame leaves the stream position unknown:
-				// answer, then drop the connection rather than misparse
-				// whatever follows.
-				_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: fmt.Sprintf("decoding binary peer frame: %v", err)})
-				return
-			}
+		if magic != binaryMagic {
+			err = fmt.Errorf("%w: first byte 0x%02X, want 0x%02X", errBinaryFrame, magic, binaryMagic)
 		} else {
-			line, err = ReadBoundedLine(br, line, maxPeerLine)
-			if err != nil {
-				if errors.Is(err, ErrLineTooLong) {
-					// The line was consumed; tell the peer before moving on.
-					_ = enc.Encode(peerResponse{OK: false, ErrorKind: "bad_input", Error: ErrLineTooLong.Error()})
-					continue
-				}
-				return
-			}
-			if len(line) == 0 {
-				continue
-			}
-			if err := json.Unmarshal(line, &req); err != nil {
-				badInput = fmt.Sprintf("decoding peer request: %v", err)
-			} else if req.Op == opDecide || req.Op == opFrames {
-				// Samples ride only the binary frame; a JSON line's
-				// "channels"/"frames" were never decoded.
-				badInput = fmt.Sprintf("peer op %q must arrive as a binary frame", req.Op)
-			}
+			err = readBinaryRequest(br, &req)
 		}
-		resp := peerResponse{OK: true, Node: n.cfg.NodeID}
-		if badInput != "" {
-			resp = peerResponse{OK: false, ErrorKind: "bad_input", Error: badInput}
-		} else if err := n.handlePeer(&req, &resp); err != nil {
-			resp = peerResponse{OK: false, Node: n.cfg.NodeID, ErrorKind: ErrorKind(err), Error: err.Error()}
+		if err != nil {
+			// A bad frame leaves the stream position unknown: answer,
+			// then drop the connection rather than misparse whatever
+			// follows.
+			_ = enc.Encode(peerResponse{ErrorKind: "bad_input", Error: fmt.Sprintf("decoding binary peer frame: %v", err)})
+			return
+		}
+		resp := peerResponse{OK: true}
+		if err := n.handlePeer(&req, &resp); err != nil {
+			resp = peerResponse{ErrorKind: ErrorKind(err), Error: err.Error()}
 		}
 		if err := enc.Encode(resp); err != nil {
 			return
@@ -151,15 +126,6 @@ func (n *Node) handlePeer(req *peerRequest, resp *peerResponse) error {
 		}
 		resp.Envelope = env
 		return nil
-	case opRestore:
-		if req.Envelope == nil {
-			return fmt.Errorf("%w: restore carries no envelope", ErrSnapshotCorrupt)
-		}
-		return n.Restore(ctx, req.Envelope)
-	case opJoin:
-		return n.Join(req.Node, req.Addr)
-	case opLeave:
-		return n.Leave(req.Node)
 	default:
 		return fmt.Errorf("unknown peer op %q", req.Op)
 	}
@@ -175,12 +141,7 @@ func (n *Node) ServeLoop(ln net.Listener) {
 		<-n.stop
 		ln.Close()
 	}()
-	go func() {
-		if err := n.Serve(ln); err != nil && !errors.Is(err, io.EOF) {
-			// Accept-loop failures after close are expected; anything else
-			// has nowhere to go but the void — the daemon monitors its own
-			// listener separately.
-			_ = err
-		}
-	}()
+	// Accept-loop failures have nowhere to go: the daemon monitors its
+	// own listeners.
+	go func() { _ = n.Serve(ln) }()
 }

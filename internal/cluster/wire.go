@@ -1,15 +1,18 @@
 // Package cluster federates several headtalkd nodes into one
 // fault-tolerant serving fleet. Tenants are partitioned across nodes on
-// a consistent-hash ring (pool.Ring, FNV-1a); a node serves
-// its own tenants locally and forwards requests for everyone else's to
-// the owning peer over a pooled, bounded client with per-request
-// deadlines, capped exponential backoff, a single hedged retry for
-// idempotent decisions, and a per-peer circuit breaker. Health probes
-// drive membership (alive → suspect → down); a down peer is removed
-// from the ring with minimal remap and its forwards fail fast with
+// a consistent-hash ring (pool.Ring, FNV-1a). The daemon serves the
+// tenants its own pool hosts; a Node forwards requests for everyone
+// else's to the owning peer over a pooled, bounded client with
+// per-request deadlines, capped exponential backoff, a single hedged
+// retry for idempotent decisions, and a per-peer circuit breaker, and
+// answers its peers' forwards from the local pool. Health probes drive
+// membership (alive → suspect → down); a down peer is removed from the
+// ring with minimal remap and its forwards fail fast with
 // ErrPeerUnavailable — one dead node never stalls another node's
-// locally-owned tenants. Versioned, checksummed tenant snapshots move
-// enrolled models between nodes with restore-then-activate semantics.
+// locally-owned tenants. Versioned, checksummed tenant snapshots
+// (CaptureTenant, BuildSystemWithModels) move enrolled models between
+// nodes; the daemon activates a restored tenant with restore-then-
+// activate semantics.
 package cluster
 
 import (
@@ -28,49 +31,38 @@ import (
 	"headtalk/internal/stream"
 )
 
-// Peer wire operations (NDJSON protocol v3's node-to-node half). One
-// request line yields exactly one response line; connections are
-// reused sequentially.
+// Peer wire operations: every one a node sends. Each request is one
+// binary frame (binwire.go) and yields exactly one NDJSON response
+// line; connections are reused sequentially.
 const (
 	opPing       = "ping"
 	opDecide     = "decide"
 	opFrames     = "frames"
 	opEndSession = "end_session"
 	opSnapshot   = "snapshot"
-	opRestore    = "restore"
-	opJoin       = "join"
-	opLeave      = "leave"
 )
 
-// maxPeerLine bounds one peer request/response line. Snapshot
-// envelopes carry whole model documents and decide requests carry
-// inline multichannel audio, so the peer limit is far above the
-// client-facing 4 MiB request cap.
+// maxPeerLine bounds one peer response line and one request frame's
+// sample payload. Snapshot envelopes carry whole model documents and
+// decide requests carry a whole multichannel utterance, so the peer
+// limit is far above the client-facing 4 MiB request cap.
 const maxPeerLine = 32 * 1024 * 1024
 
-// peerRequest is one node-to-node NDJSON request line.
+// peerRequest is one node-to-node request: the header JSON of a binary
+// frame plus its sample payload.
 type peerRequest struct {
-	Op string `json:"op"`
-	// ID correlates request and response in logs; unused by the
-	// sequential wire itself.
-	ID string `json:"id,omitempty"`
-	// Node is the sender for ping, and the subject node for join/leave.
-	Node string `json:"node,omitempty"`
-	// Addr is the subject node's peer address (join only).
-	Addr   string `json:"addr,omitempty"`
+	Op     string `json:"op"`
 	Tenant string `json:"tenant,omitempty"`
 	// SampleRate and Channels carry the utterance for decide (one
 	// inner slice per microphone channel).
 	SampleRate float64 `json:"sample_rate,omitempty"`
-	// Channels and Frames travel only as the binary frame's payload
-	// (binwire.go), never as JSON.
+	// Channels and Frames travel only as the binary frame's payload,
+	// never in the header JSON.
 	Channels [][]float64 `json:"-"`
 	// Session and Frames carry one streaming chunk for frames /
 	// end_session.
 	Session string      `json:"session,omitempty"`
 	Frames  [][]float64 `json:"-"`
-	// Envelope is the snapshot document for restore.
-	Envelope *Envelope `json:"envelope,omitempty"`
 }
 
 // peerDecision is the wire form of a core.Decision.
@@ -114,8 +106,6 @@ func decisionFromWire(d *peerDecision) core.Decision {
 // peerResponse is one node-to-node NDJSON response line.
 type peerResponse struct {
 	OK bool `json:"ok"`
-	// Node echoes the responder's node ID (ping).
-	Node string `json:"node,omitempty"`
 	// ErrorKind and Error describe an application-level failure (OK
 	// false). Transport failures never produce a response line at all.
 	ErrorKind string `json:"error_kind,omitempty"`

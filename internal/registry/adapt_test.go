@@ -49,7 +49,7 @@ func TestAdaptNowBuildsCandidate(t *testing.T) {
 	}
 	// The candidate never auto-promotes: the active version is
 	// untouched.
-	if got := reg.ModelSet().Versions[KindOrientation]; got != active {
+	if got := activeVersion(reg, KindOrientation); got != active {
 		t.Fatalf("adaptation hot-swapped itself in: serving v%d, want v%d", got, active)
 	}
 	var found *VersionInfo
@@ -98,7 +98,7 @@ func TestAdaptBatchTriggersInBackground(t *testing.T) {
 
 	// The batch build stored one new candidate beside the untouched
 	// active version.
-	if got := reg.ModelSet().Versions[KindOrientation]; got != active {
+	if got := activeVersion(reg, KindOrientation); got != active {
 		t.Fatalf("batch build changed serving: active v%d, want v%d", got, active)
 	}
 	candidates := 0

@@ -74,10 +74,6 @@ type ModelSet struct {
 	// (fail closed) instead of skipping the gate.
 	RequireEnsemble bool
 
-	// Versions records the registry version number serving each kind
-	// (0 = unversioned/static).
-	Versions map[Kind]uint64
-
 	// Hooks, all optional and called synchronously on the decision
 	// path (keep them cheap; the registry's own hooks only touch
 	// atomics and a mutex-guarded slice append):
@@ -536,7 +532,7 @@ func (r *Registry) pruneLocked(ks *kindState) {
 // version can never be mutated out from under the registry and
 // rollback is byte-exact by construction. Called with r.mu held.
 func (r *Registry) publishLocked() {
-	set := &ModelSet{Versions: make(map[Kind]uint64), RequireEnsemble: r.cfg.EnsembleMode}
+	set := &ModelSet{RequireEnsemble: r.cfg.EnsembleMode}
 	for k, ks := range r.kinds {
 		v := ks.versions[ks.active]
 		if v == nil {
@@ -549,7 +545,6 @@ func (r *Registry) publishLocked() {
 			continue
 		}
 		set.SetModel(m)
-		set.Versions[k] = v.Number
 	}
 	// Wire the registry's own observation hooks.
 	set.OnScore = r.drift.observe

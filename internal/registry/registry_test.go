@@ -18,6 +18,17 @@ import (
 // features: facing samples cluster at +shift on the first dimension,
 // non-facing at -shift. Different seeds/shifts give models with
 // different serialized bytes, which is what the version tests need.
+// activeVersion reports the version number the registry serves for
+// kind k (0: none).
+func activeVersion(reg *Registry, k Kind) uint64 {
+	for _, st := range reg.Status() {
+		if st.Kind == k {
+			return st.Active
+		}
+	}
+	return 0
+}
+
 func trainedModel(t *testing.T, seed uint64, shift float64) *orientation.Model {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 17))
@@ -201,8 +212,8 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := reg.ModelSet()
-	if set.Orientation == nil || set.Versions[KindOrientation] != v1 {
-		t.Fatalf("after install: set %+v", set.Versions)
+	if got := activeVersion(reg, KindOrientation); set.Orientation == nil || got != v1 {
+		t.Fatalf("after install: serving v%d, want v%d", got, v1)
 	}
 	b1, n1 := reg.ActiveBytes(KindOrientation)
 	if n1 != v1 || len(b1) == 0 {
@@ -215,13 +226,13 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A candidate must not serve.
-	if got := reg.ModelSet().Versions[KindOrientation]; got != v1 {
+	if got := activeVersion(reg, KindOrientation); got != v1 {
 		t.Fatalf("candidate leaked into serving set: v%d", got)
 	}
 	if err := reg.Promote(KindOrientation, v2); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.ModelSet().Versions[KindOrientation]; got != v2 {
+	if got := activeVersion(reg, KindOrientation); got != v2 {
 		t.Fatalf("after promote: serving v%d, want v%d", got, v2)
 	}
 
@@ -238,7 +249,7 @@ func TestInstallPromoteRollbackByteExact(t *testing.T) {
 		t.Fatalf("rollback not byte-exact: %d bytes v%d vs %d bytes v%d", len(b1), n1, len(b1Again), n1Again)
 	}
 	// The served model decodes from those same bytes.
-	if reg.ModelSet().Versions[KindOrientation] != v1 {
+	if activeVersion(reg, KindOrientation) != v1 {
 		t.Fatal("serving set disagrees with ActiveBytes after rollback")
 	}
 
@@ -290,7 +301,7 @@ func TestLifecycleStates(t *testing.T) {
 	if got := states(); got[v1] != StateActive || got[cand] != StateCandidate {
 		t.Fatalf("after add: states %v", got)
 	}
-	if got := reg.ModelSet().Versions[KindOrientation]; got != v1 {
+	if got := activeVersion(reg, KindOrientation); got != v1 {
 		t.Fatalf("a candidate went live: serving v%d, want v%d", got, v1)
 	}
 
@@ -300,7 +311,7 @@ func TestLifecycleStates(t *testing.T) {
 	if got := states(); got[v1] != StateArchived || got[cand] != StateActive {
 		t.Fatalf("after promote: states %v", got)
 	}
-	if got := reg.ModelSet().Versions[KindOrientation]; got != cand {
+	if got := activeVersion(reg, KindOrientation); got != cand {
 		t.Fatalf("promoted candidate not serving: v%d", got)
 	}
 	if st := reg.Status()[0]; st.Active != cand || st.Previous != v1 {
@@ -393,8 +404,8 @@ func TestPruneNeverDropsLifecycleVersions(t *testing.T) {
 // TestConcurrentHotSwapUnderLoad hammers promote/rollback from one set
 // of goroutines while others resolve ModelSets and score through them.
 // Run with -race; the invariant is that every resolved set is
-// internally consistent (model present, version one of the two live
-// ones) no matter how the swaps interleave.
+// internally consistent (model present, scoring as one of the two live
+// versions) no matter how the swaps interleave.
 func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 	reg := New(Config{Metrics: metrics.NewRegistry()})
 	v1, err := reg.Install(KindOrientation, trainedModel(t, 30, 2.0))
@@ -405,8 +416,15 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each version is told apart by its score on a fixed vector.
+	feat := []float64{2, 0, 0, 0}
+	score1 := reg.ModelSet().Orientation.Score(feat)
 	if err := reg.Promote(KindOrientation, v2); err != nil {
 		t.Fatal(err)
+	}
+	score2 := reg.ModelSet().Orientation.Score(feat)
+	if score1 == score2 {
+		t.Fatalf("versions %d and %d score %v alike; the check below could not tell them apart", v1, v2, score1)
 	}
 
 	const (
@@ -429,7 +447,6 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 			}
 		}(i)
 	}
-	feat := []float64{2, 0, 0, 0}
 	for i := 0; i < readers; i++ {
 		wg.Add(1)
 		go func() {
@@ -441,12 +458,12 @@ func TestConcurrentHotSwapUnderLoad(t *testing.T) {
 					errs <- errors.New("resolved set lost its orientation model mid-swap")
 					return
 				}
-				got := set.Versions[KindOrientation]
-				if got != v1 && got != v2 {
+				_, got, s := set.Orientation.PredictScore(feat, scratch)
+				scratch = s
+				if got != score1 && got != score2 {
 					errs <- errors.New("resolved set serves an unknown version")
 					return
 				}
-				set.Orientation.PredictScore(feat, scratch)
 			}
 		}()
 	}
