@@ -22,13 +22,15 @@ test:
 # cache and scratch pools, the streaming-ingest session manager
 # (concurrent push/evict plus speaker tracking), the multi-array
 # fusion vote the fan-out feeds, and the versioned model registry
-# (atomic hot-swap/rollback under concurrent readers). The
-# corpus generator is documented safe for concurrent use; its one
+# (atomic hot-swap/rollback under concurrent readers). headtalkd's
+# restore records a tenant's device profile while other connections
+# read it. The corpus generator is documented safe for concurrent use; its one
 # concurrency test runs alone, because the rest of the dataset suite
 # renders whole corpora and is slow under the race detector.
 race:
 	$(GO) test -race ./internal/serve ./internal/pool ./internal/core ./internal/va ./internal/metrics ./internal/mic ./internal/srp ./internal/faultinject ./internal/dsp ./internal/trace ./internal/stream ./internal/cluster ./internal/fusion ./internal/registry
 	$(GO) test -race -run TestGeneratorConcurrent ./internal/dataset
+	$(GO) test -race -run TestRestoreKeepsTenantProfile ./cmd/headtalkd
 
 # Static analysis beyond go vet. staticcheck is not vendored; this
 # target expects it on PATH (CI installs it with `go install`). Keep it
@@ -77,7 +79,9 @@ chaos:
 # one encoding of every peer request), the cluster snapshot envelope, WAV
 # decode, the sealed model envelope file, and the SVM and ConvNet model
 # loaders; the differential oracles of the band-pass and decimation
-# kernels against their plain reference loops; and one whole decision
+# kernels against their plain reference loops, and of the real
+# transforms and Welch estimate under the AVX2 kernels against the Go
+# loops; and one whole decision
 # on the committed served enrollment (no panic, only typed bad-input
 # errors, no accept of silence or DC). The snapshot
 # seeds are whole tenant captures (~80 KB), so its minimization is
@@ -98,6 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadConvNet$$' -fuzztime $(FUZZTIME) ./internal/ml
 	$(GO) test -run '^$$' -fuzz '^FuzzIIRApplyTo$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecimate$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzRealTransformKernels$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzProcessWake$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Benchmarks, machine-readable: serving-layer throughput (worker
@@ -121,13 +126,15 @@ fuzz:
 # GCCAllPairs runs the options of both served GCC callers (the
 # orientation features and the stream's speaker signature), and
 # IRFFTLags inverts a dense and a band-limited cross-spectrum.
+# Kernels times each DSP kernel under the Go loops and under AVX2, and
+# ReadWAV decodes the served 4-channel capture.
 BENCH_JSON ?= BENCH_pr10.json
 BENCH_TAG  ?= pr10
 
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkRuntime|BenchmarkPipelineStages|BenchmarkStreamEndToEnd' -count 5 -benchmem -benchtime 50x . \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
-	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkIRFFTLags|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand' -count 5 -benchmem ./internal/dsp ./internal/srp \
+	$(GO) test -run xxx -bench 'BenchmarkRFFT|BenchmarkFFTPlan|BenchmarkIRFFTLags|BenchmarkBluestein|BenchmarkWelchPSD|BenchmarkKernels|BenchmarkGCCAllPairs|BenchmarkGCCPHATBand|BenchmarkReadWAV' -count 5 -benchmem ./internal/dsp ./internal/srp ./internal/audio \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)
 	$(GO) test -run xxx -bench 'BenchmarkForwardOverhead' -count 5 -benchmem -benchtime 50x ./internal/cluster \
 		| $(GO) run ./cmd/benchjson -tag $(BENCH_TAG) -append -out $(BENCH_JSON)

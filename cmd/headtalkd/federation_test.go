@@ -307,3 +307,27 @@ func TestFederationBadInputKindMatchesLocal(t *testing.T) {
 		t.Errorf("remote response %+v was not forwarded", m["remote"])
 	}
 }
+
+// TestFederationFusedLineNotForwarded: the peer wire has no fused op,
+// so a fused multi-array line for a peer-owned tenant is refused with
+// the typed request error naming the owner, never answered with a
+// single-array decision.
+func TestFederationFusedLineNotForwarded(t *testing.T) {
+	a, _, _, tenantB := newFederation(t)
+	resps := runStream(t, a,
+		`{"v":4,"id":"f","tenant":"`+tenantB+`","arrays":[{"id":"near","condition":{"Distance":1}},{"id":"far","condition":{"Distance":3}}]}`+"\n"+
+			`{"v":4,"id":"fc","tenant":"`+tenantB+`","condition":{},"arrays":[{"id":"x","condition":{}}]}`+"\n")
+	m := byID(resps)
+	for _, r := range resps {
+		if r.Type == "decision" {
+			t.Fatalf("the non-owner answered a fused line with a decision: %+v", r)
+		}
+	}
+	for _, id := range []string{"f", "fc"} {
+		r, ok := m[id]
+		if !ok || r.Type != "error" || r.ErrorKind != "request" || r.Forwarded ||
+			!strings.Contains(r.Error, "owned by node b") || !strings.Contains(r.Error, "arrays requests are not forwarded") {
+			t.Fatalf("fused line %s for a peer-owned tenant = %+v, want a typed refusal naming the owner", id, r)
+		}
+	}
+}

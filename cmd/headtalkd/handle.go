@@ -138,14 +138,15 @@ func (d *daemon) handle(v *verb, req request, lw *lineWriter) {
 	}
 	// A federated daemon serves a tenant it does not host by forwarding
 	// to the ring owner. Node-local verbs (mode, health, trace, the
-	// model verbs) act on the owner's state, so clients must address
-	// the owning node directly.
+	// model verbs) act on the owner's state, and the peer wire cannot
+	// carry a fused multi-array line, so clients must address the
+	// owning node directly.
 	if v.forward == nil {
 		lw.write(response{
 			Type:      "error",
 			ID:        req.ID,
 			Tenant:    d.echoID(req.Tenant),
-			Error:     fmt.Sprintf("tenant %q is owned by node %s; control requests are not forwarded", req.Tenant, d.node.Owner(req.Tenant)),
+			Error:     fmt.Sprintf("tenant %q is owned by node %s; %s requests are not forwarded", req.Tenant, d.node.Owner(req.Tenant), v.fields),
 			ErrorKind: "request",
 		})
 		return
@@ -162,7 +163,7 @@ func (d *daemon) handleHealth(req request, t *pool.Tenant, lw *lineWriter) {
 // envelope.
 func (d *daemon) handleSnapshot(req request, t *pool.Tenant, lw *lineWriter) {
 	echo := d.echoTenant(t)
-	spec := d.specs[t.ID()]
+	spec := d.spec(t.ID())
 	env, err := cluster.CaptureTenant(t, spec.Device, spec.Room)
 	if err != nil {
 		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: cluster.ErrorKind(err)})
@@ -279,7 +280,7 @@ func (d *daemon) loadRecording(req request, spec tenantSpec) (rec *audio.Recordi
 // condition; the engine worker writes the response.
 func (d *daemon) handleDecide(req request, t *pool.Tenant, lw *lineWriter) {
 	echo := d.echoTenant(t)
-	rec, kind, err := d.loadRecording(req, d.specs[t.ID()])
+	rec, kind, err := d.loadRecording(req, d.spec(t.ID()))
 	if err != nil {
 		lw.write(response{Type: "error", ID: req.ID, Tenant: echo, Error: err.Error(), ErrorKind: kind})
 		return
@@ -337,7 +338,7 @@ func (d *daemon) handleDecide(req request, t *pool.Tenant, lw *lineWriter) {
 // the engine's blocking Decide path concurrently.
 func (d *daemon) handleFused(req request, t *pool.Tenant, lw *lineWriter) {
 	echo := d.echoTenant(t)
-	spec := d.specs[t.ID()]
+	spec := d.spec(t.ID())
 	inputs := make([]serve.ArrayInput, len(req.Arrays))
 	for i, a := range req.Arrays {
 		id := a.ID

@@ -102,8 +102,9 @@
 //
 // Control requests honor "tenant" too: mode, health, trace, frames,
 // end_session and the model verbs all act on the named tenant only.
-// Mode, health, trace and the model verbs are never forwarded: for a
-// peer-owned tenant they are refused with an error naming the owner.
+// Mode, health, trace, the model verbs and fused (arrays) lines are
+// never forwarded: for a peer-owned tenant they are refused with an
+// error naming the owner.
 //
 // With -debug-addr set, an HTTP listener additionally serves
 // net/http/pprof under /debug/pprof/, Prometheus text exposition at
@@ -410,8 +411,11 @@ type daemon struct {
 	// tenant-labeled Prometheus exposition. Single-tenant daemons keep
 	// the historical flat shape.
 	multiTenant bool
-	specs       map[string]tenantSpec
-	opts        daemonOptions
+	// specsMu guards specs, the device profile of each hosted tenant:
+	// a restore records one while other connections read them.
+	specsMu sync.RWMutex
+	specs   map[string]tenantSpec
+	opts    daemonOptions
 
 	// node federates this daemon with its peers (nil: standalone). Its
 	// registry is merged into metrics lines under the cluster.* names.
@@ -471,7 +475,7 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 			Metrics:        metrics.NewRegistry(),
 			ForwardTimeout: opts.ForwardTimeout,
 			Profile: func(tenantID string) (string, string) {
-				spec := d.specs[tenantID]
+				spec := d.spec(tenantID)
 				return spec.Device, spec.Room
 			},
 		})
@@ -560,7 +564,7 @@ func newDaemon(opts daemonOptions) (*daemon, error) {
 			_ = d.pool.Close()
 			return nil, err
 		}
-		d.specs[spec.ID] = spec
+		d.recordSpec(spec)
 	}
 	if d.node != nil {
 		d.node.Start()
@@ -617,16 +621,40 @@ func (d *daemon) restoreEnvelope(ctx context.Context, env *cluster.Envelope) err
 	if err != nil {
 		return err
 	}
+	device, room, err := env.Profile()
+	if err != nil {
+		return err
+	}
 	var array *mic.Array
-	if device, _, err := env.Profile(); err == nil && device != "" {
+	if device != "" {
 		array, _ = mic.DeviceByID(device)
 	}
 	tcfg := d.tenantConfig(env.TenantID, sys, reg, array)
 	// Registry-managed captures restore registry-managed, so the v5
 	// model verbs keep working on the restored tenant.
 	tcfg.Models = models
-	_, err = d.pool.ReplaceTenant(ctx, tcfg)
-	return err
+	if _, err := d.pool.ReplaceTenant(ctx, tcfg); err != nil {
+		return err
+	}
+	// The restored tenant keeps its device and room: its snapshots,
+	// fused lines and synthesized captures read them.
+	d.recordSpec(tenantSpec{ID: env.TenantID, Device: device, Room: room})
+	return nil
+}
+
+// spec returns the device profile recorded for a hosted tenant (zero
+// when it declared none).
+func (d *daemon) spec(id string) tenantSpec {
+	d.specsMu.RLock()
+	defer d.specsMu.RUnlock()
+	return d.specs[id]
+}
+
+// recordSpec records a hosted tenant's device profile.
+func (d *daemon) recordSpec(spec tenantSpec) {
+	d.specsMu.Lock()
+	d.specs[spec.ID] = spec
+	d.specsMu.Unlock()
 }
 
 // registerListener records a listener so Shutdown can stop accepting.

@@ -248,3 +248,57 @@ func TestMultiTenantDebugMux(t *testing.T) {
 		t.Fatalf("/healthz with open breaker status %d body %s", code, body)
 	}
 }
+
+// TestRestoreKeepsTenantProfile: a tenant restored under a new id
+// keeps the device and room its envelope records, so its own snapshot
+// carries them on. Decisions and snapshots of the other tenant run
+// while the restore records the profile (run it under -race).
+func TestRestoreKeepsTenantProfile(t *testing.T) {
+	d, err := newDaemon(daemonOptions{
+		Workers:      2,
+		QueueSize:    16,
+		Mode:         "normal",
+		Tenants:      []tenantSpec{{ID: "a", Device: "D1", Room: "lab"}},
+		MetricsEvery: time.Hour,
+		Seed:         7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = d.Close() })
+	r := byID(runStream(t, d, `{"v":3,"id":"snap","tenant":"a","snapshot":true}`+"\n"))["snap"]
+	if r.Type != "snapshot" || r.Envelope == nil {
+		t.Fatalf("snapshot of a = %+v", r)
+	}
+	env := *r.Envelope
+	env.TenantID = "b"
+
+	done := make(chan []response)
+	go func() {
+		done <- runStream(t, d,
+			`{"v":3,"id":"s1","tenant":"a","snapshot":true}`+"\n"+
+				`{"v":3,"id":"d1","tenant":"a","condition":{}}`+"\n"+
+				`{"v":4,"id":"f1","tenant":"a","arrays":[{"condition":{}}]}`+"\n")
+	}()
+	restored := byID(runStream(t, d, mustJSON(t, request{V: v(3), ID: "restore", Restore: &env})+"\n"))
+	if r := restored["restore"]; r.Type != "ok" || r.Tenant != "b" {
+		t.Fatalf("restore as b = %+v", r)
+	}
+	for _, r := range <-done {
+		if r.Type == "error" {
+			t.Fatalf("request %s on a during the restore = %+v", r.ID, r)
+		}
+	}
+
+	r = byID(runStream(t, d, `{"v":3,"id":"snap","tenant":"b","snapshot":true}`+"\n"))["snap"]
+	if r.Type != "snapshot" || r.Envelope == nil {
+		t.Fatalf("snapshot of b = %+v", r)
+	}
+	device, room, err := r.Envelope.Profile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if device != "D1" || room != "lab" {
+		t.Fatalf("restored tenant's envelope records device %q, room %q; want D1, lab", device, room)
+	}
+}

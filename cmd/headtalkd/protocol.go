@@ -335,7 +335,7 @@ type verb struct {
 	// local serves the verb for a tenant this daemon hosts.
 	local func(d *daemon, req request, t *pool.Tenant, lw *lineWriter)
 	// forward serves it for a tenant a federation peer owns. Nil marks
-	// the verb node-local: a forward refuses it.
+	// a verb only the owner serves: a non-owner refuses it.
 	forward func(d *daemon, req request, lw *lineWriter)
 }
 
@@ -361,12 +361,11 @@ var verbs = []verb{
 		uses:    func(r *request) bool { return r.Frames != nil || r.EndSession },
 		local:   (*daemon).handleStream,
 		forward: (*daemon).forwardStream},
-	// The peer wire has no fused op: a forward serves the line's own
-	// wav or condition as one decision.
+	// The peer wire has no fused op, so a fused line for a peer-owned
+	// tenant is refused rather than served as some other request.
 	{fields: "arrays", since: 4,
-		uses:    func(r *request) bool { return len(r.Arrays) > 0 },
-		local:   (*daemon).handleFused,
-		forward: (*daemon).forwardDecide},
+		uses:  func(r *request) bool { return len(r.Arrays) > 0 },
+		local: (*daemon).handleFused},
 	// A bare {"trace":...} toggles store-wide tracing; beside a wav or
 	// condition it forces one decision's trace instead.
 	{fields: "trace", since: 1,

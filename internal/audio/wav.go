@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // WAV I/O supports 16-bit PCM, the format the prototype devices record
@@ -231,22 +232,31 @@ func ReadWAVLimit(r io.Reader, maxBytes int64) (*Recording, error) {
 	}
 	frames := len(data) / (int(channels) * 2)
 	rec := NewRecording(float64(sampleRate), int(channels), frames)
-	for i := 0; i < frames; i++ {
-		for c := 0; c < int(channels); c++ {
-			raw := int16(binary.LittleEndian.Uint16(data[(i*int(channels)+c)*2:]))
-			// Decode with the same 32767 scale the encoder uses, clamped
-			// so the full-scale negative sample (-32768) lands exactly on
-			// -1 instead of ≈ -1.00003 — keeping every decoded sample
-			// inside the documented [-1, 1] range and the encode→decode
-			// round trip idempotent.
-			v := float64(raw) / 32767
-			if v < -1 {
-				v = -1
-			} else if v > 1 {
-				v = 1
-			}
-			rec.Channels[c][i] = v
+	table := pcm16Table()
+	stride := 2 * int(channels)
+	for c, ch := range rec.Channels {
+		for i := range ch {
+			ch[i] = table[binary.LittleEndian.Uint16(data[i*stride+2*c:])]
 		}
 	}
 	return rec, nil
 }
+
+// pcm16Table maps every 16-bit PCM word to its decoded sample, built
+// once. Decode uses the same 32767 scale the encoder uses, clamped so
+// the full-scale negative sample (-32768) lands exactly on -1 instead
+// of ≈ -1.00003 — keeping every decoded sample inside the documented
+// [-1, 1] range and the encode→decode round trip idempotent.
+var pcm16Table = sync.OnceValue(func() *[1 << 16]float64 {
+	var t [1 << 16]float64
+	for u := range t {
+		v := float64(int16(u)) / 32767
+		if v < -1 {
+			v = -1
+		} else if v > 1 {
+			v = 1
+		}
+		t[u] = v
+	}
+	return &t
+})

@@ -192,6 +192,50 @@ func TestReadWAVFullScaleNegativeClamped(t *testing.T) {
 	}
 }
 
+// pcm16Ref is the per-sample decode the table replaced: the encoder's
+// 32767 scale, clamped to [-1, 1].
+func pcm16Ref(raw int16) float64 {
+	v := float64(raw) / 32767
+	if v < -1 {
+		v = -1
+	} else if v > 1 {
+		v = 1
+	}
+	return v
+}
+
+// Every one of the 65 536 PCM16 words decodes to the bits of the
+// per-sample expression, read out of 1, 2, 3, 5 and 7 interleaved
+// channels (a trailing partial frame is dropped).
+func TestReadWAVDecodesEveryWord(t *testing.T) {
+	words := make([]int16, 1<<16)
+	for i := range words {
+		words[i] = int16(i)
+	}
+	for _, channels := range []uint16{1, 2, 3, 5, 7} {
+		stream := buildWAV(
+			wavChunk{"fmt ", fmtBody(1, channels, 48000, 16), -1},
+			wavChunk{"data", pcm(words...), -1},
+		)
+		rec, err := ReadWAV(bytes.NewReader(stream))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := int(channels)
+		if got, want := rec.Len(), len(words)/ch; got != want {
+			t.Fatalf("%d channels: %d frames, want %d", ch, got, want)
+		}
+		for c, samples := range rec.Channels {
+			for i, v := range samples {
+				want := pcm16Ref(words[i*ch+c])
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("%d channels: word %d decoded to %v, want %v", ch, words[i*ch+c], v, want)
+				}
+			}
+		}
+	}
+}
+
 // TestWAVEncodeDecodeEncodeIdempotent is the round-trip property test:
 // for random recordings (including rail-pinned samples), the byte
 // stream stabilizes after one encode — enc(dec(enc(x))) == enc(x) —
@@ -255,6 +299,10 @@ func FuzzReadWAVLimit(f *testing.F) {
 	f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, 3, 48000, 16), declaredSize: -1},
 		wavChunk{id: "LIST", body: []byte{1, 2, 3}, declaredSize: -1},
 		wavChunk{id: "data", body: pcm(1, 2, 3, 4, 5), declaredSize: -1}))
+	for _, channels := range []uint16{3, 5, 7} {
+		f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, channels, 48000, 16), declaredSize: -1},
+			wavChunk{id: "data", body: pcm(-32768, 32767, -32767, 0, 1, -1, 32766, -32768, 32767, 7, -7), declaredSize: -1}))
+	}
 	f.Add(buildWAV(wavChunk{id: "fmt ", body: fmtBody(1, 1, 0, 16), declaredSize: -1}))
 	f.Add(buildWAV(wavChunk{id: "data", body: nil, declaredSize: 1 << 30}))
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -288,4 +336,29 @@ func FuzzReadWAVLimit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkReadWAV decodes the served capture: 4 channels of 1.1 s at
+// 48 kHz.
+func BenchmarkReadWAV(b *testing.B) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	rec := NewRecording(48000, 4, 52800)
+	for _, ch := range rec.Channels {
+		for i := range ch {
+			ch[i] = rng.Float64()*2 - 1
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteWAV(&buf, rec); err != nil {
+		b.Fatal(err)
+	}
+	stream := buf.Bytes()
+	b.SetBytes(int64(len(stream)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReadWAV(bytes.NewReader(stream)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package dsp
 
-// useAVX2 selects the amd64 AVX2 kernels for the radix-2 butterflies
+// useAVX2 selects the amd64 AVX2 kernels for the radix-2 butterflies,
+// the real-FFT unpack and repack, the Welch window and periodogram,
 // and the band-pass cascade. It is set once, at start-up, from the CPU
 // check; only tests flip it, to run the same inputs through both paths.
 // The Go loops are the only path off amd64 and the oracle the kernels

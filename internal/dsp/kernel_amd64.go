@@ -46,6 +46,33 @@ func stage1AVX2(x []complex128, w complex128)
 //go:noescape
 func butterfliesAVX2(lo, hi, w []complex128)
 
+// unpackAVX2 is the real-FFT unpack of the bins in lo, two per
+// iteration: hi holds their partner bins, the first lo's last, and w
+// their twiddles; len(lo) must be even and lo must not overlap hi.
+//
+//go:noescape
+func unpackAVX2(lo, hi, w []complex128)
+
+// repackAVX2 is the inverse real-FFT repack of the bins in lo, two per
+// iteration: hi holds their partner bins, the first lo's last, w their
+// twiddles, and plo and phi the slots of z the results go to, laid out
+// as lo and hi; len(lo) must be even.
+//
+//go:noescape
+func repackAVX2(z, lo, hi, w []complex128, plo, phi []int32)
+
+// windowAVX2 sets dst[i] = x[i]·win[i] for the first len(dst)&^3
+// indices.
+//
+//go:noescape
+func windowAVX2(dst, x, win []float64)
+
+// periodogramAVX2 adds |spec[i]|²/winPower to psd[i] for the first
+// len(psd)&^3 indices.
+//
+//go:noescape
+func periodogramAVX2(psd []float64, spec []complex128, winPower float64)
+
 // cascadeAVX2 runs len(out) steps of the skewed cascade in c: step k
 // writes the last section's output to out[k], and step k+1 feeds
 // in[k] to the first section.

@@ -1,7 +1,8 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 kernels for the radix-2 butterflies and the band-pass cascade.
+// AVX2 kernels for the radix-2 butterflies, the real-FFT unpack and
+// repack, the Welch window and periodogram, and the band-pass cascade.
 // Each one performs, lane by lane, the same IEEE operations in the same
 // order as the Go loop it replaces (no FMA), so the results are
 // bit-identical; only the operands of one addition or multiplication
@@ -298,6 +299,212 @@ done:
 	VMOVUPD Y5, cascadeLanes_z2+32(AX)
 	VMOVUPD Y6, cascadeLanes_y(AX)
 	VMOVUPD Y7, cascadeLanes_y+32(AX)
+	VZEROUPPER
+
+none:
+	RET
+
+// Constants of the real-transform kernels, one per 64-bit lane.
+DATA conjMask<>+0(SB)/8, $0
+DATA conjMask<>+8(SB)/8, $0x8000000000000000
+DATA conjMask<>+16(SB)/8, $0
+DATA conjMask<>+24(SB)/8, $0x8000000000000000
+GLOBL conjMask<>(SB), RODATA|NOPTR, $32
+
+DATA half<>+0(SB)/8, $0x3fe0000000000000
+DATA half<>+8(SB)/8, $0x3fe0000000000000
+DATA half<>+16(SB)/8, $0x3fe0000000000000
+DATA half<>+24(SB)/8, $0x3fe0000000000000
+GLOBL half<>(SB), RODATA|NOPTR, $32
+
+DATA negHalf<>+0(SB)/8, $0xbfe0000000000000
+DATA negHalf<>+8(SB)/8, $0xbfe0000000000000
+DATA negHalf<>+16(SB)/8, $0xbfe0000000000000
+DATA negHalf<>+24(SB)/8, $0xbfe0000000000000
+GLOBL negHalf<>(SB), RODATA|NOPTR, $32
+
+DATA one<>+0(SB)/8, $0x3ff0000000000000
+DATA one<>+8(SB)/8, $0x3ff0000000000000
+DATA one<>+16(SB)/8, $0x3ff0000000000000
+DATA one<>+24(SB)/8, $0x3ff0000000000000
+GLOBL one<>(SB), RODATA|NOPTR, $32
+
+// func unpackAVX2(lo, hi, w []complex128)
+//
+// The real-FFT unpack on two bins k per iteration, lo[i] holding Z[k]
+// and hi[len(hi)-1-i] its partner Z[n/2-k]:
+//   zc = conj(partner)
+//   e = (Z[k]+zc)·(0.5+0i), o = (Z[k]−zc)·(0−0.5i), t = o·w[i]
+//   lo[i] = e+t, partner = conj(e−t)
+// The multiplies by the constants are full complex products, as Go's.
+TEXT ·unpackAVX2(SB), NOSPLIT, $0-72
+	MOVQ lo_base+0(FP), DI
+	MOVQ lo_len+8(FP), CX
+	MOVQ hi_base+24(FP), R10
+	MOVQ w_base+48(FP), SI
+	SHRQ $1, CX
+	JZ   none
+	MOVQ CX, AX
+	SHLQ $5, AX
+	LEAQ -32(R10)(AX*1), R10  // the last pair of hi
+	VMOVUPD conjMask<>(SB), Y13
+	VMOVUPD half<>(SB), Y10
+	VMOVUPD negHalf<>(SB), Y12
+	VXORPD  Y11, Y11, Y11     // +0
+
+loop:
+	VMOVUPD    (DI), Y0
+	VMOVUPD    (R10), Y1
+	VPERM2F128 $0x01, Y1, Y1, Y1
+	VXORPD     Y13, Y1, Y1    // zc
+	VADDPD     Y1, Y0, Y2
+	VSUBPD     Y1, Y0, Y3
+	CMUL(Y2, Y10, Y11, Y6, Y4) // e
+	CMUL(Y3, Y11, Y12, Y6, Y5) // o
+	VMOVDDUP   (SI), Y7
+	VPERMILPD  $15, (SI), Y8
+	CMUL(Y5, Y7, Y8, Y6, Y9)   // t
+	VADDPD     Y9, Y4, Y0
+	VSUBPD     Y9, Y4, Y1
+	VXORPD     Y13, Y1, Y1
+	VPERM2F128 $0x01, Y1, Y1, Y1
+	VMOVUPD    Y0, (DI)
+	VMOVUPD    Y1, (R10)
+	ADDQ       $32, DI
+	ADDQ       $32, SI
+	SUBQ       $32, R10
+	DECQ       CX
+	JNZ        loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func repackAVX2(z, lo, hi, w []complex128, plo, phi []int32)
+//
+// The inverse real-FFT repack on two bins k per iteration, lo[i]
+// holding X[k] and hi[len(hi)-1-i] its partner X[n/2-k]:
+//   xc = conj(partner)
+//   e = (X[k]+xc)·(0.5+0i), d = (X[k]−xc)·(0.5+0i)
+//   o = d·conj(w[i]), io = o·(0+1i)
+//   z[plo[i]] = e+io, z[phi[len(phi)-1-i]] = conj(e−io)
+TEXT ·repackAVX2(SB), NOSPLIT, $0-144
+	MOVQ z_base+0(FP), DX
+	MOVQ lo_base+24(FP), DI
+	MOVQ lo_len+32(FP), CX
+	MOVQ hi_base+48(FP), R10
+	MOVQ w_base+72(FP), SI
+	MOVQ plo_base+96(FP), R12
+	MOVQ phi_base+120(FP), R13
+	SHRQ $1, CX
+	JZ   none
+	MOVQ CX, AX
+	SHLQ $5, AX
+	LEAQ -32(R10)(AX*1), R10  // the last pair of hi
+	SHRQ $2, AX
+	LEAQ -8(R13)(AX*1), R13   // the last pair of phi
+	VMOVUPD conjMask<>(SB), Y13
+	VMOVUPD half<>(SB), Y10
+	VMOVUPD one<>(SB), Y12
+	VXORPD  Y11, Y11, Y11     // +0
+
+loop:
+	VMOVUPD    (DI), Y0
+	VMOVUPD    (R10), Y1
+	VPERM2F128 $0x01, Y1, Y1, Y1
+	VXORPD     Y13, Y1, Y1    // xc
+	VADDPD     Y1, Y0, Y2
+	VSUBPD     Y1, Y0, Y3
+	CMUL(Y2, Y10, Y11, Y6, Y4) // e
+	CMUL(Y3, Y10, Y11, Y6, Y5) // d
+	VMOVUPD    (SI), Y7
+	VXORPD     Y13, Y7, Y7    // conj(w)
+	VMOVDDUP   Y7, Y8
+	VPERMILPD  $15, Y7, Y9
+	CMUL(Y5, Y8, Y9, Y6, Y2)   // o
+	CMUL(Y2, Y11, Y12, Y6, Y3) // io
+	VADDPD     Y3, Y4, Y0
+	VSUBPD     Y3, Y4, Y1
+	VXORPD     Y13, Y1, Y1
+	MOVLQSX    0(R12), AX
+	MOVLQSX    4(R12), BX
+	SHLQ       $4, AX
+	SHLQ       $4, BX
+	VMOVUPD    X0, (DX)(AX*1)
+	VEXTRACTF128 $1, Y0, X0
+	VMOVUPD    X0, (DX)(BX*1)
+	MOVLQSX    4(R13), AX     // bin n/2-k
+	MOVLQSX    0(R13), BX     // bin n/2-k-1
+	SHLQ       $4, AX
+	SHLQ       $4, BX
+	VMOVUPD    X1, (DX)(AX*1)
+	VEXTRACTF128 $1, Y1, X1
+	VMOVUPD    X1, (DX)(BX*1)
+	ADDQ       $32, DI
+	ADDQ       $32, SI
+	SUBQ       $32, R10
+	ADDQ       $8, R12
+	SUBQ       $8, R13
+	DECQ       CX
+	JNZ        loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func windowAVX2(dst, x, win []float64)
+//
+// dst[i] = x[i]·win[i] for the first len(dst)&^3 indices.
+TEXT ·windowAVX2(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ x_base+24(FP), SI
+	MOVQ win_base+48(FP), R10
+	SHRQ $2, CX
+	JZ   none
+	XORQ AX, AX
+
+loop:
+	VMOVUPD (SI)(AX*1), Y0
+	VMULPD  (R10)(AX*1), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+	ADDQ    $32, AX
+	DECQ    CX
+	JNZ     loop
+	VZEROUPPER
+
+none:
+	RET
+
+// func periodogramAVX2(psd []float64, spec []complex128, winPower float64)
+//
+// psd[i] += (re·re + im·im) / winPower, with re and im the parts of
+// spec[i], for the first len(psd)&^3 indices. VHADDPD adds each
+// value's re·re and im·im in that order; it interleaves two registers'
+// sums, which VPERMPD puts back in bin order.
+TEXT ·periodogramAVX2(SB), NOSPLIT, $0-56
+	MOVQ psd_base+0(FP), DI
+	MOVQ psd_len+8(FP), CX
+	MOVQ spec_base+24(FP), SI
+	SHRQ $2, CX
+	JZ   none
+	VBROADCASTSD winPower+48(FP), Y10
+
+loop:
+	VMOVUPD  (SI), Y0
+	VMOVUPD  32(SI), Y1
+	VMULPD   Y0, Y0, Y0
+	VMULPD   Y1, Y1, Y1
+	VHADDPD  Y1, Y0, Y2       // bins 0 2 1 3
+	VPERMPD  $0xd8, Y2, Y2    // bins 0 1 2 3
+	VDIVPD   Y10, Y2, Y2
+	VMOVUPD  (DI), Y3
+	VADDPD   Y2, Y3, Y3
+	VMOVUPD  Y3, (DI)
+	ADDQ     $32, DI
+	ADDQ     $64, SI
+	DECQ     CX
+	JNZ      loop
 	VZEROUPPER
 
 none:

@@ -585,19 +585,89 @@ func testPSDWorkspaceReuseMatchesReference(t *testing.T) {
 	for i, c := range []struct{ n, frameLen int }{
 		{52800, 2048}, {4096, 2048}, {52800, 2048}, {3000, 400}, {2048, 2048}, {9000, 512}, {60000, 2048},
 	} {
-		x := oracleSignal(nil, c.n, uint64(i+1))
-		var err error
-		dst, err = w.WelchPSD(dst, x, c.frameLen)
-		if err != nil {
-			t.Fatal(err)
+		// Gaussian samples, then the edge values: signed zeros and
+		// subnormals, then infinities and NaN too.
+		for j, x := range [][]float64{
+			oracleSignal(nil, c.n, uint64(i+1)),
+			edgeSignal(c.n, uint64(i+1), true),
+			edgeSignal(c.n, uint64(i+1), false),
+		} {
+			what := fmt.Sprintf("n=%d frameLen=%d signal=%d", c.n, c.frameLen, j)
+			var err error
+			dst, err = w.WelchPSD(dst, x, c.frameLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "WelchPSD "+what, welchPSDRef(x, c.frameLen), dst)
+			fresh, err := welchPSD(x, c.frameLen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "fresh WelchPSD "+what, dst, fresh)
 		}
-		sameBits(t, "WelchPSD", welchPSDRef(x, c.frameLen), dst)
-		fresh, err := welchPSD(x, c.frameLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameBits(t, "fresh WelchPSD", dst, fresh)
 	}
+}
+
+// FuzzRealTransformKernels runs the real transforms on a power-of-two
+// length n from 4 to 2^16 under every kernel setting and requires the
+// Go loops' bits from each: RFFT of raw's samples cut pad short of n
+// (the rest read as zeros), IRFFT and IRFFTLags of a half-spectrum
+// read from raw, and WelchPSD of raw's samples in frames of n/4.
+// Samples are raw's bytes read as float64 bits, repeated to the length
+// needed, so NaN, infinities, subnormals and signed zeros all reach
+// the kernels.
+func FuzzRealTransformKernels(f *testing.F) {
+	f.Add(uint8(0), uint16(0), uint16(1), []byte(nil))
+	f.Add(uint8(6), uint16(3), uint16(27), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint8(9), uint16(700), uint16(13), []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf8, 0xff, 9, 8, 7, 6, 5, 4, 0xe0, 0x3f})
+	f.Add(uint8(14), uint16(65535), uint16(600), []byte{0x18, 0x2d, 0x44, 0x54, 0xfb, 0x21, 0x09, 0x40})
+	f.Fuzz(func(t *testing.T, logN uint8, pad, maxLag uint16, raw []byte) {
+		n := 4 << (logN % 15)
+		samples := oracleSignal(raw, n, uint64(len(raw)))
+		cycle := func(l int) []float64 {
+			x := make([]float64, l)
+			for i := range x {
+				x[i] = samples[i%len(samples)]
+			}
+			return x
+		}
+		x := cycle(n - int(pad)%n)
+		halfSpec := cycle(n + 2)
+		spec := make([]complex128, n/2+1)
+		for i := range spec {
+			spec[i] = complex(halfSpec[2*i], halfSpec[2*i+1])
+		}
+		lag := int(maxLag) % n
+		p := Plan(n)
+		type result struct {
+			rfft             []complex128
+			irfft, lags, psd []float64
+		}
+		run := func() result {
+			var w PSDWorkspace
+			psd, err := w.WelchPSD(nil, cycle(n), n/4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return result{
+				rfft:  p.RFFT(nil, x),
+				irfft: p.IRFFT(nil, spec),
+				lags:  p.IRFFTLags(nil, spec, lag, make([]complex128, n/2)),
+				psd:   psd,
+			}
+		}
+		setKernel(t, false)
+		want := run()
+		for _, k := range kernelSettings()[1:] {
+			setKernel(t, k.avx2)
+			got := run()
+			what := fmt.Sprintf("%s n=%d", k.name, n)
+			sameComplexBits(t, "RFFT "+what, want.rfft, got.rfft)
+			sameBits(t, "IRFFT "+what, want.irfft, got.irfft)
+			sameBits(t, fmt.Sprintf("IRFFTLags maxLag=%d %s", lag, what), want.lags, got.lags)
+			sameBits(t, "WelchPSD "+what, want.psd, got.psd)
+		}
+	})
 }
 
 func TestPSDWorkspaceAllocFree(t *testing.T) {

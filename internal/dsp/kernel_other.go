@@ -15,6 +15,18 @@ func stage1AVX2(x []complex128, w complex128) { panic("dsp: no AVX2 kernels on t
 
 func butterfliesAVX2(lo, hi, w []complex128) { panic("dsp: no AVX2 kernels on this architecture") }
 
+func unpackAVX2(lo, hi, w []complex128) { panic("dsp: no AVX2 kernels on this architecture") }
+
+func repackAVX2(z, lo, hi, w []complex128, plo, phi []int32) {
+	panic("dsp: no AVX2 kernels on this architecture")
+}
+
+func windowAVX2(dst, x, win []float64) { panic("dsp: no AVX2 kernels on this architecture") }
+
+func periodogramAVX2(psd []float64, spec []complex128, winPower float64) {
+	panic("dsp: no AVX2 kernels on this architecture")
+}
+
 func cascadeAVX2(c *cascadeLanes, out, in []float64) {
 	panic("dsp: no AVX2 kernels on this architecture")
 }

@@ -97,11 +97,14 @@ func edgeComplex(n int, seed uint64, finite bool) []complex128 {
 	return z
 }
 
-// The AVX2 butterflies give the Go loops' bits through every transform
-// that runs on them, at every power of two from 4 to 2^17: Forward and
-// Inverse, RFFT, IRFFT, and IRFFTLags on windows that prune the late
-// stages and on windows that run the whole inverse. NaN must come out
-// at the same positions.
+// The AVX2 butterflies, real-FFT unpack and repack, and Welch window
+// and periodogram give the Go loops' bits through every transform that
+// runs on them, at every power of two from 4 to 2^17: Forward and
+// Inverse, RFFT, IRFFT, IRFFTLags on windows that prune the late
+// stages and on windows that run the whole inverse, the Welch frame
+// window, and WelchPSD at two frame lengths. NaN must come out at the same positions. Even
+// sizes that are not powers of two take the unpack kernel through a
+// Bluestein half-size transform.
 func TestTransformKernelsMatchGo(t *testing.T) {
 	for n := 4; n <= 1<<17; n <<= 1 {
 		p := Plan(n)
@@ -134,6 +137,37 @@ func TestTransformKernelsMatchGo(t *testing.T) {
 				})
 				sameBits(t, fmt.Sprintf("IRFFTLags maxLag=%d %s", maxLag, what), gl, al)
 			}
+			// The window's own output, since a frame's signed zeros
+			// vanish from the PSD.
+			gf, af := bothKernels(t, func() []float64 {
+				frame := make([]float64, n)
+				windowFrame(frame, x, Hann.Coefficients(n))
+				return frame
+			})
+			sameBits(t, "windowFrame "+what, gf, af)
+			for _, frameLen := range []int{n / 2, min(n, 400)} {
+				var w PSDWorkspace
+				gw, aw := bothKernels(t, func() []float64 {
+					psd, err := w.WelchPSD(nil, x, frameLen)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return psd
+				})
+				sameBits(t, fmt.Sprintf("WelchPSD frameLen=%d %s", frameLen, what), gw, aw)
+			}
+		}
+	}
+	for _, n := range []int{6, 12, 20, 400, 1000, 2400} {
+		p := Plan(n)
+		for _, finite := range []bool{true, false} {
+			what := fmt.Sprintf("n=%d finite=%v", n, finite)
+			x := edgeSignal(n, uint64(n)+7, finite)
+			spec := edgeComplex(n/2+1, uint64(n)+9, finite)
+			g, a := bothKernels(t, func() []complex128 { return p.RFFT(nil, x) })
+			sameComplexBits(t, "RFFT "+what, g, a)
+			gr, ar := bothKernels(t, func() []float64 { return p.IRFFT(nil, spec) })
+			sameBits(t, "IRFFT "+what, gr, ar)
 		}
 	}
 }
@@ -192,10 +226,13 @@ func sectionStates(f *IIRFilter) []float64 {
 	return out
 }
 
-// BenchmarkKernels times the two kernels under each setting: a
-// 32 768-point forward transform (the complex transform inside the
-// GCC's 65 536-point real one) and the served band-pass (order 5,
-// 100-16 000 Hz, six sections) over one 1.1 s channel at 48 kHz.
+// BenchmarkKernels times the kernels under each setting: a 32 768-point
+// forward transform (the complex transform inside the GCC's
+// 65 536-point real one), the served band-pass (order 5, 100-16 000 Hz,
+// six sections) over one 1.1 s channel at 48 kHz, the unpack and
+// repack of that 65 536-point real transform, and the served Welch
+// estimate (2048-sample frames over one channel decimated to 16 kHz,
+// window and periodogram included).
 func BenchmarkKernels(b *testing.B) {
 	z := benchComplex(32768)
 	buf := make([]complex128, len(z))
@@ -205,6 +242,11 @@ func BenchmarkKernels(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	real65536 := Plan(65536)
+	spec := benchComplex(32769)
+	unpacked := make([]complex128, len(spec))
+	var w PSDWorkspace
+	var psd []float64
 	for _, k := range kernelSettings() {
 		b.Run("forward32768/"+k.name, func(b *testing.B) {
 			setKernel(b, k.avx2)
@@ -218,6 +260,25 @@ func BenchmarkKernels(b *testing.B) {
 			setKernel(b, k.avx2)
 			for i := 0; i < b.N; i++ {
 				bp.ApplyTo(dst, x)
+			}
+		})
+		b.Run("unpack65536/"+k.name, func(b *testing.B) {
+			setKernel(b, k.avx2)
+			for i := 0; i < b.N; i++ {
+				copy(unpacked, spec)
+				real65536.unpack(unpacked)
+			}
+		})
+		b.Run("repack65536/"+k.name, func(b *testing.B) {
+			setKernel(b, k.avx2)
+			for i := 0; i < b.N; i++ {
+				real65536.repack(buf, spec)
+			}
+		})
+		b.Run("welch17600/"+k.name, func(b *testing.B) {
+			setKernel(b, k.avx2)
+			for i := 0; i < b.N; i++ {
+				psd, _ = w.WelchPSD(psd, x[:17600], 2048)
 			}
 		})
 	}

@@ -410,13 +410,30 @@ func (p *FFTPlan) RFFT(dst []complex128, x []float64) []complex128 {
 		}
 		hp.Forward(z)
 	}
-	// Unpack: with E/O the even/odd-sample sub-spectra, Z[k] = E[k] +
-	// i·O[k], so X[k] = E[k] + w·O[k] and X[n/2-k] = conj(E[k] - w·O[k])
-	// with w = exp(-2πik/n). Done pairwise in place.
-	re0, im0 := real(z[0]), imag(z[0])
+	p.unpack(dst)
+	return dst
+}
+
+// unpack turns dst[:h], h = n/2, holding the n/2-point transform Z of
+// the sample pairs, into the half-spectrum dst[:h+1] of the real
+// signal. With E/O the even/odd-sample sub-spectra, Z[k] = E[k] +
+// i·O[k], so X[k] = E[k] + w·O[k] and X[n/2-k] = conj(E[k] - w·O[k])
+// with w = exp(-2πik/n). Done pairwise in place; the AVX2 kernel, when
+// selected, takes the bins below the middle two at a time, and the Go
+// loop the odd one out and the middle bin k = h/2, whose partner is
+// itself.
+func (p *FFTPlan) unpack(dst []complex128) {
+	h := p.n / 2
+	re0, im0 := real(dst[0]), imag(dst[0])
 	dst[h] = complex(re0-im0, 0)
 	dst[0] = complex(re0+im0, 0)
-	for k := 1; k <= h/2; k++ {
+	k := 1
+	if useAVX2 {
+		c := realPairs(h)
+		unpackAVX2(dst[1:1+c], dst[h-c:h], p.rtw[1:1+c])
+		k += c
+	}
+	for ; k <= h/2; k++ {
 		zk := dst[k]
 		zc := cmplx.Conj(dst[h-k])
 		e := (zk + zc) * complex(0.5, 0)
@@ -425,8 +442,11 @@ func (p *FFTPlan) RFFT(dst []complex128, x []float64) []complex128 {
 		dst[k] = e + t
 		dst[h-k] = cmplx.Conj(e - t)
 	}
-	return dst
 }
+
+// realPairs returns how many bins k of 1..h/2-1, taken from 1 up in
+// pairs, the AVX2 unpack and repack kernels run for a half size h.
+func realPairs(h int) int { return (h/2 - 1) / 2 * 2 }
 
 // sampleAt returns x[i], or +0 past the end of x.
 func sampleAt(x []float64, i int) float64 {
@@ -509,7 +529,15 @@ func (p *FFTPlan) repack(z, spec []complex128) {
 	// (X[k]-conj(X[n/2-k]))/2, Z[k] = E[k] + i·O[k].
 	e0, eh := real(spec[0]), real(spec[h])
 	z[0] = complex((e0+eh)*0.5, (e0-eh)*0.5)
-	for k := 1; k <= h/2; k++ {
+	k := 1
+	if useAVX2 && perm != nil {
+		// The AVX2 kernel takes the bins below the middle two at a
+		// time, as RFFT's unpack does.
+		c := realPairs(h)
+		repackAVX2(z, spec[1:1+c], spec[h-c:h], p.rtw[1:1+c], perm[1:1+c], perm[h-c:h])
+		k += c
+	}
+	for ; k <= h/2; k++ {
 		ik, ic := k, h-k
 		if perm != nil {
 			ik, ic = int(perm[k]), int(perm[h-k])

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -17,7 +18,9 @@ import (
 // compensates the FIR group delay), summed over the taps in order and
 // skipping taps that reach before the first sample — the same terms in
 // the same order as filtering the whole signal and then picking every
-// factor-th value, so the result is bit-identical.
+// factor-th value, so the result is bit-identical. Where four
+// consecutive outputs have every tap inside the signal, one pass over
+// the taps computes all four on independent accumulators.
 func DecimateInto(dst, x []float64, factor int) ([]float64, error) {
 	if factor < 1 {
 		return nil, fmt.Errorf("dsp: decimation factor %d must be >= 1", factor)
@@ -31,47 +34,71 @@ func DecimateInto(dst, x []float64, factor int) ([]float64, error) {
 		copy(dst, x)
 		return dst, nil
 	}
-	taps := decimationTaps(factor)
-	delay := (len(taps) - 1) / 2
-	for m := range dst {
+	rev := decimationTaps(factor)
+	last := len(rev) - 1
+	delay := last / 2
+	for m := 0; m < n; {
 		j := m*factor + delay
+		if j >= last && m+4 <= n && j+3*factor < len(x) {
+			dst[m], dst[m+1], dst[m+2], dst[m+3] = firQuad(x[j-last:j+3*factor+1], rev, factor)
+			m += 4
+			continue
+		}
 		if j >= len(x) {
 			j = len(x) - 1
 		}
 		var acc float64
-		if j >= len(taps)-1 {
-			// Every tap lands inside the signal.
-			seg := x[j-len(taps)+1 : j+1]
-			for t, tap := range taps {
-				acc += tap * seg[len(seg)-1-t]
-			}
-		} else {
-			for t, tap := range taps[:j+1] {
-				acc += tap * x[j-t]
-			}
+		for t := 0; t <= min(j, last); t++ {
+			acc += rev[last-t] * x[j-t]
 		}
 		dst[m] = acc
+		m++
 	}
 	return dst, nil
+}
+
+// firQuad returns the FIR outputs at samples l-1, l-1+factor,
+// l-1+2·factor and l-1+3·factor of seg, with l = len(rev) and rev the
+// taps in reverse, each summed over the taps in order.
+func firQuad(seg, rev []float64, factor int) (a0, a1, a2, a3 float64) {
+	l := len(rev)
+	s0 := seg[:l]
+	s1 := seg[factor:][:l]
+	s2 := seg[2*factor:][:l]
+	s3 := seg[3*factor:][:l]
+	for i := l - 1; i >= 0; i-- {
+		tap := rev[i]
+		a0 += tap * s0[i]
+		a1 += tap * s1[i]
+		a2 += tap * s2[i]
+		a3 += tap * s3[i]
+	}
+	return
 }
 
 // decimTaps caches the anti-alias filter per small decimation factor:
 // the taps depend only on the factor, and designing them allocates.
 var decimTaps [16]struct {
 	once sync.Once
-	h    []float64
+	rev  []float64
 }
 
-// decimationTaps returns the anti-alias FIR for factor: cutoff just
-// below the new Nyquist frequency, in normalized units with fs = 1.
+// decimationTaps returns the anti-alias FIR for factor, cutoff just
+// below the new Nyquist frequency in normalized units with fs = 1,
+// with its taps in reverse order: tap t at index len-1-t, beside the
+// sample x[j-t] it multiplies in a window of x ending at j.
 func decimationTaps(factor int) []float64 {
-	design := func() []float64 { return FIRLowPass(8*factor+1, 0.45/float64(factor), 1.0) }
+	design := func() []float64 {
+		h := FIRLowPass(8*factor+1, 0.45/float64(factor), 1.0)
+		slices.Reverse(h)
+		return h
+	}
 	if factor >= len(decimTaps) {
 		return design()
 	}
 	e := &decimTaps[factor]
-	e.once.Do(func() { e.h = design() })
-	return e.h
+	e.once.Do(func() { e.rev = design() })
+	return e.rev
 }
 
 // Resample converts x from sample rate from to sample rate to. Integer

@@ -73,20 +73,45 @@ func (w *PSDWorkspace) WelchPSD(dst, x []float64, frameLen int) ([]float64, erro
 	p := Plan(frameLen)
 	var count int
 	for start := 0; start+frameLen <= len(x); start += hop {
-		for i := range scratch {
-			scratch[i] = x[start+i] * win[i]
-		}
+		windowFrame(scratch, x[start:start+frameLen], win)
 		w.spec = p.RFFT(w.spec, scratch)
-		for i, v := range w.spec {
-			re, im := real(v), imag(v)
-			// A division, not a multiply by 1/winPower: the two round
-			// differently.
-			psd[i] += (re*re + im*im) / winPower
-		}
+		accumulatePower(psd, w.spec, winPower)
 		count++
 	}
 	for i := range psd {
 		psd[i] /= float64(count)
 	}
 	return psd, nil
+}
+
+// windowFrame sets dst[i] = x[i]·win[i] for every i < len(dst): the
+// AVX2 kernel, when selected, four at a time, and the Go loop the rest.
+func windowFrame(dst, x, win []float64) {
+	x, win = x[:len(dst)], win[:len(dst)]
+	i := 0
+	if useAVX2 {
+		i = len(dst) &^ 3
+		windowAVX2(dst[:i], x[:i], win[:i])
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = x[i] * win[i]
+	}
+}
+
+// accumulatePower adds each bin's periodogram value |spec[i]|²/winPower
+// to psd[i], for every i < len(psd): the AVX2 kernel, when selected,
+// four at a time, and the Go loop the rest.
+func accumulatePower(psd []float64, spec []complex128, winPower float64) {
+	spec = spec[:len(psd)]
+	i := 0
+	if useAVX2 {
+		i = len(psd) &^ 3
+		periodogramAVX2(psd[:i], spec[:i], winPower)
+	}
+	for ; i < len(psd); i++ {
+		re, im := real(spec[i]), imag(spec[i])
+		// A division, not a multiply by 1/winPower: the two round
+		// differently.
+		psd[i] += (re*re + im*im) / winPower
+	}
 }
